@@ -7,14 +7,7 @@ from .builder import build_augmented_report, generate_augmented_set, generate_re
 from .code_ops import levenshtein, top_k_substitutes
 from .corpus import build_d_ori, split_by_date
 from .diffs import derive_class_name, parse_unified_diff, serialize_hunks
-from .extract import (
-    classify_paragraphs,
-    detect_code_tokens,
-    extract_code_snippets,
-    extract_stack_traces,
-    reduce_stack_trace,
-    strip_punctuation,
-)
+from .extract import detect_code_tokens, reduce_stack_trace, strip_punctuation
 from .metrics import (
     average_precision,
     mean_average_precision,
@@ -40,14 +33,11 @@ __all__ = [
     "balance_dataset",
     "build_augmented_report",
     "build_d_ori",
-    "classify_paragraphs",
     "derive_class_name",
     "detect_code_tokens",
     "dictionary_insert",
     "dictionary_replace",
     "distribution_report",
-    "extract_code_snippets",
-    "extract_stack_traces",
     "generate_augmented_set",
     "generate_repeated_set",
     "index_hunks",

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .builder import MakeReportId
+from .builder import augmented_report_id
 from .corpus import NegativeSampler
 from .model import Dataset, TrainingSample
 from .rng import derive_rng
@@ -28,7 +28,6 @@ def balance_dataset(
     d_train: Dataset,
     alpha: float,
     omega: float,
-    make_report: MakeReportId,
     sampler: NegativeSampler,
     seed: int,
     name: str = "D_bl",
@@ -64,7 +63,7 @@ def balance_dataset(
                 break
             hunk_id, class_name = eligible[rng.randrange(len(eligible))]
             ordinal += 1
-            aug_id = make_report(bug, ordinal)
+            aug_id = augmented_report_id(bug, ordinal)
             samples.append(
                 TrainingSample(
                     bug_ref=aug_id,

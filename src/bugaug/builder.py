@@ -10,8 +10,8 @@ can be replayed bit-exactly.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
+from typing import Iterator
 
 from .code_ops import CodeNameDictionary, CodeOpConfig, augment_code_sample
 from .corpus import NegativeSampler
@@ -35,8 +35,6 @@ from .nl_ops import (
 from .rng import derive_rng
 
 log = logging.getLogger(__name__)
-
-MakeReportId = Callable[[str, int], str]
 
 
 def augmented_report_id(origin_bug_id: str, ordinal: int) -> str:
@@ -101,7 +99,6 @@ class ReportAugmenter:
     code_config: CodeOpConfig
     paraphraser: Paraphraser
     p_drop: float = 0.5
-    reports: list[AugmentedBugReport] = field(default_factory=list)
 
     def augment(self, origin_bug_id: str, ordinal: int) -> AugmentedBugReport:
         structured = self.structured_by_bug.get(origin_bug_id)
@@ -136,7 +133,7 @@ class ReportAugmenter:
             aug_samples.append(current)
             ops_log.append(ops)
         rng = derive_rng(self.aug_config.seed, "assemble", origin_bug_id, ordinal)
-        report = build_augmented_report(
+        return build_augmented_report(
             structured,
             aug_samples,
             rng,
@@ -144,17 +141,24 @@ class ReportAugmenter:
             report_id=augmented_report_id(origin_bug_id, ordinal),
             applied_ops=ops_log,
         )
-        self.reports.append(report)
-        return report
 
-    def make_report_id(self, origin_bug_id: str, ordinal: int) -> str:
-        return self.augment(origin_bug_id, ordinal).id
+
+def referenced_reports(
+    dataset: Dataset, augmenter: ReportAugmenter
+) -> Iterator[AugmentedBugReport]:
+    """The report behind each distinct augmented bug_ref of `dataset`, in
+    first-reference order; original samples (bug_ref == origin_bug_id) have none."""
+    seen: set[str] = set()
+    for sample in dataset.samples:
+        ref = sample.bug_ref
+        if ref != sample.origin_bug_id and ref not in seen:
+            seen.add(ref)
+            yield augmenter.augment(sample.origin_bug_id, int(ref.rpartition("#aug")[2]))
 
 
 def generate_augmented_set(
     d_ori: Dataset,
     factor: int,
-    make_report: MakeReportId,
     sampler: NegativeSampler,
     seed: int,
     name: str = "D_aug",
@@ -169,7 +173,7 @@ def generate_augmented_set(
         bug = positive.origin_bug_id
         for _ in range(factor):
             ordinals[bug] = ordinals.get(bug, 0) + 1
-            aug_id = make_report(bug, ordinals[bug])
+            aug_id = augmented_report_id(bug, ordinals[bug])
             samples.append(
                 TrainingSample(
                     bug_ref=aug_id,

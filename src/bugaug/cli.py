@@ -16,7 +16,12 @@ from pathlib import Path
 
 from . import __version__
 from .balance import balance_dataset, distribution_report
-from .builder import ReportAugmenter, generate_augmented_set, generate_repeated_set
+from .builder import (
+    ReportAugmenter,
+    generate_augmented_set,
+    generate_repeated_set,
+    referenced_reports,
+)
 from .code_ops import CodeNameDictionary, CodeOpConfig, load_code_name_dicts, mine_code_names
 from .corpus import NegativeSampler, ingest_corpus, load_hunks_jsonl, load_links
 from .extract import DEFAULT_LIBRARY_PREFIXES, PatternDictionary, structure_bug_report
@@ -125,15 +130,11 @@ def _code_names(corpus_dir: CorpusDir, override_path: str | None) -> dict[str, C
 
 def _paraphraser(kind: str, service_url: str | None, dictionary: SubstituteDictionary, seed: int,
                  identifiers: list[str]):
-    if kind == "identity":
-        return identity_paraphraser
     if kind == "shuffle":
         return make_shuffle_paraphraser(dictionary, seed, identifiers)
     if kind == "service":
-        if not service_url:
-            raise ValueError("--paraphraser service requires --service-url")
         return make_service_paraphraser(service_url)
-    raise ValueError(f"unknown paraphraser {kind!r}")
+    return identity_paraphraser
 
 
 def _build_augmenter(corpus_dir: CorpusDir, structured_path: Path, args) -> ReportAugmenter:
@@ -141,25 +142,16 @@ def _build_augmenter(corpus_dir: CorpusDir, structured_path: Path, args) -> Repo
         r["bug_id"]: structured_from_dict(r) for r in read_jsonl(structured_path)
     }
     dictionary = (
-        SubstituteDictionary.load(args.substitutes) if getattr(args, "substitutes", None)
+        SubstituteDictionary.load(args.substitutes) if args.substitutes
         else SubstituteDictionary.default()
     )
-    patterns = (
-        PatternDictionary.load(args.patterns) if getattr(args, "patterns", None)
-        else PatternDictionary.default()
-    )
+    patterns = PatternDictionary.load(args.patterns) if args.patterns else PatternDictionary.default()
     identifiers = corpus_dir.class_identifiers()
     qc = QualityControl(patterns=patterns, identifiers=frozenset(identifiers))
-    paraphraser = _paraphraser(
-        getattr(args, "paraphraser", "identity"),
-        getattr(args, "service_url", None),
-        dictionary,
-        args.seed,
-        identifiers,
-    )
+    paraphraser = _paraphraser(args.paraphraser, args.service_url, dictionary, args.seed, identifiers)
     return ReportAugmenter(
         structured_by_bug=structured,
-        code_names_by_bug=_code_names(corpus_dir, getattr(args, "code_dict", None)),
+        code_names_by_bug=_code_names(corpus_dir, args.code_dict),
         dictionary=dictionary,
         qc=qc,
         aug_config=AugConfig(seed=args.seed),
@@ -209,18 +201,22 @@ def stage_extract(corpus_dir: CorpusDir, patterns_path: str | None, lib_prefixes
     log.info("extracted structure for %d bug reports", len(records))
 
 
+def _write_reports(path: Path, dataset: Dataset, corpus_dir: CorpusDir, structured_path: Path,
+                   args) -> None:
+    """Stream the augmented report behind each distinct augmented bug_ref of dataset."""
+    augmenter = _build_augmenter(corpus_dir, structured_path, args)
+    write_jsonl(path, (augmented_report_to_dict(r) for r in referenced_reports(dataset, augmenter)))
+
+
 def stage_augment(corpus_dir: CorpusDir, structured_path: Path, args, out_path: Path,
                   rep_out: Path | None, reports_out: Path | None) -> None:
     d_ori = corpus_dir.d_ori()
     sampler = _negative_sampler(corpus_dir)
-    augmenter = _build_augmenter(corpus_dir, structured_path, args)
-    d_aug = generate_augmented_set(
-        d_ori, args.factor, augmenter.make_report_id, sampler, args.seed
-    )
+    d_aug = generate_augmented_set(d_ori, args.factor, sampler, args.seed)
     write_dataset(out_path, d_aug)
     log.info("|D_aug|=%d (factor %d over |D_ori|=%d)", len(d_aug), args.factor, len(d_ori))
     if reports_out is not None:
-        write_jsonl(reports_out, (augmented_report_to_dict(r) for r in augmenter.reports))
+        _write_reports(reports_out, d_aug, corpus_dir, structured_path, args)
     if rep_out is not None:
         d_rep = generate_repeated_set(d_ori, args.factor, sampler, args.seed)
         write_dataset(rep_out, d_rep)
@@ -231,14 +227,11 @@ def stage_balance(corpus_dir: CorpusDir, structured_path: Path, train_path: Path
                   out_path: Path, reports_out: Path | None) -> None:
     d_train = load_dataset(train_path, "D_train")
     sampler = _negative_sampler(corpus_dir)
-    augmenter = _build_augmenter(corpus_dir, structured_path, args)
-    d_bl = balance_dataset(
-        d_train, args.alpha, args.omega, augmenter.make_report_id, sampler, args.seed
-    )
+    d_bl = balance_dataset(d_train, args.alpha, args.omega, sampler, args.seed)
     write_dataset(out_path, d_bl)
     log.info("|D_bl|=%d (alpha=%s omega=%s)", len(d_bl), args.alpha, args.omega)
     if reports_out is not None:
-        write_jsonl(reports_out, (augmented_report_to_dict(r) for r in augmenter.reports))
+        _write_reports(reports_out, d_bl, corpus_dir, structured_path, args)
 
 
 def stage_stats(dataset_paths: dict[str, Path], top_k: int, out_path: Path,
@@ -292,10 +285,54 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
+def _digest_files(paths: list[Path]) -> dict[str, str]:
+    return {p.name: _sha256(p) for p in paths if p.is_file()}
+
+
 def _digest_tree(path: Path) -> dict[str, str]:
-    if path.is_dir():
-        return {p.name: _sha256(p) for p in sorted(path.iterdir()) if p.is_file()}
-    return {path.name: _sha256(path)}
+    return _digest_files(sorted(path.iterdir()) if path.is_dir() else [path])
+
+
+def _pipeline_manifest(args) -> dict:
+    """Everything that determines the pipeline's artifacts, before any stage runs."""
+    option_files = {"patterns": args.patterns, "substitutes": args.substitutes,
+                    "code_dict": args.code_dict}
+    return {
+        "tool": "bugaug",
+        "version": __version__,
+        "seed": args.seed,
+        "config": {
+            "factor": args.factor,
+            "alpha": args.alpha,
+            "omega": args.omega,
+            "p_drop": args.p_drop,
+            "paraphraser": args.paraphraser,
+            "service_url": args.service_url,
+            "lib_prefixes": args.lib_prefixes,
+            "top_k": args.top_k,
+            "top_n": args.top_n,
+            "metrics": args.metrics,
+        },
+        "inputs": {
+            "bugs": _digest_tree(args.bugs),
+            "diffs": _digest_tree(args.diffs),
+            "links": _digest_tree(args.links),
+            **{name: _digest_tree(Path(path)) for name, path in option_files.items() if path},
+        },
+        "stages": {},
+    }
+
+
+def _completed_stages(manifest_path: Path, manifest: dict) -> dict[str, dict[str, str]]:
+    """Stage digests of the previous run in this directory, if it ran with the
+    same tool, version, seed, config and inputs; otherwise none."""
+    try:
+        previous = json.loads(manifest_path.read_text("utf-8"))
+    except (OSError, ValueError):
+        return {}
+    if any(previous.get(k) != manifest[k] for k in ("tool", "version", "seed", "config", "inputs")):
+        return {}
+    return previous.get("stages", {})
 
 
 # --- command handlers -------------------------------------------------------
@@ -321,6 +358,15 @@ def cmd_ingest(args, parser) -> int:
     return 0
 
 
+def _require_augment_opts(parser: argparse.ArgumentParser, args) -> None:
+    for flag, path in (("--patterns", args.patterns), ("--substitutes", args.substitutes),
+                       ("--code-dict", args.code_dict)):
+        if path:
+            _require(parser, flag, Path(path))
+    if args.paraphraser == "service" and not args.service_url:
+        parser.error("--paraphraser service requires --service-url")
+
+
 def cmd_extract(args, parser) -> int:
     _require(parser, "--corpus", args.corpus)
     if args.patterns:
@@ -332,6 +378,7 @@ def cmd_extract(args, parser) -> int:
 def cmd_augment(args, parser) -> int:
     _require(parser, "--corpus", args.corpus)
     _require(parser, "--structured", args.structured)
+    _require_augment_opts(parser, args)
     stage_augment(
         CorpusDir(args.corpus), args.structured, args, args.out, args.rep_out, args.reports_out
     )
@@ -342,6 +389,7 @@ def cmd_balance(args, parser) -> int:
     _require(parser, "--corpus", args.corpus)
     _require(parser, "--structured", args.structured)
     _require(parser, "--train", args.train)
+    _require_augment_opts(parser, args)
     stage_balance(
         CorpusDir(args.corpus), args.structured, args.train, args, args.out, args.reports_out
     )
@@ -372,6 +420,7 @@ def cmd_pipeline(args, parser) -> int:
     _require(parser, "--bugs", args.bugs)
     _require(parser, "--diffs", args.diffs)
     _require(parser, "--links", args.links)
+    _require_augment_opts(parser, args)
     out: Path = args.out
     out.mkdir(parents=True, exist_ok=True)
     corpus_dir = CorpusDir(out)
@@ -434,38 +483,24 @@ def cmd_pipeline(args, parser) -> int:
         ),
     ]
 
-    manifest: dict = {
-        "tool": "bugaug",
-        "version": __version__,
-        "seed": args.seed,
-        "config": {
-            "factor": args.factor,
-            "alpha": args.alpha,
-            "omega": args.omega,
-            "p_drop": args.p_drop,
-            "paraphraser": args.paraphraser,
-            "top_n": args.top_n,
-            "metrics": args.metrics,
-        },
-        "inputs": {
-            "bugs": _digest_tree(args.bugs),
-            "diffs": _digest_tree(args.diffs),
-            "links": _digest_tree(args.links),
-        },
-        "stages": {},
-    }
+    manifest_path = out / "manifest.json"
+    manifest = _pipeline_manifest(args)
+    completed = {} if args.force else _completed_stages(manifest_path, manifest)
     for name, outputs, fn in stages:
         paths = [out / o for o in outputs]
-        if args.force or not all(p.exists() for p in paths):
+        if completed.get(name) == _digest_files(paths):
+            log.info("stage %s: outputs match the manifest, skipping (use --force to recompute)", name)
+        else:
             try:
                 fn()
             except Exception as exc:
                 print(f"pipeline stage {name!r} failed: {exc}", file=sys.stderr)
                 return 1
-        else:
-            log.info("stage %s: outputs exist, skipping (use --force to recompute)", name)
-        manifest["stages"][name] = {p.name: _sha256(p) for p in paths}
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", "utf-8")
+        manifest["stages"][name] = _digest_files(paths)
+        # a new file, not a truncated one: ext4 flushes files truncated to zero on close
+        # (auto_da_alloc), which costs tens of ms per stage
+        manifest_path.unlink(missing_ok=True)
+        manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", "utf-8")
     print(f"pipeline complete; artifacts in {out}")
     return 0
 
@@ -568,7 +603,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--top-n", dest="top_n", type=int, default=100)
     sub.add_argument("--metrics", default="mrr,map,p@1,p@3,p@5")
     sub.add_argument("--lib-prefixes", dest="lib_prefixes", default=",".join(DEFAULT_LIBRARY_PREFIXES))
-    sub.add_argument("--force", action="store_true", help="recompute stages whose outputs exist")
+    sub.add_argument("--force", action="store_true",
+                     help="recompute every stage, even one whose outputs match the manifest")
     _add_augment_opts(sub)
     sub.set_defaults(func=cmd_pipeline)
 

@@ -142,35 +142,6 @@ def classify_tokens(tokens: Sequence[Token], patterns: PatternDictionary) -> str
     return "Other"
 
 
-def classify_paragraphs(remainder_text: str, pattern_dict: PatternDictionary) -> list[Sample]:
-    """Split text into blank-line-delimited blocks and label each one."""
-    samples: list[Sample] = []
-    for start, end, block in _paragraph_blocks(remainder_text):
-        tokens = detect_code_tokens(tokenize(block))
-        if not tokens:
-            continue
-        kind = classify_tokens(tokens, pattern_dict)
-        samples.append(Sample(kind=kind, tokens=tokens, source_span=(start, end)))
-    return samples
-
-
-def _paragraph_blocks(text: str) -> list[tuple[int, int, str]]:
-    blocks: list[tuple[int, int, str]] = []
-    span_start = None
-    span_end = 0
-    for line_start, line_end, line in _lines_with_offsets(text):
-        if line.strip():
-            if span_start is None:
-                span_start = line_start
-            span_end = line_end
-        elif span_start is not None:
-            blocks.append((span_start, span_end, text[span_start:span_end]))
-            span_start = None
-    if span_start is not None:
-        blocks.append((span_start, span_end, text[span_start:span_end]))
-    return blocks
-
-
 def _lines_with_offsets(text: str) -> list[tuple[int, int, str]]:
     out = []
     pos = 0
@@ -248,17 +219,6 @@ def _find_traces(
     return found
 
 
-def extract_stack_traces(text: str) -> tuple[list[list[StackFrame]], str]:
-    lines = [line for _, _, line in _lines_with_offsets(text)]
-    found = _find_traces(lines)
-    traces = [frames for _, _, frames in found]
-    covered = set()
-    for start, end, _ in found:
-        covered.update(range(start, end))
-    remainder = "\n".join(line for idx, line in enumerate(lines) if idx not in covered)
-    return traces, remainder
-
-
 def reduce_stack_trace(
     trace: Sequence[StackFrame], library_prefixes: Sequence[str] = DEFAULT_LIBRARY_PREFIXES
 ) -> list[StackFrame]:
@@ -320,19 +280,6 @@ def _find_snippet_runs(indexed_lines: Sequence[tuple[int, str]]) -> list[list[in
     if len(current) >= 2:
         runs.append(current)
     return runs
-
-
-def extract_code_snippets(text: str, identifiers: Iterable[str] = ()) -> tuple[list[Sample], str]:
-    offsets = _lines_with_offsets(text)
-    runs = _find_snippet_runs([(i, line) for i, (_, _, line) in enumerate(offsets)])
-    snippets = []
-    covered = set()
-    for run in runs:
-        covered.update(run)
-        span = (offsets[run[0]][0], offsets[run[-1]][1])
-        snippets.append(_snippet_sample(" ".join(offsets[i][2] for i in run), span, identifiers))
-    remainder = "\n".join(line for i, (_, _, line) in enumerate(offsets) if i not in covered)
-    return snippets, remainder
 
 
 def _snippet_sample(block_text: str, span: tuple[int, int], identifiers: Iterable[str]) -> Sample:

@@ -13,7 +13,7 @@ from collections import Counter
 from fractions import Fraction
 
 from bugaug.balance import balance_dataset, distribution_report, scaled_cap
-from bugaug.builder import augmented_report_id, generate_augmented_set, generate_repeated_set
+from bugaug.builder import generate_augmented_set, generate_repeated_set
 from bugaug.cli import main
 from bugaug.code_ops import (
     CodeNameDictionary,
@@ -58,10 +58,6 @@ def _negative(bug: str, hunk: str, cls: str) -> TrainingSample:
     return TrainingSample(bug_ref=bug, origin_bug_id=bug, hunk_id=hunk, class_name=cls, label="negative")
 
 
-def _stub(origin: str, ordinal: int) -> str:
-    return augmented_report_id(origin, ordinal)
-
-
 def _spare_sampler(bugs: set[str], excluded: dict[str, frozenset]) -> NegativeSampler:
     pool = [make_hunk(f"spare{i}", "csx", f"SpareClass{i}") for i in range(4)]
     return NegativeSampler(pool, {b: excluded.get(b, frozenset()) for b in bugs})
@@ -85,7 +81,7 @@ def test_criterion_1_dataset_size_arithmetic():
     size = len(d_ori)
     assert size == 5000
     d_rep = generate_repeated_set(d_ori, 10, sampler, seed=42)
-    d_aug = generate_augmented_set(d_ori, 10, _stub, sampler, seed=42)
+    d_aug = generate_augmented_set(d_ori, 10, sampler, seed=42)
     assert len(d_rep) == 10 * size
     assert len(d_aug) == 11 * size
 
@@ -93,7 +89,7 @@ def test_criterion_1_dataset_size_arithmetic():
     medium, medium_sampler = _synthetic_d_ori(n_positives=1106, n_bugs=100)
     assert len(medium) == 2212
     assert len(generate_repeated_set(medium, 10, medium_sampler, seed=1)) == 22120
-    assert len(generate_augmented_set(medium, 10, _stub, medium_sampler, seed=1)) == 24332
+    assert len(generate_augmented_set(medium, 10, medium_sampler, seed=1)) == 24332
 
     elapsed = time.perf_counter() - started
     assert elapsed < 10.0, f"criterion 1 took {elapsed:.1f}s"
@@ -118,7 +114,7 @@ def test_criterion_2_algorithm1_cap_invariant():
         sampler = _spare_sampler(set(excluded), excluded)
         alpha = rng.choice([0.5, 0.7, 0.85, 1.0, 1.3, 2.0])
         omega = rng.choice([0.5, 1.0, 2.0, 2.5])
-        d_bl = balance_dataset(d_train, alpha, omega, _stub, sampler, seed=fixture_no)
+        d_bl = balance_dataset(d_train, alpha, omega, sampler, seed=fixture_no)
         max_br = scaled_cap(alpha, max(d_train.positive_counts_by_bug().values()))
         max_cl = scaled_cap(omega, max(d_train.positive_counts_by_class().values()))
         final_bug = d_bl.positive_counts_by_bug()
@@ -153,8 +149,8 @@ def test_criterion_3_balancing_smooths_the_skew():
 
     bugs = set(d_ori.positive_counts_by_bug())
     sampler = _spare_sampler(bugs, {})
-    d_aug = generate_augmented_set(d_ori, 10, _stub, sampler, seed=3)
-    d_bl = balance_dataset(d_ori, 0.7, 1.0, _stub, sampler, seed=3)
+    d_aug = generate_augmented_set(d_ori, 10, sampler, seed=3)
+    d_bl = balance_dataset(d_ori, 0.7, 1.0, sampler, seed=3)
     aug_report = distribution_report(d_aug)
     bl_report = distribution_report(d_bl)
     for k in (5, 10):

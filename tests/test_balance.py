@@ -27,10 +27,6 @@ def _sampler(positives: list[tuple[str, str, str]]) -> NegativeSampler:
     return NegativeSampler(pool, {b: frozenset(c for bb, _, c in positives if bb == b) for b in bugs})
 
 
-def _stub(origin: str, ordinal: int) -> str:
-    return augmented_report_id(origin, ordinal)
-
-
 def test_scaled_cap_uses_exact_arithmetic():
     assert scaled_cap(1.3, 10) == 13  # float multiply would give 14
     assert scaled_cap(0.7, 4) == 3
@@ -43,7 +39,7 @@ def test_hand_traced_balancing():
     # caps: max_br=4, max_cl=4; B gains 3 Y-positives, A gains none
     positives = [("A", f"hA{i}", "X") for i in range(4)] + [("B", "hB0", "Y")]
     d_train = _dataset(positives)
-    d_bl = balance_dataset(d_train, 1.0, 1.0, _stub, _sampler(positives), seed=2)
+    d_bl = balance_dataset(d_train, 1.0, 1.0, _sampler(positives), seed=2)
     counts = d_bl.positive_counts_by_bug()
     assert counts == {"A": 4, "B": 4}
     class_counts = d_bl.positive_counts_by_class()
@@ -53,7 +49,7 @@ def test_hand_traced_balancing():
 def test_bug_already_above_cap_gets_no_additions():
     positives = [("A", f"hA{i}", "X") for i in range(4)] + [("B", "hB0", "Y")]
     d_train = _dataset(positives)
-    d_bl = balance_dataset(d_train, 0.7, 5.0, _stub, _sampler(positives), seed=2)
+    d_bl = balance_dataset(d_train, 0.7, 5.0, _sampler(positives), seed=2)
     # max_br = ceil(0.7*4) = 3; A already has 4 (copy retained, nothing added)
     counts = d_bl.positive_counts_by_bug()
     assert counts["A"] == 4
@@ -65,7 +61,7 @@ def test_class_saturated_by_earlier_bug_stops_later_bug():
     # additions saturate X, so B gains nothing
     positives = [("A", "hA0", "X"), ("B", "hB0", "X")]
     d_train = _dataset(positives)
-    d_bl = balance_dataset(d_train, 3.0, 2.0, _stub, _sampler(positives), seed=2)
+    d_bl = balance_dataset(d_train, 3.0, 2.0, _sampler(positives), seed=2)
     # max_br = 3, max_cl = ceil(2*2) = 4; A grows 1->3 (X: 2->4), X full, B stays 1
     counts = d_bl.positive_counts_by_bug()
     assert counts == {"A": 3, "B": 1}
@@ -75,7 +71,7 @@ def test_class_saturated_by_earlier_bug_stops_later_bug():
 def test_balanced_output_contains_input_as_multiset():
     positives = [("A", "hA0", "X"), ("A", "hA1", "Y"), ("B", "hB0", "Z")]
     d_train = _dataset(positives)
-    d_bl = balance_dataset(d_train, 2.0, 2.0, _stub, _sampler(positives), seed=4)
+    d_bl = balance_dataset(d_train, 2.0, 2.0, _sampler(positives), seed=4)
     assert len(d_bl) >= len(d_train)
     original = Counter(d_train.samples)
     merged = Counter(d_bl.samples)
@@ -96,7 +92,7 @@ def test_additions_respect_caps_on_random_fixtures():
         d_train = _dataset(positives)
         alpha = rng.choice([0.5, 0.7, 1.0, 1.3, 2.0])
         omega = rng.choice([0.5, 1.0, 2.0, 2.5])
-        d_bl = balance_dataset(d_train, alpha, omega, _stub, _sampler(positives), seed=rng.randint(0, 99))
+        d_bl = balance_dataset(d_train, alpha, omega, _sampler(positives), seed=rng.randint(0, 99))
         max_br = scaled_cap(alpha, max(d_train.positive_counts_by_bug().values()))
         max_cl = scaled_cap(omega, max(d_train.positive_counts_by_class().values()))
         added = d_bl.samples[len(d_train.samples):]
@@ -113,7 +109,7 @@ def test_balancing_is_deterministic():
     positives = [("A", "hA0", "X"), ("B", "hB0", "Y"), ("B", "hB1", "Z")]
     d_train = _dataset(positives)
     runs = [
-        balance_dataset(d_train, 2.0, 2.0, _stub, _sampler(positives), seed=7).samples
+        balance_dataset(d_train, 2.0, 2.0, _sampler(positives), seed=7).samples
         for _ in range(2)
     ]
     assert runs[0] == runs[1]
@@ -122,25 +118,21 @@ def test_balancing_is_deterministic():
 def test_each_addition_consumes_a_fresh_report():
     positives = [("A", "hA0", "X"), ("B", "hB0", "Y")]
     d_train = _dataset(positives)
-    minted: list[str] = []
-
-    def recording_stub(origin: str, ordinal: int) -> str:
-        rid = augmented_report_id(origin, ordinal)
-        minted.append(rid)
-        return rid
-
-    d_bl = balance_dataset(d_train, 3.0, 5.0, recording_stub, _sampler(positives), seed=7)
+    d_bl = balance_dataset(d_train, 3.0, 5.0, _sampler(positives), seed=7)
     added_positives = [s for s in d_bl.samples[len(d_train.samples):] if s.label == "positive"]
-    assert len(minted) == len(added_positives)
-    assert len(set(minted)) == len(minted)
+    assert added_positives
+    for bug in ("A", "B"):
+        refs = [s.bug_ref for s in added_positives if s.origin_bug_id == bug]
+        assert refs == [augmented_report_id(bug, n) for n in range(1, len(refs) + 1)]
+    assert len({s.bug_ref for s in added_positives}) == len(added_positives)
 
 
 def test_balance_rejects_bad_parameters():
     d_train = _dataset([("A", "h", "X")])
     with pytest.raises(ValueError):
-        balance_dataset(d_train, 0.0, 1.0, _stub, _sampler([("A", "h", "X")]), seed=1)
+        balance_dataset(d_train, 0.0, 1.0, _sampler([("A", "h", "X")]), seed=1)
     with pytest.raises(ValueError):
-        balance_dataset(Dataset("empty", []), 1.0, 1.0, _stub, _sampler([("A", "h", "X")]), seed=1)
+        balance_dataset(Dataset("empty", []), 1.0, 1.0, _sampler([("A", "h", "X")]), seed=1)
 
 
 # --- distribution report -------------------------------------------------------

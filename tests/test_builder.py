@@ -7,16 +7,23 @@ import pytest
 
 from bugaug.builder import (
     ReportAugmenter,
-    augmented_report_id,
     build_augmented_report,
     generate_augmented_set,
     generate_repeated_set,
+    referenced_reports,
     replay_report,
 )
 from bugaug.code_ops import CodeOpConfig, mine_code_names
 from bugaug.corpus import build_d_ori
 from bugaug.extract import structure_bug_report
-from bugaug.model import Dataset, Sample, StructuredBugReport, Token, TrainingSample
+from bugaug.model import (
+    Dataset,
+    Sample,
+    StructuredBugReport,
+    Token,
+    TrainingSample,
+    augmented_report_to_dict,
+)
 from bugaug.nl_ops import AugConfig, QualityControl, identity_paraphraser
 
 from conftest import build_corpus, make_bug, sampler_for
@@ -106,21 +113,17 @@ def _tiny_d_ori() -> tuple[Dataset, object]:
     return d_ori, sampler_for(corpus)
 
 
-def _stub_make_report(origin_bug_id: str, ordinal: int) -> str:
-    return augmented_report_id(origin_bug_id, ordinal)
-
-
 def test_augmented_set_factor_one_arithmetic():
     d_ori, sampler = _tiny_d_ori()
     assert len(d_ori) == 4  # 2 positives + 2 negatives
-    d_aug = generate_augmented_set(d_ori, 1, _stub_make_report, sampler, seed=5)
+    d_aug = generate_augmented_set(d_ori, 1, sampler, seed=5)
     assert len(d_aug) == 8
 
 
 def test_augmented_set_scales_as_one_plus_factor():
     d_ori, sampler = _tiny_d_ori()
     for factor in (1, 3, 10):
-        d_aug = generate_augmented_set(d_ori, factor, _stub_make_report, sampler, seed=5)
+        d_aug = generate_augmented_set(d_ori, factor, sampler, seed=5)
         assert len(d_aug) == (1 + factor) * len(d_ori)
         positives = d_aug.positives()
         negatives = d_aug.negatives()
@@ -129,7 +132,7 @@ def test_augmented_set_scales_as_one_plus_factor():
 
 def test_augmented_positives_keep_origin_hunk():
     d_ori, sampler = _tiny_d_ori()
-    d_aug = generate_augmented_set(d_ori, 4, _stub_make_report, sampler, seed=5)
+    d_aug = generate_augmented_set(d_ori, 4, sampler, seed=5)
     by_origin = {p.hunk_id for p in d_ori.positives()}
     for p in d_aug.positives():
         assert p.hunk_id in by_origin
@@ -139,7 +142,7 @@ def test_augmented_positives_keep_origin_hunk():
 
 def test_augmented_negative_pairs_share_the_augmented_ref():
     d_ori, sampler = _tiny_d_ori()
-    d_aug = generate_augmented_set(d_ori, 2, _stub_make_report, sampler, seed=5)
+    d_aug = generate_augmented_set(d_ori, 2, sampler, seed=5)
     new = [s for s in d_aug.samples if "#aug" in s.bug_ref]
     refs = Counter(s.bug_ref for s in new)
     assert all(count == 2 for count in refs.values())  # one positive + one negative each
@@ -169,7 +172,7 @@ def test_repeated_positives_are_verbatim_copies():
 def test_generators_reject_factor_below_one():
     d_ori, sampler = _tiny_d_ori()
     with pytest.raises(ValueError):
-        generate_augmented_set(d_ori, 0, _stub_make_report, sampler, seed=1)
+        generate_augmented_set(d_ori, 0, sampler, seed=1)
     with pytest.raises(ValueError):
         generate_repeated_set(d_ori, 0, sampler, seed=1)
 
@@ -213,7 +216,6 @@ def test_report_augmenter_produces_replayable_reports(patterns, substitutes):
     report = augmenter.augment("b1", 1)
     assert report.id == "b1#aug1"
     assert report.origin_bug_id == "b1"
-    assert augmenter.reports == [report]
     n_original = len(augmenter.structured_by_bug["b1"].samples)
     assert len(report.samples) in (n_original - 1, n_original)
     assert sorted(report.permutation) == list(range(n_original))
@@ -225,6 +227,22 @@ def test_report_augmenter_is_deterministic(patterns, substitutes):
     assert first.permutation == second.permutation
     assert [[t.text for t in s.tokens] for s in first.samples] == [
         [t.text for t in s.tokens] for s in second.samples
+    ]
+
+
+def test_referenced_reports_follow_first_reference_order(patterns, substitutes):
+    augmenter = _full_augmenter(patterns, substitutes)
+    dataset = Dataset(
+        name="D",
+        samples=[
+            TrainingSample(bug_ref=ref, origin_bug_id="b1", hunk_id="h", class_name="C", label="positive")
+            for ref in ("b1", "b1#aug2", "b1#aug1", "b1#aug2", "b1")
+        ],
+    )
+    reports = list(referenced_reports(dataset, augmenter))
+    assert [r.id for r in reports] == ["b1#aug2", "b1#aug1"]
+    assert [augmented_report_to_dict(r) for r in reports] == [
+        augmented_report_to_dict(augmenter.augment("b1", n)) for n in (2, 1)
     ]
 
 
@@ -244,7 +262,7 @@ def test_generated_negatives_avoid_inducing_classes_and_keep_ratio():
     d_ori = build_d_ori(list(corpus.bugs.values()), corpus, rng_seed=3)
     sampler = sampler_for(corpus)
     for dataset in (
-        generate_augmented_set(d_ori, 5, _stub_make_report, sampler, seed=8),
+        generate_augmented_set(d_ori, 5, sampler, seed=8),
         generate_repeated_set(d_ori, 5, sampler, seed=8),
     ):
         assert len(dataset.positives()) == len(dataset.negatives())

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import hashlib
 import json
+from importlib import resources
 
 import pytest
 
+from bugaug import cli
 from bugaug.cli import main
 from bugaug.fixtures import generate_corpus
 from bugaug.model import read_jsonl
@@ -59,7 +62,7 @@ def test_ingest_then_extract(tmp_path, corpus_dir):
     assert records and all(r["samples"] for r in records)
 
 
-def test_missing_input_exits_2_and_names_the_flag(tmp_path, capsys):
+def test_missing_input_exits_2_and_names_the_flag(tmp_path, capsys, corpus_dir):
     with pytest.raises(SystemExit) as exc:
         main(
             [
@@ -72,6 +75,31 @@ def test_missing_input_exits_2_and_names_the_flag(tmp_path, capsys):
         )
     assert exc.value.code == 2
     assert "--bugs" in capsys.readouterr().err
+
+    # option errors are found before any stage runs
+    missing = str(tmp_path / "missing.json")
+    stage_args = ["--corpus", str(tmp_path), "--structured", str(tmp_path)]
+    cases = [
+        (["extract", "--corpus", str(tmp_path), "--patterns", missing,
+          "--out", str(tmp_path / "s.jsonl")], "--patterns"),
+        (["augment", *stage_args, "--out", str(tmp_path / "a.jsonl"), "--code-dict", missing],
+         "--code-dict"),
+        (["augment", *stage_args, "--out", str(tmp_path / "a.jsonl"), "--paraphraser", "service"],
+         "--service-url"),
+        (["balance", *stage_args, "--train", str(tmp_path), "--alpha", "1", "--omega", "1",
+          "--out", str(tmp_path / "b.jsonl"), "--paraphraser", "service"], "--service-url"),
+        (["balance", *stage_args, "--train", str(tmp_path), "--alpha", "1", "--omega", "1",
+          "--out", str(tmp_path / "b.jsonl"), "--substitutes", missing], "--substitutes"),
+        (_pipeline_args(corpus_dir, tmp_path / "run", extra=["--patterns", missing]), "--patterns"),
+        (_pipeline_args(corpus_dir, tmp_path / "run", extra=["--paraphraser", "service"]),
+         "--service-url"),
+    ]
+    for argv, flag in cases:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        assert flag in capsys.readouterr().err, argv
+    assert not (tmp_path / "run").exists()
 
 
 def test_runtime_failure_exits_1(tmp_path, capsys):
@@ -125,6 +153,49 @@ def test_pipeline_rerun_without_force_is_a_noop(tmp_path, corpus_dir):
     assert main(_pipeline_args(corpus_dir, out)) == 0
     assert (out / "manifest.json").read_bytes() == manifest_before
     assert (out / "d_aug.jsonl").stat().st_mtime_ns == stamp_before  # not recomputed
+
+
+def test_pipeline_rerun_after_config_change_recomputes(tmp_path, corpus_dir):
+    out = tmp_path / "run"
+    assert main(_pipeline_args(corpus_dir, out)) == 0
+    patterns = tmp_path / "patterns.json"
+    patterns.write_text(resources.files("bugaug").joinpath("data/patterns.json").read_text("utf-8"), "utf-8")
+    changed = ["--factor", "1", "--top-k", "3", "--patterns", str(patterns)]
+    assert main(_pipeline_args(corpus_dir, out, extra=changed)) == 0
+    fresh = tmp_path / "fresh"
+    assert main(_pipeline_args(corpus_dir, fresh, extra=changed)) == 0
+    assert (out / "manifest.json").read_bytes() == (fresh / "manifest.json").read_bytes()
+    assert len(list(read_jsonl(out / "d_aug.jsonl"))) == 2 * len(list(read_jsonl(out / "d_ori.jsonl")))
+    manifest = json.loads((out / "manifest.json").read_text("utf-8"))
+    assert manifest["config"]["factor"] == 1 and manifest["config"]["top_k"] == 3
+    assert manifest["inputs"]["patterns"] == {
+        "patterns.json": hashlib.sha256(patterns.read_bytes()).hexdigest()
+    }
+
+
+def test_pipeline_rerun_after_truncation_recomputes_the_stage(tmp_path, corpus_dir):
+    out = tmp_path / "run"
+    assert main(_pipeline_args(corpus_dir, out)) == 0
+    manifest_before = (out / "manifest.json").read_bytes()
+    d_bl = (out / "d_bl.jsonl").read_bytes()
+    (out / "d_bl.jsonl").write_bytes(d_bl[: len(d_bl) // 2])
+    stamp_before = (out / "d_aug.jsonl").stat().st_mtime_ns
+    assert main(_pipeline_args(corpus_dir, out)) == 0
+    assert (out / "d_bl.jsonl").read_bytes() == d_bl
+    assert (out / "manifest.json").read_bytes() == manifest_before
+    assert (out / "d_aug.jsonl").stat().st_mtime_ns == stamp_before  # intact stage still resumes
+
+
+def test_pipeline_records_each_completed_stage(tmp_path, corpus_dir, capsys, monkeypatch):
+    def fail(*args):
+        raise RuntimeError("eval crashed")
+
+    monkeypatch.setattr(cli, "stage_eval", fail)
+    out = tmp_path / "run"
+    assert main(_pipeline_args(corpus_dir, out)) == 1
+    assert "eval crashed" in capsys.readouterr().err
+    stages = json.loads((out / "manifest.json").read_text("utf-8"))["stages"]
+    assert sorted(stages) == sorted(["ingest", "extract", "augment", "balance", "stats", "retrieve"])
 
 
 def test_pipeline_force_recomputes_identically(tmp_path, corpus_dir):
@@ -188,6 +259,33 @@ def test_augment_subcommand_with_shuffle_paraphraser(tmp_path, corpus_dir):
     assert len(d_aug) == 2 * len(d_ori)
     reports = list(read_jsonl(out / "reports.jsonl"))
     assert reports and all("#aug" in r["id"] for r in reports)
+
+
+def _distinct_augmented_refs(dataset_path) -> list[str]:
+    refs = [s["bug_ref"] for s in read_jsonl(dataset_path) if s["bug_ref"] != s["origin_bug_id"]]
+    return list(dict.fromkeys(refs))
+
+
+def test_report_files_hold_exactly_the_reports_their_dataset_references(tmp_path, corpus_dir):
+    out = tmp_path / "run"
+    assert main(_pipeline_args(corpus_dir, out)) == 0
+    for dataset, reports in (("d_aug.jsonl", "augmented_reports.jsonl"),
+                             ("d_bl.jsonl", "balance_reports.jsonl")):
+        refs = _distinct_augmented_refs(out / dataset)
+        assert refs, dataset
+        assert [r["id"] for r in read_jsonl(out / reports)] == refs
+
+
+def test_augment_writes_the_same_d_aug_without_reports_out(tmp_path, corpus_dir):
+    out = tmp_path / "run"
+    assert main(_pipeline_args(corpus_dir, out)) == 0
+    common = ["augment", "--corpus", str(out), "--structured", str(out / "structured.jsonl"),
+              "--factor", "2", "--seed", "42"]
+    assert main([*common, "--out", str(tmp_path / "with.jsonl"),
+                 "--reports-out", str(tmp_path / "reports.jsonl")]) == 0
+    assert main([*common, "--out", str(tmp_path / "without.jsonl")]) == 0
+    assert (tmp_path / "with.jsonl").read_bytes() == (tmp_path / "without.jsonl").read_bytes()
+    assert (tmp_path / "with.jsonl").read_bytes() == (out / "d_aug.jsonl").read_bytes()
 
 
 def test_version_flag(capsys):

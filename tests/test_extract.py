@@ -4,11 +4,9 @@ import random
 
 from bugaug.extract import (
     DEFAULT_LIBRARY_PREFIXES,
-    classify_paragraphs,
+    _find_traces,
     classify_tokens,
     detect_code_tokens,
-    extract_code_snippets,
-    extract_stack_traces,
     reduce_stack_trace,
     strip_punctuation,
     structure_bug_report,
@@ -38,37 +36,52 @@ Caused by: java.io.IOError: disk gone
 """
 
 
-def test_npe_trace_has_five_frames():
+def _structure(text: str, patterns) -> list:
+    """Samples of a report whose whole text is `text`, so spans index into it."""
+    return structure_bug_report(make_bug("b", summary=text), patterns).samples
+
+
+def _traces(text: str) -> list[list[StackFrame]]:
+    """Unreduced frames of every trace in `text`."""
+    return [frames for _, _, frames in _find_traces(text.splitlines())]
+
+
+def test_npe_trace_has_five_frames(patterns):
     text = "Some prose before.\n\n" + NPE_TRACE + "\nAnd after."
-    traces, remainder = extract_stack_traces(text)
+    traces = _traces(text)
     assert len(traces) == 1
     assert len(traces[0]) == 5
     assert traces[0][0].kind == "exception_header"
-    assert "Some prose before." in remainder and "And after." in remainder
-    assert "NullPointerException" not in remainder
+    samples = _structure(text, patterns)
+    assert [s.kind for s in samples].count("StackTrace") == 1
+    prose = " ".join(s.text() for s in samples if s.kind != "StackTrace")
+    assert "Some prose before." in prose and "And after." in prose
+    assert "NullPointerException" not in prose
 
 
-def test_plain_prose_has_no_traces():
+def test_plain_prose_has_no_traces(patterns):
     prose = "The connector never times out.\nIt just waits."
-    traces, remainder = extract_stack_traces(prose)
-    assert traces == []
-    assert remainder == prose
+    assert _traces(prose) == []
+    samples = _structure(prose, patterns)
+    assert [s.source_span for s in samples] == [(0, len(prose))]
+    assert samples[0].kind != "StackTrace"
 
 
 def test_caused_by_chain_attaches_to_same_trace():
     # 5 header+frame lines plus 3 caused-by lines -> one trace with 8 frames
-    traces, _ = extract_stack_traces(CAUSED_BY_TRACE)
+    traces = _traces(CAUSED_BY_TRACE)
     assert len(traces) == 1
     assert len(traces[0]) == 8
     kinds = [f.kind for f in traces[0]]
     assert kinds.count("caused_by") == 1
 
 
-def test_header_requires_following_frame():
+def test_header_requires_following_frame(patterns):
     text = "We saw a NullPointerException: boom\nbut no trace followed."
-    traces, remainder = extract_stack_traces(text)
-    assert traces == []
-    assert remainder == text
+    assert _traces(text) == []
+    samples = _structure(text, patterns)
+    assert [s.source_span for s in samples] == [(0, len(text))]
+    assert samples[0].kind != "StackTrace"
 
 
 def _frame(i: int, app: bool) -> str:
@@ -82,8 +95,7 @@ def test_reduce_twenty_frame_trace():
     for i in range(1, 19):
         lines.append(_frame(i, app=5 <= i <= 8))
     lines.append("    at java.lang.Thread.run(Thread.java:748)")
-    traces, _ = extract_stack_traces("\n".join(lines))
-    trace = traces[0]
+    (trace,) = _traces("\n".join(lines))
     assert len(trace) == 20
     reduced = reduce_stack_trace(trace, DEFAULT_LIBRARY_PREFIXES)
     assert [f.raw for f in reduced] == [lines[0], lines[5], lines[6], lines[7], lines[19]]
@@ -101,8 +113,7 @@ def test_reduce_two_frame_trace_keeps_both():
 
 def test_reduce_trace_without_app_frames_keeps_header_and_bottom():
     lines = ["java.lang.OutOfMemoryError: heap"] + [_frame(i, app=False) for i in range(1, 6)]
-    traces, _ = extract_stack_traces("\n".join(lines))
-    reduced = reduce_stack_trace(traces[0])
+    reduced = reduce_stack_trace(_traces("\n".join(lines))[0])
     assert [f.raw for f in reduced] == [lines[0], lines[5]]
 
 
@@ -111,8 +122,7 @@ def test_reduce_always_keeps_first_and_last_frames():
     for _ in range(100):
         n = rng.randint(1, 12)
         lines = ["org.demo.RandomException: x"] + [_frame(i, rng.random() < 0.4) for i in range(1, n)]
-        text = "\n".join(lines)
-        traces, _ = extract_stack_traces(text)
+        traces = _traces("\n".join(lines))
         if not traces:
             continue
         reduced = reduce_stack_trace(traces[0])
@@ -122,29 +132,28 @@ def test_reduce_always_keeps_first_and_last_frames():
         assert len(reduced) <= 5
 
 
-def test_three_line_method_body_is_one_snippet():
+def test_three_line_method_body_is_one_snippet(patterns):
     text = "public int add(int a, int b) {\n    return a + b;\n}"
-    snippets, remainder = extract_code_snippets(text)
-    assert len(snippets) == 1
-    assert snippets[0].kind == "CodeSnippet"
-    assert remainder.strip() == ""
+    samples = _structure(text, patterns)
+    assert [s.kind for s in samples] == ["CodeSnippet"]
+    assert samples[0].source_span == (0, len(text))
 
 
-def test_inline_identifier_is_not_a_snippet():
+def test_inline_identifier_is_not_a_snippet(patterns):
     text = "Calling AsyncContext.dispatch() hangs the worker."
-    snippets, remainder = extract_code_snippets(text)
-    assert snippets == []
-    assert remainder == text
+    samples = _structure(text, patterns)
+    assert [s.source_span for s in samples] == [(0, len(text))]
+    assert samples[0].kind != "CodeSnippet"
 
 
-def test_two_blocks_give_two_snippets():
+def test_two_blocks_give_two_snippets(patterns):
     text = (
         "int a = 1;\nint b = 2;\n"
         "\nplain prose in between explains the issue\n\n"
         "foo.close();\nbar.flush();\n"
     )
-    snippets, _ = extract_code_snippets(text)
-    assert len(snippets) == 2
+    kinds = [s.kind for s in _structure(text, patterns)]
+    assert kinds.count("CodeSnippet") == 2
 
 
 def _tokens(*texts: str, code=()) -> list[Token]:
@@ -168,32 +177,30 @@ def test_strip_punctuation_can_empty_out():
 
 
 def test_classify_table_sentence_as_ob(patterns):
-    samples = classify_paragraphs(
-        "Async connector does not timeout with HTTP NIO context.", patterns
-    )
+    samples = _structure("Async connector does not timeout with HTTP NIO context.", patterns)
     assert [s.kind for s in samples] == ["OB"]
 
 
 def test_classify_should_sentence_as_eb(patterns):
-    samples = classify_paragraphs("The request should return 200.", patterns)
+    samples = _structure("The request should return 200.", patterns)
     assert [s.kind for s in samples] == ["EB"]
 
 
 def test_classify_numbered_steps_as_s2r(patterns):
-    samples = classify_paragraphs("1. open app 2. click save", patterns)
+    samples = _structure("1. open app 2. click save", patterns)
     assert [s.kind for s in samples] == ["S2R"]
 
 
 def test_classify_priority_s2r_over_eb_over_ob(patterns):
     text = "Steps: 1. it should fail 2. it does not work"
-    (sample,) = classify_paragraphs(text, patterns)
+    (sample,) = _structure(text, patterns)
     assert sample.kind == "S2R"
 
 
 def test_classify_is_deterministic_and_idempotent(patterns):
     text = "The valve leaks memory.\n\nIt should not."
-    first = classify_paragraphs(text, patterns)
-    second = classify_paragraphs(text, patterns)
+    first = _structure(text, patterns)
+    second = _structure(text, patterns)
     assert [(s.kind, s.source_span) for s in first] == [(s.kind, s.source_span) for s in second]
     for sample in first:
         assert classify_tokens(sample.tokens, patterns) == sample.kind
