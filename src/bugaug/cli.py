@@ -22,11 +22,25 @@ from .builder import (
     generate_repeated_set,
     referenced_reports,
 )
-from .code_ops import CodeNameDictionary, CodeOpConfig, load_code_name_dicts, mine_code_names
+from .code_ops import (
+    CodeNameDictionary,
+    CodeOpConfig,
+    load_code_name_dicts,
+    mine_code_names,
+    substitute_cache_info,
+)
 from .corpus import NegativeSampler, ingest_corpus, load_hunks_jsonl, load_links
 from .extract import DEFAULT_LIBRARY_PREFIXES, PatternDictionary, structure_bug_report
 from .fixtures import generate_corpus
-from .metrics import compute_metrics, per_bug_scores, read_qrels, read_run, write_qrels, write_run
+from .metrics import (
+    compute_metrics,
+    parse_metric_names,
+    per_bug_scores,
+    read_qrels,
+    read_run,
+    write_qrels,
+    write_run,
+)
 from .model import (
     Dataset,
     augmented_report_to_dict,
@@ -36,6 +50,7 @@ from .model import (
     changeset_to_dict,
     hunk_to_dict,
     link_to_dict,
+    open_new,
     read_jsonl,
     sample_from_dict,
     sample_to_dict,
@@ -102,6 +117,11 @@ def load_dataset(path: str | Path, name: str) -> Dataset:
 
 def write_dataset(path: str | Path, dataset: Dataset) -> None:
     write_jsonl(path, (sample_to_dict(s) for s in dataset.samples))
+
+
+def _write_json(path: Path, payload: dict) -> None:
+    with open_new(path) as fh:
+        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _negative_sampler(corpus_dir: CorpusDir) -> NegativeSampler:
@@ -204,8 +224,12 @@ def stage_extract(corpus_dir: CorpusDir, patterns_path: str | None, lib_prefixes
 def _write_reports(path: Path, dataset: Dataset, corpus_dir: CorpusDir, structured_path: Path,
                    args) -> None:
     """Stream the augmented report behind each distinct augmented bug_ref of dataset."""
+    before = substitute_cache_info()
     augmenter = _build_augmenter(corpus_dir, structured_path, args)
     write_jsonl(path, (augmented_report_to_dict(r) for r in referenced_reports(dataset, augmenter)))
+    after = substitute_cache_info()
+    log.info("%s reports: substitute ranking %d cache hits, %d misses", dataset.name,
+             after.hits - before.hits, after.misses - before.misses)
 
 
 def stage_augment(corpus_dir: CorpusDir, structured_path: Path, args, out_path: Path,
@@ -240,9 +264,9 @@ def stage_stats(dataset_paths: dict[str, Path], top_k: int, out_path: Path,
     for name, path in sorted(dataset_paths.items()):
         report = distribution_report(load_dataset(path, name))
         payload[name] = report.to_dict(top_k)
-    out_path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", "utf-8")
+    _write_json(out_path, payload)
     if csv_path is not None:
-        with open(csv_path, "w", newline="", encoding="utf-8") as fh:
+        with open_new(csv_path, newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["dataset", "kind", "rank", "key", "count"])
             for name in sorted(dataset_paths):
@@ -268,10 +292,9 @@ def stage_eval(run_path: Path, qrels_path: Path, metric_names: list[str], out_pa
     run = read_run(run_path)
     qrels = read_qrels(qrels_path)
     metric_values = compute_metrics(run, qrels, metric_names)
-    payload = {"metrics": metric_values, "per_bug": per_bug_scores(run, qrels)}
-    out_path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", "utf-8")
-    for name in metric_names:
-        print(f"{name.strip().lower()}\t{metric_values[name.strip().lower()]:.4f}")
+    _write_json(out_path, {"metrics": metric_values, "per_bug": per_bug_scores(run, qrels)})
+    for name, value in metric_values.items():
+        print(f"{name}\t{value:.4f}")
 
 
 # --- manifest --------------------------------------------------------------
@@ -344,6 +367,13 @@ def _require(parser: argparse.ArgumentParser, flag: str, path: Path) -> Path:
     return path
 
 
+def _metric_names(parser: argparse.ArgumentParser, spec: str) -> list[str]:
+    try:
+        return parse_metric_names(spec.split(","))
+    except ValueError as exc:
+        parser.error(f"--metrics: {exc}")
+
+
 def cmd_fixture(args, parser) -> int:
     generate_corpus(args.out, n_bugs=args.bugs, seed=args.seed)
     print(f"fixture corpus written to {args.out}")
@@ -412,7 +442,7 @@ def cmd_retrieve(args, parser) -> int:
 def cmd_eval(args, parser) -> int:
     _require(parser, "--run", args.run)
     _require(parser, "--qrels", args.qrels)
-    stage_eval(args.run, args.qrels, args.metrics.split(","), args.out)
+    stage_eval(args.run, args.qrels, _metric_names(parser, args.metrics), args.out)
     return 0
 
 
@@ -421,6 +451,7 @@ def cmd_pipeline(args, parser) -> int:
     _require(parser, "--diffs", args.diffs)
     _require(parser, "--links", args.links)
     _require_augment_opts(parser, args)
+    metric_names = _metric_names(parser, args.metrics)
     out: Path = args.out
     out.mkdir(parents=True, exist_ok=True)
     corpus_dir = CorpusDir(out)
@@ -479,7 +510,7 @@ def cmd_pipeline(args, parser) -> int:
         (
             "eval",
             ["metrics.json"],
-            lambda: stage_eval(out / "run.txt", out / "qrels.txt", args.metrics.split(","), out / "metrics.json"),
+            lambda: stage_eval(out / "run.txt", out / "qrels.txt", metric_names, out / "metrics.json"),
         ),
     ]
 
@@ -497,10 +528,7 @@ def cmd_pipeline(args, parser) -> int:
                 print(f"pipeline stage {name!r} failed: {exc}", file=sys.stderr)
                 return 1
         manifest["stages"][name] = _digest_files(paths)
-        # a new file, not a truncated one: ext4 flushes files truncated to zero on close
-        # (auto_da_alloc), which costs tens of ms per stage
-        manifest_path.unlink(missing_ok=True)
-        manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", "utf-8")
+        _write_json(manifest_path, manifest)
     print(f"pipeline complete; artifacts in {out}")
     return 0
 

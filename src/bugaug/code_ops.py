@@ -9,6 +9,7 @@ three-token radius) to limit semantic drift.
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 from dataclasses import dataclass
@@ -102,6 +103,24 @@ def top_k_substitutes(token: str, dict_names: Iterable[str], k: int) -> list[str
     return pool[:k]
 
 
+@functools.lru_cache(maxsize=None)
+def _ranked_substitutes(token: str, names: tuple[str, ...], k: int) -> tuple[str, ...]:
+    """top_k_substitutes, computed once per (token, names, k) per process.
+
+    The operators call this on every application, but one bug's dictionary
+    meets the same code tokens again and again, across augmented reports and
+    across the augment and balance stages. The result is a pure function of
+    the key, so caching it changes no artifact. top_k_substitutes is looked
+    up at call time, so a wrapper installed over it sees every miss.
+    """
+    return tuple(top_k_substitutes(token, names, k))
+
+
+def substitute_cache_info():
+    """Hits and misses of the substitute ranking cache (functools CacheInfo)."""
+    return _ranked_substitutes.cache_info()
+
+
 def _code_indices(tokens: Sequence[Token]) -> list[int]:
     return [i for i, t in enumerate(tokens) if t.is_code]
 
@@ -113,7 +132,7 @@ def code_token_replace(tokens, names: CodeNameDictionary, rng, *, top_k: int = 2
     if not code_idx:
         return out
     i = rng.choice(code_idx)
-    pool = top_k_substitutes(out[i].text, names.names, top_k)
+    pool = _ranked_substitutes(out[i].text, names.names, top_k)
     if not pool:
         return out
     out[i] = Token(text=rng.choice(pool), is_code=True)
@@ -132,7 +151,7 @@ def code_token_insert(
     if not code_idx:
         return out
     i = rng.choice(code_idx)
-    pool = top_k_substitutes(out[i].text, names.names, top_k)
+    pool = _ranked_substitutes(out[i].text, names.names, top_k)
     if not pool:
         return out
     insert_at = rng.randint(max(0, i - insert_radius), min(len(out), i + insert_radius))

@@ -9,6 +9,8 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
+from .model import open_new
+
 Qrels = Mapping[str, set]
 RankingRun = Mapping[str, Sequence[tuple[str, float]]]
 
@@ -113,7 +115,7 @@ def read_qrels(path: str | Path) -> dict[str, set]:
 
 
 def write_qrels(path: str | Path, qrels: Qrels) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with open_new(path) as fh:
         for bug_id in sorted(qrels):
             for hunk_id in sorted(qrels[bug_id]):
                 fh.write(f"{bug_id} {hunk_id} 1\n")
@@ -135,23 +137,35 @@ def read_run(path: str | Path) -> dict[str, list[tuple[str, float]]]:
 
 
 def write_run(path: str | Path, run: RankingRun) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with open_new(path) as fh:
         for bug_id in sorted(run):
             for position, (hunk_id, score) in enumerate(run[bug_id], start=1):
                 fh.write(f"{bug_id} {hunk_id} {position} {score:.6f}\n")
 
 
-def compute_metrics(run: RankingRun, qrels: Qrels, names: Sequence[str]) -> dict[str, float]:
-    """Evaluate a comma-list of metric names: mrr, map, p@<k>."""
-    out: dict[str, float] = {}
+def parse_metric_names(names: Iterable[str]) -> list[str]:
+    """Normalize metric names (mrr, map, p@<k> with k >= 1) to lower case;
+    raises ValueError naming the first one that is not a metric."""
+    out = []
     for raw_name in names:
         name = raw_name.strip().lower()
+        if name.startswith("p@"):
+            if not (name[2:].isdecimal() and int(name[2:]) >= 1):
+                raise ValueError(f"bad metric {raw_name!r}: k in p@<k> must be an integer >= 1")
+        elif name not in ("mrr", "map"):
+            raise ValueError(f"unknown metric {raw_name!r}")
+        out.append(name)
+    return out
+
+
+def compute_metrics(run: RankingRun, qrels: Qrels, names: Iterable[str]) -> dict[str, float]:
+    """Evaluate metric names: mrr, map, p@<k>."""
+    out: dict[str, float] = {}
+    for name in parse_metric_names(names):
         if name == "mrr":
             out[name] = mean_reciprocal_rank(run, qrels)
         elif name == "map":
             out[name] = mean_average_precision(run, qrels)
-        elif name.startswith("p@"):
-            out[name] = precision_at_k(run, qrels, int(name[2:]))
         else:
-            raise ValueError(f"unknown metric {raw_name!r}")
+            out[name] = precision_at_k(run, qrels, int(name[2:]))
     return out

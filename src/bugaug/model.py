@@ -10,7 +10,7 @@ import json
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, TextIO
 
 BUG_STATUSES = ("fixed", "wont_fix", "not_a_bug", "other")
 LINE_MARKERS = ("context", "added", "removed")
@@ -228,8 +228,19 @@ def read_jsonl(path: str | Path) -> Iterator[dict]:
                 raise CorpusError(f"{path}:{lineno}: invalid JSON ({exc})") from exc
 
 
+def open_new(path: str | Path, newline: str | None = None) -> TextIO:
+    """Open path for writing as a new file, unlinking any file already there.
+
+    Truncating an existing file in place is slow on ext4, which flushes a file
+    truncated to zero when it is closed (auto_da_alloc); a new file is not
+    flushed. Readers and hard links that hold the old file keep its contents.
+    """
+    Path(path).unlink(missing_ok=True)
+    return open(path, "w", encoding="utf-8", newline=newline)
+
+
 def write_jsonl(path: str | Path, records: Iterable[dict]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with open_new(path) as fh:
         for record in records:
             fh.write(json.dumps(record, ensure_ascii=False, sort_keys=True))
             fh.write("\n")

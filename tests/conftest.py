@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import random
+import tempfile
 from datetime import datetime, timedelta, timezone
 
 import pytest
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from bugaug.corpus import NegativeSampler, ProjectCorpus
 from bugaug.extract import PatternDictionary
@@ -11,6 +13,21 @@ from bugaug.model import BugReport, Changeset, Hunk, LinkRecord, Token
 from bugaug.nl_ops import SubstituteDictionary
 
 EPOCH = datetime(2021, 3, 1, tzinfo=timezone.utc)
+
+_hypothesis_home = None
+
+
+def pytest_configure(config):
+    # property tests run with database=None, but hypothesis still caches the
+    # constants it mines from source files; keep that out of the working tree
+    global _hypothesis_home
+    _hypothesis_home = tempfile.TemporaryDirectory(prefix="bugaug-hypothesis-")
+    set_hypothesis_home_dir(_hypothesis_home.name)
+
+
+def pytest_unconfigure(config):
+    if _hypothesis_home is not None:
+        _hypothesis_home.cleanup()
 
 
 def make_bug(bug_id: str, day: int = 0, summary: str = "Widget does not close", description: str = "",

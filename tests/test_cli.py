@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import logging
+import re
 from importlib import resources
 
 import pytest
@@ -93,6 +95,10 @@ def test_missing_input_exits_2_and_names_the_flag(tmp_path, capsys, corpus_dir):
         (_pipeline_args(corpus_dir, tmp_path / "run", extra=["--patterns", missing]), "--patterns"),
         (_pipeline_args(corpus_dir, tmp_path / "run", extra=["--paraphraser", "service"]),
          "--service-url"),
+        *[(_pipeline_args(corpus_dir, tmp_path / "run", extra=["--metrics", bad]), "--metrics")
+          for bad in ("mrr,bogus", "p@x", "p@0")],
+        (["eval", "--run", str(tmp_path), "--qrels", str(tmp_path), "--metrics", "mrr,bogus",
+          "--out", str(tmp_path / "m.json")], "--metrics"),
     ]
     for argv, flag in cases:
         with pytest.raises(SystemExit) as exc:
@@ -100,6 +106,7 @@ def test_missing_input_exits_2_and_names_the_flag(tmp_path, capsys, corpus_dir):
         assert exc.value.code == 2, argv
         assert flag in capsys.readouterr().err, argv
     assert not (tmp_path / "run").exists()
+    assert not (tmp_path / "m.json").exists()
 
 
 def test_runtime_failure_exits_1(tmp_path, capsys):
@@ -204,6 +211,44 @@ def test_pipeline_force_recomputes_identically(tmp_path, corpus_dir):
     manifest_before = (out / "manifest.json").read_bytes()
     assert main(_pipeline_args(corpus_dir, out, extra=["--force"])) == 0
     assert (out / "manifest.json").read_bytes() == manifest_before
+
+
+def test_pipeline_rerun_writes_new_files_and_leaves_old_ones_intact(tmp_path, corpus_dir):
+    out = tmp_path / "run"
+    assert main(_pipeline_args(corpus_dir, out)) == 0
+    link = tmp_path / "d_aug_factor2.jsonl"
+    link.hardlink_to(out / "d_aug.jsonl")
+    inode, old_bytes = link.stat().st_ino, link.read_bytes()
+    assert main(_pipeline_args(corpus_dir, out, extra=["--factor", "1", "--force"])) == 0
+    assert link.stat().st_ino == inode and link.read_bytes() == old_bytes
+    assert (out / "d_aug.jsonl").stat().st_ino != inode
+    assert len(list(read_jsonl(out / "d_aug.jsonl"))) == 2 * len(list(read_jsonl(out / "d_ori.jsonl")))
+
+
+def _substitute_cache_counts(caplog) -> dict[str, tuple[int, int]]:
+    counts = {}
+    for record in caplog.records:
+        match = re.fullmatch(r"(\S+) reports: substitute ranking (\d+) cache hits, (\d+) misses",
+                             record.getMessage())
+        if match:
+            counts[match[1]] = (int(match[2]), int(match[3]))
+    return counts
+
+
+def test_pipeline_logs_substitute_cache_counts_per_stage(tmp_path, corpus_dir, caplog):
+    caplog.set_level(logging.INFO, logger="bugaug")
+    out = tmp_path / "run"
+    assert main(_pipeline_args(corpus_dir, out)) == 0
+    first = _substitute_cache_counts(caplog)
+    assert sorted(first) == ["D_aug", "D_bl"]
+    assert sum(first["D_aug"]) > 0
+    caplog.clear()
+    assert main(_pipeline_args(corpus_dir, out, extra=["--force"])) == 0
+    again = _substitute_cache_counts(caplog)
+    # the cache outlives a run: the same keys come back as hits
+    assert again["D_aug"] == (sum(first["D_aug"]), 0)
+    assert again["D_bl"] == (sum(first["D_bl"]), 0)
+    assert "substitute" not in (out / "manifest.json").read_text("utf-8")
 
 
 def test_stats_and_eval_subcommands(tmp_path, corpus_dir):

@@ -3,7 +3,10 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from bugaug import code_ops
 from bugaug.code_ops import (
     CodeNameDictionary,
     CodeOpConfig,
@@ -13,6 +16,7 @@ from bugaug.code_ops import (
     code_token_swap,
     levenshtein,
     mine_code_names,
+    substitute_cache_info,
     top_k_substitutes,
 )
 from bugaug.model import Sample, Token
@@ -90,6 +94,46 @@ def test_top_k_agrees_with_full_sort_oracle():
         token = _random_identifier(rng)
         k = rng.randint(1, 25)
         assert top_k_substitutes(token, names, k) == oracle_top_k(token, names, k)
+
+
+_IDENTS = st.text(alphabet="abcXY_", min_size=1, max_size=6)
+_DICTIONARIES = st.lists(st.lists(_IDENTS, max_size=12), min_size=1, max_size=4)
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(dictionaries=_DICTIONARIES, data=st.data())
+def test_memoized_ranking_agrees_with_oracle_across_dictionaries(dictionaries, data):
+    # dictionaries are sorted, duplicate-free tuples, as CodeNameDictionary holds them
+    tuples = [tuple(sorted(set(names))) for names in dictionaries]
+    queries = data.draw(st.lists(
+        st.tuples(st.integers(0, len(tuples) - 1), _IDENTS, st.integers(1, 25)),
+        min_size=1, max_size=20,
+    ))
+    # every key again in the opposite order, interleaving the dictionaries
+    queries += queries[::-1]
+    hits_before = substitute_cache_info().hits
+    for which, token, k in queries:
+        names = tuples[which]
+        assert list(code_ops._ranked_substitutes(token, names, k)) == oracle_top_k(token, names, k)
+    assert substitute_cache_info().hits - hits_before >= len(queries) // 2
+
+
+def test_substitutes_are_ranked_once_per_key(monkeypatch):
+    calls = []
+
+    def counting(token, names, k):
+        calls.append((token, names, k))
+        return top_k_substitutes(token, names, k)
+
+    # looked up at call time, so a wrapper installed over it sees every miss
+    monkeypatch.setattr(code_ops, "top_k_substitutes", counting)
+    names = CodeNameDictionary(bug_id="memo", names=("memoAlpha", "memoBeta", "memoGamma"))
+    tokens = [Token("memoAlphx", is_code=True), Token("words")]
+    rng = random.Random(4)
+    for _ in range(30):
+        code_token_replace(tokens, names, rng, top_k=2)
+        code_token_insert(tokens, names, rng, top_k=2)
+    assert calls == [("memoAlphx", names.names, 2)]
 
 
 def _mixed_tokens() -> list[Token]:

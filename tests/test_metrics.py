@@ -10,6 +10,7 @@ from bugaug.metrics import (
     compute_metrics,
     mean_average_precision,
     mean_reciprocal_rank,
+    parse_metric_names,
     per_bug_scores,
     precision_at_k,
     read_qrels,
@@ -192,6 +193,13 @@ def test_compute_metrics_parses_names():
     assert values == {"mrr": 1.0, "map": 1.0, "p@1": 1.0, "p@2": 0.5}
     with pytest.raises(ValueError):
         compute_metrics(run, qrels, ["ndcg"])
+
+
+def test_parse_metric_names_normalizes_and_rejects_non_metrics():
+    assert parse_metric_names([" MRR", "map", "P@3", "p@10"]) == ["mrr", "map", "p@3", "p@10"]
+    for bad in ("bogus", "p@x", "p@0", "p@-1", "p@", ""):
+        with pytest.raises(ValueError, match="metric"):
+            parse_metric_names(["mrr", bad])
 
 
 def test_per_bug_scores_exports_components():

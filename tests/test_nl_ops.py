@@ -5,6 +5,8 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bugaug.extract import PatternDictionary, classify_tokens, detect_code_tokens, tokenize
 from bugaug.model import Sample, Token
@@ -171,6 +173,33 @@ def test_delete_gives_submultiset():
 def test_delete_never_removes_code_tokens():
     tokens = _toks("AsyncContext NioChannel", code=("AsyncContext", "NioChannel"))
     assert random_delete(tokens, 5, random.Random(0)) == tokens
+
+
+# --- all NL operators -----------------------------------------------------------
+
+# dictionary keywords (some capitalized or punctuated), plain words and code
+# names; a keyword marked as code must survive the replace operator untouched
+_VOCAB = ("fails", "Blocked!", "timeout", "close", "session.", "the", "widget", "never",
+          "AsyncContext", "NioChannel.flush()", "byteBuffer")
+_TOKENS = st.lists(st.builds(Token, text=st.sampled_from(_VOCAB), is_code=st.booleans()),
+                   max_size=30)
+
+
+@pytest.mark.parametrize("operator", ["dictionary_replace", "dictionary_insert", "random_swap",
+                                      "random_delete"])
+@settings(derandomize=True, database=None, deadline=None)
+@given(tokens=_TOKENS, n=st.integers(0, 8), seed=st.integers(0, 2**32 - 1))
+def test_nl_operators_never_drop_or_alter_a_code_token(operator, substitutes, tokens, n, seed):
+    rng = random.Random(seed)
+    if operator == "dictionary_replace":
+        out = dictionary_replace(tokens, substitutes, n, rng)
+    elif operator == "dictionary_insert":
+        out = dictionary_insert(tokens, substitutes, n, rng)
+    elif operator == "random_swap":
+        out = random_swap(tokens, n, rng)
+    else:
+        out = random_delete(tokens, n, rng)
+    assert [t for t in out if t.is_code] == [t for t in tokens if t.is_code]
 
 
 # --- dictionaries -------------------------------------------------------------
