@@ -11,6 +11,7 @@ import csv
 import hashlib
 import json
 import logging
+import math
 import sys
 from pathlib import Path
 
@@ -536,6 +537,35 @@ def cmd_pipeline(args, parser) -> int:
 # --- parser -----------------------------------------------------------------
 
 
+def _at_least_one(text: str) -> int:
+    """argparse type for a count option: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _positive(text: str) -> float:
+    """argparse type for a cap multiplier: a finite number > 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a positive number, got {text}")
+    return value
+
+
+def _add_command(subparsers, name: str, handler, summary: str) -> argparse.ArgumentParser:
+    """A subcommand whose handler reports usage errors through its own parser."""
+    sub = subparsers.add_parser(name, help=summary)
+    sub.set_defaults(func=lambda args: handler(args, sub))
+    return sub
+
+
 def _add_augment_opts(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--seed", type=int, default=42)
     sub.add_argument("--p-drop", dest="p_drop", type=float, default=0.5)
@@ -556,85 +586,79 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("-v", "--verbose", action="store_true", help="verbose logging")
     subparsers = parser.add_subparsers(dest="command", required=True)
 
-    sub = subparsers.add_parser("fixture", help="generate a synthetic demo corpus")
+    sub = _add_command(subparsers, "fixture", cmd_fixture, "generate a synthetic demo corpus")
     sub.add_argument("--out", type=Path, required=True)
     sub.add_argument("--bugs", type=int, default=50)
     sub.add_argument("--seed", type=int, default=7)
-    sub.set_defaults(func=cmd_fixture)
 
-    sub = subparsers.add_parser("ingest", help="parse inputs, build D_ori and the date split")
+    sub = _add_command(subparsers, "ingest", cmd_ingest,
+                       "parse inputs, build D_ori and the date split")
     sub.add_argument("--bugs", type=Path, required=True, help="bug reports JSON-lines")
     sub.add_argument("--diffs", type=Path, required=True, help="directory of .diff files + changesets.jsonl")
     sub.add_argument("--links", type=Path, required=True, help="bug/changeset link records JSON-lines")
     sub.add_argument("--seed", type=int, default=42)
     sub.add_argument("--out", type=Path, required=True, help="output corpus directory")
-    sub.set_defaults(func=cmd_ingest)
 
-    sub = subparsers.add_parser("extract", help="decompose train bug reports into structured samples")
+    sub = _add_command(subparsers, "extract", cmd_extract,
+                       "decompose train bug reports into structured samples")
     sub.add_argument("--corpus", type=Path, required=True, help="ingest output directory")
     sub.add_argument("--patterns", default=None)
     sub.add_argument("--lib-prefixes", dest="lib_prefixes", default=",".join(DEFAULT_LIBRARY_PREFIXES))
     sub.add_argument("--out", type=Path, required=True)
-    sub.set_defaults(func=cmd_extract)
 
-    sub = subparsers.add_parser("augment", help="generate D_aug (and optionally D_rep)")
+    sub = _add_command(subparsers, "augment", cmd_augment, "generate D_aug (and optionally D_rep)")
     sub.add_argument("--corpus", type=Path, required=True)
     sub.add_argument("--structured", type=Path, required=True)
-    sub.add_argument("--factor", type=int, default=10)
+    sub.add_argument("--factor", type=_at_least_one, default=10)
     sub.add_argument("--out", type=Path, required=True)
     sub.add_argument("--rep-out", dest="rep_out", type=Path, default=None)
     sub.add_argument("--reports-out", dest="reports_out", type=Path, default=None)
     _add_augment_opts(sub)
-    sub.set_defaults(func=cmd_augment)
 
-    sub = subparsers.add_parser("balance", help="build the balanced dataset D_bl")
+    sub = _add_command(subparsers, "balance", cmd_balance, "build the balanced dataset D_bl")
     sub.add_argument("--corpus", type=Path, required=True)
     sub.add_argument("--structured", type=Path, required=True)
     sub.add_argument("--train", type=Path, required=True, help="training dataset JSON-lines (e.g. d_ori.jsonl)")
-    sub.add_argument("--alpha", type=float, required=True)
-    sub.add_argument("--omega", type=float, required=True)
+    sub.add_argument("--alpha", type=_positive, required=True)
+    sub.add_argument("--omega", type=_positive, required=True)
     sub.add_argument("--out", type=Path, required=True)
     sub.add_argument("--reports-out", dest="reports_out", type=Path, default=None)
     _add_augment_opts(sub)
-    sub.set_defaults(func=cmd_balance)
 
-    sub = subparsers.add_parser("stats", help="per-bug / per-class distribution report")
+    sub = _add_command(subparsers, "stats", cmd_stats, "per-bug / per-class distribution report")
     sub.add_argument("--dataset", type=Path, required=True)
-    sub.add_argument("--top-k", dest="top_k", type=int, default=10)
+    sub.add_argument("--top-k", dest="top_k", type=_at_least_one, default=10)
     sub.add_argument("--out", type=Path, required=True)
     sub.add_argument("--csv", type=Path, default=None)
-    sub.set_defaults(func=cmd_stats)
 
-    sub = subparsers.add_parser("retrieve", help="rank hunks for bug reports with the lexical baseline")
+    sub = _add_command(subparsers, "retrieve", cmd_retrieve,
+                       "rank hunks for bug reports with the lexical baseline")
     sub.add_argument("--index", type=Path, required=True, help="corpus directory with hunks.jsonl")
     sub.add_argument("--bugs", type=Path, required=True)
-    sub.add_argument("--top-n", dest="top_n", type=int, default=100)
+    sub.add_argument("--top-n", dest="top_n", type=_at_least_one, default=100)
     sub.add_argument("--out", type=Path, required=True)
-    sub.set_defaults(func=cmd_retrieve)
 
-    sub = subparsers.add_parser("eval", help="score a run file against qrels")
+    sub = _add_command(subparsers, "eval", cmd_eval, "score a run file against qrels")
     sub.add_argument("--run", type=Path, required=True)
     sub.add_argument("--qrels", type=Path, required=True)
     sub.add_argument("--metrics", default="mrr,map,p@1,p@3,p@5")
     sub.add_argument("--out", type=Path, required=True)
-    sub.set_defaults(func=cmd_eval)
 
-    sub = subparsers.add_parser("pipeline", help="run every stage into one output directory")
+    sub = _add_command(subparsers, "pipeline", cmd_pipeline, "run every stage into one output directory")
     sub.add_argument("--bugs", type=Path, required=True)
     sub.add_argument("--diffs", type=Path, required=True)
     sub.add_argument("--links", type=Path, required=True)
     sub.add_argument("--out", type=Path, required=True)
-    sub.add_argument("--factor", type=int, default=10)
-    sub.add_argument("--alpha", type=float, default=0.7)
-    sub.add_argument("--omega", type=float, default=1.0)
-    sub.add_argument("--top-k", dest="top_k", type=int, default=10)
-    sub.add_argument("--top-n", dest="top_n", type=int, default=100)
+    sub.add_argument("--factor", type=_at_least_one, default=10)
+    sub.add_argument("--alpha", type=_positive, default=0.7)
+    sub.add_argument("--omega", type=_positive, default=1.0)
+    sub.add_argument("--top-k", dest="top_k", type=_at_least_one, default=10)
+    sub.add_argument("--top-n", dest="top_n", type=_at_least_one, default=100)
     sub.add_argument("--metrics", default="mrr,map,p@1,p@3,p@5")
     sub.add_argument("--lib-prefixes", dest="lib_prefixes", default=",".join(DEFAULT_LIBRARY_PREFIXES))
     sub.add_argument("--force", action="store_true",
                      help="recompute every stage, even one whose outputs match the manifest")
     _add_augment_opts(sub)
-    sub.set_defaults(func=cmd_pipeline)
 
     return parser
 
@@ -647,7 +671,7 @@ def main(argv: list[str] | None = None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:
-        return args.func(args, parser)
+        return args.func(args)
     except Exception as exc:  # runtime failure -> exit 1 with cause
         print(f"bugaug {args.command}: {exc}", file=sys.stderr)
         return 1

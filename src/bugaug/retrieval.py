@@ -2,11 +2,13 @@
 
 Plain BM25 (k1=1.2, b=0.75) over bag-of-words hunk documents built from the
 changeset log message plus the hunk's lines. Inputs follow the model input
-limits: hunks truncated to 512 tokens, queries to 256.
+limits: hunks truncated to 512 tokens, queries to 256. A query scores only the
+hunks in its terms' postings lists (term-at-a-time over an inverted index).
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 import re
 from dataclasses import dataclass
@@ -34,9 +36,13 @@ class IndexedHunk:
 
 @dataclass
 class HunkIndex:
+    """Hunks in ascending id order; `postings` maps each term to the ascending
+    positions in `hunks` of the hunks that contain it."""
+
     hunks: list[IndexedHunk]
     document_frequencies: dict[str, int]
     average_length: float
+    postings: dict[str, list[int]]
 
     def __len__(self) -> int:
         return len(self.hunks)
@@ -56,7 +62,8 @@ def index_hunks(
     log_messages = log_messages or {}
     indexed: list[IndexedHunk] = []
     document_frequencies: dict[str, int] = {}
-    for hunk in sorted(hunks, key=lambda h: h.id):
+    postings: dict[str, list[int]] = {}
+    for position, hunk in enumerate(sorted(hunks, key=lambda h: h.id)):
         tokens = index_tokens(hunk_document(hunk, log_messages.get(hunk.changeset_id, "")))
         tokens = tokens[:token_limit]
         tf: dict[str, int] = {}
@@ -64,6 +71,7 @@ def index_hunks(
             tf[token] = tf.get(token, 0) + 1
         for token in tf:
             document_frequencies[token] = document_frequencies.get(token, 0) + 1
+            postings.setdefault(token, []).append(position)
         indexed.append(
             IndexedHunk(
                 hunk_id=hunk.id,
@@ -78,30 +86,8 @@ def index_hunks(
         hunks=indexed,
         document_frequencies=document_frequencies,
         average_length=average_length,
+        postings=postings,
     )
-
-
-def bm25_score(
-    query_counts: Mapping[str, int],
-    doc: IndexedHunk,
-    index: HunkIndex,
-    k1: float = 1.2,
-    b: float = 0.75,
-) -> float:
-    n_docs = len(index)
-    score = 0.0
-    for term, query_count in query_counts.items():
-        tf = doc.term_frequencies.get(term, 0)
-        if tf == 0:
-            continue
-        df = index.document_frequencies.get(term, 0)
-        idf = math.log(1.0 + (n_docs - df + 0.5) / (df + 0.5))
-        if index.average_length > 0:
-            norm = k1 * (1.0 - b + b * doc.length / index.average_length)
-        else:
-            norm = k1
-        score += query_count * idf * tf * (k1 + 1.0) / (tf + norm)
-    return score
 
 
 def rank(
@@ -112,13 +98,41 @@ def rank(
     k1: float = 1.2,
     b: float = 0.75,
 ) -> list[tuple[str, float]]:
-    """Top-n (hunk_id, score) pairs, score descending, ties by hunk id."""
+    """Top-n (hunk_id, score) pairs, score descending, ties by hunk id.
+
+    Only hunks that share a term with the query are scored; every such score
+    is positive, so hunks sharing none fill any remaining places at 0.0 in id
+    order."""
+    if top_n < 1:
+        raise ValueError(f"top_n must be at least 1, got {top_n}")
     if not index.hunks:
         raise ValueError("index is empty")
     tokens = index_tokens(bug_report_text)[:query_token_limit]
     query_counts: dict[str, int] = {}
     for token in tokens:
         query_counts[token] = query_counts.get(token, 0) + 1
-    scored = [(doc.hunk_id, bm25_score(query_counts, doc, index, k1, b)) for doc in index.hunks]
-    scored.sort(key=lambda e: (-e[1], e[0]))
-    return scored[:top_n]
+    n_docs = len(index)
+    scores: dict[int, float] = {}
+    for term, query_count in query_counts.items():
+        positions = index.postings.get(term)
+        if positions is None:
+            continue
+        df = index.document_frequencies[term]
+        idf = math.log(1.0 + (n_docs - df + 0.5) / (df + 0.5))
+        for position in positions:
+            doc = index.hunks[position]
+            tf = doc.term_frequencies[term]
+            # a hunk in a postings list has length >= 1, so average_length > 0
+            norm = k1 * (1.0 - b + b * doc.length / index.average_length)
+            scores[position] = (
+                scores.get(position, 0.0) + query_count * idf * tf * (k1 + 1.0) / (tf + norm)
+            )
+    # positions ascend with hunk id, so (-score, position) orders as (-score, hunk id)
+    top = heapq.nsmallest(top_n, scores.items(), key=lambda e: (-e[1], e[0]))
+    ranking = [(index.hunks[position].hunk_id, score) for position, score in top]
+    for position, doc in enumerate(index.hunks):
+        if len(ranking) == top_n:
+            break
+        if position not in scores:
+            ranking.append((doc.hunk_id, 0.0))
+    return ranking

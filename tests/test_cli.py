@@ -99,6 +99,20 @@ def test_missing_input_exits_2_and_names_the_flag(tmp_path, capsys, corpus_dir):
           for bad in ("mrr,bogus", "p@x", "p@0")],
         (["eval", "--run", str(tmp_path), "--qrels", str(tmp_path), "--metrics", "mrr,bogus",
           "--out", str(tmp_path / "m.json")], "--metrics"),
+        *[(["retrieve", "--index", str(tmp_path), "--bugs", str(tmp_path), "--top-n", bad,
+            "--out", str(tmp_path / "r.txt")], "--top-n") for bad in ("0", "-1")],
+        *[(["augment", *stage_args, "--out", str(tmp_path / "a.jsonl"), "--factor", bad],
+           "--factor") for bad in ("0", "-2")],
+        *[(["balance", *stage_args, "--train", str(tmp_path), "--alpha", alpha, "--omega", omega,
+            "--out", str(tmp_path / "b.jsonl")], flag)
+          for alpha, omega, flag in (("0", "1", "--alpha"), ("-1", "1", "--alpha"),
+                                     ("1", "0", "--omega"), ("1", "nan", "--omega"))],
+        (["stats", "--dataset", str(tmp_path), "--top-k", "-1", "--out", str(tmp_path / "s.json")],
+         "--top-k"),
+        *[(_pipeline_args(corpus_dir, tmp_path / "run", extra=[flag, bad]), flag)
+          for flag, bad in (("--top-n", "0"), ("--top-n", "-1"), ("--factor", "0"),
+                            ("--alpha", "-1"), ("--alpha", "0"), ("--omega", "-1"),
+                            ("--top-k", "0"))],
     ]
     for argv, flag in cases:
         with pytest.raises(SystemExit) as exc:
@@ -107,6 +121,23 @@ def test_missing_input_exits_2_and_names_the_flag(tmp_path, capsys, corpus_dir):
         assert flag in capsys.readouterr().err, argv
     assert not (tmp_path / "run").exists()
     assert not (tmp_path / "m.json").exists()
+    assert not (tmp_path / "r.txt").exists()
+    assert not (tmp_path / "s.json").exists()
+
+
+def test_subcommand_usage_errors_print_the_subcommand_usage(tmp_path, capsys, corpus_dir):
+    cases = [
+        (["eval", "--run", str(tmp_path / "nonexistent"), "--qrels", str(tmp_path),
+          "--out", str(tmp_path / "m.json")], "usage: bugaug eval "),
+        (_pipeline_args(corpus_dir, tmp_path / "run",
+                        extra=["--code-dict", str(tmp_path / "missing.json")]),
+         "usage: bugaug pipeline "),
+    ]
+    for argv, usage in cases:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        assert capsys.readouterr().err.startswith(usage), argv
 
 
 def test_runtime_failure_exits_1(tmp_path, capsys):

@@ -373,6 +373,7 @@ def test_service_paraphraser_round_trip_and_fallbacks():
         assert empty("unchanged text") == "unchanged text"
     finally:
         server.shutdown()
+        server.server_close()
         thread.join(timeout=5)
 
     # unreachable service falls back to identity

@@ -4,8 +4,10 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bugaug.retrieval import bm25_score, hunk_document, index_hunks, index_tokens, rank
+from bugaug.retrieval import hunk_document, index_hunks, index_tokens, rank
 
 from conftest import make_hunk
 
@@ -134,3 +136,62 @@ def test_rank_on_empty_index_raises():
     empty = index_hunks([])
     with pytest.raises(ValueError):
         rank("q", empty, top_n=1)
+
+
+def _full_scan_rank(query: str, index, top_n: int, k1: float = 1.2, b: float = 0.75):
+    """Reference ranking: BM25 over every indexed hunk, then one full sort."""
+    query_counts: dict[str, int] = {}
+    for token in index_tokens(query)[:256]:
+        query_counts[token] = query_counts.get(token, 0) + 1
+    n_docs = len(index)
+    scored = []
+    for doc in index.hunks:
+        score = 0.0
+        for term, query_count in query_counts.items():
+            tf = doc.term_frequencies.get(term, 0)
+            if tf == 0:
+                continue
+            df = index.document_frequencies.get(term, 0)
+            idf = math.log(1.0 + (n_docs - df + 0.5) / (df + 0.5))
+            if index.average_length > 0:
+                norm = k1 * (1.0 - b + b * doc.length / index.average_length)
+            else:
+                norm = k1
+            score += query_count * idf * tf * (k1 + 1.0) / (tf + norm)
+        scored.append((doc.hunk_id, score))
+    scored.sort(key=lambda e: (-e[1], e[0]))
+    return scored[:top_n]
+
+
+_TERMS = st.sampled_from(["alpha", "beta", "gamma", "delta", "eps", "zeta"])
+# documents may be empty; hunk ids are drawn out of index order
+_CORPORA = st.lists(st.lists(_TERMS, max_size=12), min_size=1, max_size=12)
+# "absent" and "missing" never occur in a document
+_QUERIES = st.lists(st.one_of(_TERMS, st.sampled_from(["absent", "missing"])), max_size=10)
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(documents=_CORPORA, query_terms=_QUERIES, data=st.data())
+def test_rank_equals_full_scan_reference(documents, query_terms, data):
+    ids = data.draw(st.permutations([f"h{i:02d}" for i in range(len(documents))]))
+    hunks = [
+        make_hunk(hunk_id, "cs", "Cls", lines=(("added", " ".join(words)),) if words else ())
+        for hunk_id, words in zip(ids, documents)
+    ]
+    index = index_hunks(hunks)
+    for term, positions in index.postings.items():
+        assert positions == sorted(set(positions))
+        assert len(positions) == index.document_frequencies[term]
+    assert index.postings.keys() == index.document_frequencies.keys()
+
+    query = " ".join(query_terms)
+    matched = sum(1 for d in index.hunks if set(d.term_frequencies) & set(query_terms))
+    for top_n in sorted({1, max(1, matched - 1), max(1, matched), matched + 1, len(hunks) + 2}):
+        assert rank(query, index, top_n) == _full_scan_rank(query, index, top_n)
+
+
+def test_rank_rejects_top_n_below_one():
+    index = index_hunks(_hunks())
+    for top_n in (0, -1):
+        with pytest.raises(ValueError, match="top_n"):
+            rank("fireEvent", index, top_n)
