@@ -13,6 +13,7 @@ import json
 import logging
 import math
 import sys
+from functools import cached_property
 from pathlib import Path
 
 from . import __version__
@@ -24,13 +25,12 @@ from .builder import (
     referenced_reports,
 )
 from .code_ops import (
-    CodeNameDictionary,
     CodeOpConfig,
     load_code_name_dicts,
     mine_code_names,
     substitute_cache_info,
 )
-from .corpus import NegativeSampler, ingest_corpus, load_hunks_jsonl, load_links
+from .corpus import ingest_corpus, load_hunks_jsonl, load_links, sampler_from_links
 from .extract import DEFAULT_LIBRARY_PREFIXES, PatternDictionary, structure_bug_report
 from .fixtures import generate_corpus
 from .metrics import (
@@ -76,40 +76,55 @@ log = logging.getLogger("bugaug")
 
 
 class CorpusDir:
-    """Reader for the artifact directory written by the ingest stage."""
+    """Reader for the artifact directory written by the ingest stage.
+
+    Artifacts that several stages read, and views derived from them, are
+    cached properties: parsed when first asked for and kept, so a run parses
+    hunks.jsonl once. Ingest, the only writer, runs before any reader, so
+    nothing is invalidated. Each method's artifact has one reader per run.
+    """
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
 
-    def _jsonl(self, name: str):
-        return read_jsonl(self.path / name)
-
     def train_bugs(self):
-        return [bug_from_dict(r) for r in self._jsonl("train_bugs.jsonl")]
-
-    def test_bugs(self):
-        return [bug_from_dict(r) for r in self._jsonl("test_bugs.jsonl")]
-
-    def hunks(self):
-        return load_hunks_jsonl(self.path / "hunks.jsonl")
-
-    def hunks_by_changeset(self):
-        grouped: dict[str, list] = {}
-        for hunk in self.hunks():
-            grouped.setdefault(hunk.changeset_id, []).append(hunk)
-        return grouped
-
-    def links(self):
-        return load_links(self.path / "links.jsonl")
-
-    def changesets(self):
-        return {r["id"]: changeset_from_dict(r) for r in self._jsonl("changesets.jsonl")}
+        return [bug_from_dict(r) for r in read_jsonl(self.path / "train_bugs.jsonl")]
 
     def d_ori(self) -> Dataset:
         return load_dataset(self.path / "d_ori.jsonl", "D_ori")
 
+    def changesets(self):
+        return {r["id"]: changeset_from_dict(r) for r in read_jsonl(self.path / "changesets.jsonl")}
+
+    @cached_property
+    def hunks(self):
+        return load_hunks_jsonl(self.path / "hunks.jsonl")
+
+    @cached_property
+    def hunks_by_changeset(self):
+        grouped: dict[str, list] = {}
+        for hunk in self.hunks:
+            grouped.setdefault(hunk.changeset_id, []).append(hunk)
+        return grouped
+
+    @cached_property
+    def links(self):
+        return load_links(self.path / "links.jsonl")
+
+    @cached_property
     def class_identifiers(self) -> list[str]:
-        return sorted({h.class_name for h in self.hunks()})
+        return sorted({h.class_name for h in self.hunks})
+
+    @cached_property
+    def code_names(self):
+        """Code names mined from each linked bug's inducing hunks."""
+        names = {}
+        for bug_id, link in sorted(self.links.items()):
+            hunks = [h for cs_id in link.inducing_changeset_ids
+                     for h in self.hunks_by_changeset.get(cs_id, [])]
+            if hunks:
+                names[bug_id] = mine_code_names(bug_id, hunks)
+        return names
 
 
 def load_dataset(path: str | Path, name: str) -> Dataset:
@@ -123,30 +138,6 @@ def write_dataset(path: str | Path, dataset: Dataset) -> None:
 def _write_json(path: Path, payload: dict) -> None:
     with open_new(path) as fh:
         fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
-def _negative_sampler(corpus_dir: CorpusDir) -> NegativeSampler:
-    links = corpus_dir.links()
-    by_changeset = corpus_dir.hunks_by_changeset()
-    excluded = {}
-    for bug_id, link in links.items():
-        classes = set()
-        for cs_id in link.inducing_changeset_ids:
-            classes.update(h.class_name for h in by_changeset.get(cs_id, []))
-        excluded[bug_id] = frozenset(classes)
-    return NegativeSampler(corpus_dir.hunks(), excluded)
-
-
-def _code_names(corpus_dir: CorpusDir, override_path: str | None) -> dict[str, CodeNameDictionary]:
-    if override_path:
-        return load_code_name_dicts(override_path)
-    by_changeset = corpus_dir.hunks_by_changeset()
-    names = {}
-    for bug_id, link in sorted(corpus_dir.links().items()):
-        hunks = [h for cs_id in link.inducing_changeset_ids for h in by_changeset.get(cs_id, [])]
-        if hunks:
-            names[bug_id] = mine_code_names(bug_id, hunks)
-    return names
 
 
 def _paraphraser(kind: str, service_url: str | None, dictionary: SubstituteDictionary, seed: int,
@@ -167,12 +158,14 @@ def _build_augmenter(corpus_dir: CorpusDir, structured_path: Path, args) -> Repo
         else SubstituteDictionary.default()
     )
     patterns = PatternDictionary.load(args.patterns) if args.patterns else PatternDictionary.default()
-    identifiers = corpus_dir.class_identifiers()
+    identifiers = corpus_dir.class_identifiers
     qc = QualityControl(patterns=patterns, identifiers=frozenset(identifiers))
     paraphraser = _paraphraser(args.paraphraser, args.service_url, dictionary, args.seed, identifiers)
     return ReportAugmenter(
         structured_by_bug=structured,
-        code_names_by_bug=_code_names(corpus_dir, args.code_dict),
+        code_names_by_bug=(
+            load_code_name_dicts(args.code_dict) if args.code_dict else corpus_dir.code_names
+        ),
         dictionary=dictionary,
         qc=qc,
         aug_config=AugConfig(seed=args.seed),
@@ -213,7 +206,7 @@ def stage_ingest(bugs: Path, diffs: Path, links: Path, seed: int, out_dir: Path)
 def stage_extract(corpus_dir: CorpusDir, patterns_path: str | None, lib_prefixes: list[str],
                   out_path: Path) -> None:
     patterns = PatternDictionary.load(patterns_path) if patterns_path else PatternDictionary.default()
-    identifiers = corpus_dir.class_identifiers()
+    identifiers = corpus_dir.class_identifiers
     records = []
     for bug in corpus_dir.train_bugs():
         structured = structure_bug_report(bug, patterns, lib_prefixes, identifiers)
@@ -224,10 +217,13 @@ def stage_extract(corpus_dir: CorpusDir, patterns_path: str | None, lib_prefixes
 
 def _write_reports(path: Path, dataset: Dataset, corpus_dir: CorpusDir, structured_path: Path,
                    args) -> None:
-    """Stream the augmented report behind each distinct augmented bug_ref of dataset."""
+    """Stream the augmented report behind each distinct augmented bug_ref of
+    dataset; the augmenter is built only if there is one."""
     before = substitute_cache_info()
-    augmenter = _build_augmenter(corpus_dir, structured_path, args)
-    write_jsonl(path, (augmented_report_to_dict(r) for r in referenced_reports(dataset, augmenter)))
+    reports = ()
+    if any(s.bug_ref != s.origin_bug_id for s in dataset.samples):
+        reports = referenced_reports(dataset, _build_augmenter(corpus_dir, structured_path, args))
+    write_jsonl(path, (augmented_report_to_dict(r) for r in reports))
     after = substitute_cache_info()
     log.info("%s reports: substitute ranking %d cache hits, %d misses", dataset.name,
              after.hits - before.hits, after.misses - before.misses)
@@ -236,7 +232,7 @@ def _write_reports(path: Path, dataset: Dataset, corpus_dir: CorpusDir, structur
 def stage_augment(corpus_dir: CorpusDir, structured_path: Path, args, out_path: Path,
                   rep_out: Path | None, reports_out: Path | None) -> None:
     d_ori = corpus_dir.d_ori()
-    sampler = _negative_sampler(corpus_dir)
+    sampler = sampler_from_links(corpus_dir.hunks_by_changeset, corpus_dir.links)
     d_aug = generate_augmented_set(d_ori, args.factor, sampler, args.seed)
     write_dataset(out_path, d_aug)
     log.info("|D_aug|=%d (factor %d over |D_ori|=%d)", len(d_aug), args.factor, len(d_ori))
@@ -251,7 +247,7 @@ def stage_augment(corpus_dir: CorpusDir, structured_path: Path, args, out_path: 
 def stage_balance(corpus_dir: CorpusDir, structured_path: Path, train_path: Path, args,
                   out_path: Path, reports_out: Path | None) -> None:
     d_train = load_dataset(train_path, "D_train")
-    sampler = _negative_sampler(corpus_dir)
+    sampler = sampler_from_links(corpus_dir.hunks_by_changeset, corpus_dir.links)
     d_bl = balance_dataset(d_train, args.alpha, args.omega, sampler, args.seed)
     write_dataset(out_path, d_bl)
     log.info("|D_bl|=%d (alpha=%s omega=%s)", len(d_bl), args.alpha, args.omega)
@@ -280,7 +276,7 @@ def stage_stats(dataset_paths: dict[str, Path], top_k: int, out_path: Path,
 
 def stage_retrieve(corpus_dir: CorpusDir, bugs_path: Path, top_n: int, out_path: Path) -> None:
     log_messages = {cs_id: cs.log_message for cs_id, cs in corpus_dir.changesets().items()}
-    index = index_hunks(corpus_dir.hunks(), log_messages)
+    index = index_hunks(corpus_dir.hunks, log_messages)
     run = {}
     for record in read_jsonl(bugs_path):
         bug = bug_from_dict(record)

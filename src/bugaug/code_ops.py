@@ -76,21 +76,42 @@ def load_code_name_dicts(path: str | Path) -> dict[str, CodeNameDictionary]:
 
 
 def levenshtein(a: str, b: str) -> int:
-    """Minimum number of single-character inserts, deletes, and substitutions."""
+    """Minimum number of single-character inserts, deletes, and substitutions.
+
+    Myers' bit-parallel algorithm (JACM 1999) as formulated by Hyyrö (2001):
+    one DP column over the longer string is held in two bit masks, `pv` and
+    `mv` (bit i set: cell i is one more / one less than cell i - 1), and each
+    character of the shorter string advances it with a few integer
+    operations. Python ints are unbounded, so strings longer than a machine
+    word need no blocking. The result equals the DP recurrence's.
+    """
     if a == b:
         return 0
-    if not a:
-        return len(b)
+    if len(a) < len(b):
+        a, b = b, a
     if not b:
         return len(a)
-    previous = list(range(len(b) + 1))
-    for i, ca in enumerate(a, start=1):
-        current = [i]
-        for j, cb in enumerate(b, start=1):
-            cost = 0 if ca == cb else 1
-            current.append(min(previous[j] + 1, current[j - 1] + 1, previous[j - 1] + cost))
-        previous = current
-    return previous[-1]
+    masks: dict[str, int] = {}
+    bit = 1
+    for c in a:
+        masks[c] = masks.get(c, 0) | bit
+        bit <<= 1
+    full, last = bit - 1, bit >> 1
+    pv, mv, distance = full, 0, len(a)
+    for c in b:
+        eq = masks.get(c, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | ~(xh | pv)
+        mh = pv & xh
+        if ph & last:
+            distance += 1
+        elif mh & last:
+            distance -= 1
+        ph = (ph << 1) | 1
+        pv = ((mh << 1) | ~(xv | ph)) & full
+        mv = ph & xv
+    return distance
 
 
 def top_k_substitutes(token: str, dict_names: Iterable[str], k: int) -> list[str]:

@@ -12,6 +12,7 @@ import logging
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Mapping
 
 from .diffs import parse_unified_diff
 from .model import (
@@ -162,9 +163,26 @@ class NegativeSampler:
         return rng.choice(pool)
 
 
+def sampler_from_links(
+    hunks_by_changeset: Mapping[str, list[Hunk]], links: Mapping[str, LinkRecord]
+) -> NegativeSampler:
+    """Negatives over every hunk; each linked bug excludes the classes of its
+    inducing changesets' hunks."""
+    excluded = {
+        bug_id: frozenset(
+            h.class_name
+            for cs_id in link.inducing_changeset_ids
+            for h in hunks_by_changeset.get(cs_id, ())
+        )
+        for bug_id, link in links.items()
+    }
+    return NegativeSampler([h for hs in hunks_by_changeset.values() for h in hs], excluded)
+
+
 def negative_sampler_for(corpus: ProjectCorpus, bug_ids: list[str]) -> NegativeSampler:
-    excluded = {bug_id: corpus.inducing_classes(bug_id) for bug_id in bug_ids}
-    return NegativeSampler(corpus.all_hunks(), excluded)
+    for bug_id in bug_ids:
+        corpus.inducing_hunks(bug_id)  # raises on an unknown or empty inducing changeset
+    return sampler_from_links(corpus.hunks_by_changeset, {b: corpus.links[b] for b in bug_ids})
 
 
 # --- D_ori ---------------------------------------------------------------

@@ -27,6 +27,9 @@ Paraphraser = Callable[[str], str]
 
 OP_KINDS = ("replace", "insert", "swap", "delete")
 
+# consecutive failures after which the service paraphraser stops calling out
+SERVICE_FAILURE_BUDGET = 3
+
 
 class _RejectedType:
     """Sentinel: augmentation failed quality control on every retry."""
@@ -283,10 +286,25 @@ def make_service_paraphraser(url: str, timeout: float = 10.0) -> Paraphraser:
     """Round-trip paraphrase via an external HTTP service.
 
     POSTs plain text and expects plain text back; on any failure (or an empty
-    response) falls back to the identity paraphrase and logs a warning.
+    response) falls back to the identity paraphrase and logs a warning. After
+    SERVICE_FAILURE_BUDGET consecutive failures it stops calling the service
+    and is the identity from then on; a success resets the count.
     """
+    failures = 0
+
+    def fallback(text: str, reason: str) -> str:
+        nonlocal failures
+        failures += 1
+        log.warning("paraphrase service %s %s; using identity", url, reason)
+        if failures == SERVICE_FAILURE_BUDGET:
+            log.warning("paraphrase service %s failed %d times in a row; switching to identity",
+                        url, failures)
+        return text
 
     def paraphrase(text: str) -> str:
+        nonlocal failures
+        if failures >= SERVICE_FAILURE_BUDGET:
+            return text
         request = urllib.request.Request(
             url,
             data=text.encode("utf-8"),
@@ -297,11 +315,10 @@ def make_service_paraphraser(url: str, timeout: float = 10.0) -> Paraphraser:
             with urllib.request.urlopen(request, timeout=timeout) as response:
                 body = response.read().decode("utf-8")
         except (urllib.error.URLError, OSError, UnicodeDecodeError) as exc:
-            log.warning("paraphrase service %s failed (%s); using identity", url, exc)
-            return text
+            return fallback(text, f"failed ({exc})")
         if not body.strip():
-            log.warning("paraphrase service %s returned empty text; using identity", url)
-            return text
+            return fallback(text, "returned empty text")
+        failures = 0
         return body
 
     return paraphrase

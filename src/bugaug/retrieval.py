@@ -11,6 +11,7 @@ from __future__ import annotations
 import heapq
 import math
 import re
+from array import array
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -36,13 +37,19 @@ class IndexedHunk:
 
 @dataclass
 class HunkIndex:
-    """Hunks in ascending id order; `postings` maps each term to the ascending
-    positions in `hunks` of the hunks that contain it."""
+    """Hunks in ascending id order. `postings` maps each term to the ascending
+    positions in `hunks` of the hunks that contain it, and `posting_tfs` to an
+    array of the term's frequency in each of them, in the same order.
+    `norms[position]` is that hunk's BM25 length normaliser,
+    k1 * (1 - b + b * length / average_length)."""
 
     hunks: list[IndexedHunk]
     document_frequencies: dict[str, int]
     average_length: float
     postings: dict[str, list[int]]
+    posting_tfs: dict[str, array]
+    norms: list[float]
+    k1: float
 
     def __len__(self) -> int:
         return len(self.hunks)
@@ -56,22 +63,29 @@ def index_hunks(
     hunks: Sequence[Hunk],
     log_messages: Mapping[str, str] | None = None,
     token_limit: int = HUNK_TOKEN_LIMIT,
+    k1: float = 1.2,
+    b: float = 0.75,
 ) -> HunkIndex:
     """Index hunks by term frequency; each document is truncated to the first
     `token_limit` tokens before counting."""
     log_messages = log_messages or {}
     indexed: list[IndexedHunk] = []
-    document_frequencies: dict[str, int] = {}
     postings: dict[str, list[int]] = {}
+    posting_tfs: dict[str, array] = {}
     for position, hunk in enumerate(sorted(hunks, key=lambda h: h.id)):
         tokens = index_tokens(hunk_document(hunk, log_messages.get(hunk.changeset_id, "")))
         tokens = tokens[:token_limit]
         tf: dict[str, int] = {}
         for token in tokens:
             tf[token] = tf.get(token, 0) + 1
-        for token in tf:
-            document_frequencies[token] = document_frequencies.get(token, 0) + 1
-            postings.setdefault(token, []).append(position)
+        for token, count in tf.items():
+            positions = postings.get(token)
+            if positions is None:
+                postings[token] = [position]
+                posting_tfs[token] = array("I", (count,))
+            else:
+                positions.append(position)
+                posting_tfs[token].append(count)
         indexed.append(
             IndexedHunk(
                 hunk_id=hunk.id,
@@ -82,11 +96,17 @@ def index_hunks(
         )
     total_length = sum(d.length for d in indexed)
     average_length = total_length / len(indexed) if indexed else 0.0
+    # average_length is 0 only when every length is 0; it must not divide then
+    divisor = average_length or 1.0
+    norms = [k1 * (1.0 - b + b * d.length / divisor) for d in indexed]
     return HunkIndex(
         hunks=indexed,
-        document_frequencies=document_frequencies,
+        document_frequencies={term: len(positions) for term, positions in postings.items()},
         average_length=average_length,
         postings=postings,
+        posting_tfs=posting_tfs,
+        norms=norms,
+        k1=k1,
     )
 
 
@@ -95,8 +115,6 @@ def rank(
     index: HunkIndex,
     top_n: int,
     query_token_limit: int = QUERY_TOKEN_LIMIT,
-    k1: float = 1.2,
-    b: float = 0.75,
 ) -> list[tuple[str, float]]:
     """Top-n (hunk_id, score) pairs, score descending, ties by hunk id.
 
@@ -112,24 +130,22 @@ def rank(
     for token in tokens:
         query_counts[token] = query_counts.get(token, 0) + 1
     n_docs = len(index)
+    k1_plus_1 = index.k1 + 1.0
+    norms = index.norms
     scores: dict[int, float] = {}
     for term, query_count in query_counts.items():
         positions = index.postings.get(term)
         if positions is None:
             continue
         df = index.document_frequencies[term]
-        idf = math.log(1.0 + (n_docs - df + 0.5) / (df + 0.5))
-        for position in positions:
-            doc = index.hunks[position]
-            tf = doc.term_frequencies[term]
-            # a hunk in a postings list has length >= 1, so average_length > 0
-            norm = k1 * (1.0 - b + b * doc.length / index.average_length)
-            scores[position] = (
-                scores.get(position, 0.0) + query_count * idf * tf * (k1 + 1.0) / (tf + norm)
-            )
+        # query_count * idf * tf * (k1 + 1) / (tf + norm), multiplied left to right
+        qi = query_count * math.log(1.0 + (n_docs - df + 0.5) / (df + 0.5))
+        for position, tf in zip(positions, index.posting_tfs[term]):
+            score = qi * tf * k1_plus_1 / (tf + norms[position])
+            scores[position] = scores.get(position, 0.0) + score
     # positions ascend with hunk id, so (-score, position) orders as (-score, hunk id)
-    top = heapq.nsmallest(top_n, scores.items(), key=lambda e: (-e[1], e[0]))
-    ranking = [(index.hunks[position].hunk_id, score) for position, score in top]
+    top = heapq.nsmallest(top_n, [(-score, position) for position, score in scores.items()])
+    ranking = [(index.hunks[position].hunk_id, -negated) for negated, position in top]
     for position, doc in enumerate(index.hunks):
         if len(ranking) == top_n:
             break

@@ -4,6 +4,8 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bugaug.balance import balance_dataset, distribution_report, scaled_cap
 from bugaug.builder import augmented_report_id
@@ -103,6 +105,55 @@ def test_additions_respect_caps_on_random_fixtures():
                 continue
             assert final_bug[sample.origin_bug_id] <= max_br
             assert final_class[sample.class_name] <= max_cl
+
+
+# (bug, hunk number, class); a hunk keeps the class it is first drawn with
+_DRAWN_POSITIVES = st.lists(
+    st.tuples(st.sampled_from("ABCDE"), st.integers(0, 3), st.sampled_from("WXYZ")),
+    min_size=1, max_size=14,
+)
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(drawn=_DRAWN_POSITIVES, alpha_tenths=st.integers(1, 40), omega_tenths=st.integers(1, 40),
+       seed=st.integers(0, 2**32 - 1))
+def test_balance_caps_hold_for_random_training_sets(drawn, alpha_tenths, omega_tenths, seed):
+    class_of: dict[str, str] = {}
+    positives = []
+    for bug, number, cls in drawn:
+        hunk = f"h{bug}{number}"
+        positives.append((bug, hunk, class_of.setdefault(hunk, cls)))
+    sampler = _sampler(positives)
+    d_ori = Dataset(name="D_ori", samples=[
+        sample
+        for bug, hunk, cls in positives
+        for sample in (_positive(bug, hunk, cls), TrainingSample(
+            bug_ref=bug, origin_bug_id=bug, hunk_id="neg0", class_name="Spare0", label="negative"))
+    ])
+    d_bl = balance_dataset(d_ori, alpha_tenths / 10, omega_tenths / 10, sampler, seed)
+
+    # ceil(alpha * M_br) and ceil(omega * M_cl), in integers
+    max_br = -(-alpha_tenths * max(Counter(b for b, _, _ in positives).values()) // 10)
+    max_cl = -(-omega_tenths * max(Counter(c for _, _, c in positives).values()) // 10)
+    assert d_bl.samples[: len(d_ori)] == d_ori.samples
+    added = d_bl.samples[len(d_ori):]
+    assert len(added) % 2 == 0
+    bug_counts = d_bl.positive_counts_by_bug()
+    class_counts = d_bl.positive_counts_by_class()
+    own_hunks = {(b, h, c) for b, h, c in positives}
+    for positive, negative in zip(added[::2], added[1::2]):
+        bug = positive.origin_bug_id
+        assert positive.label == "positive" and negative.label == "negative"
+        assert positive.bug_ref == negative.bug_ref != bug
+        assert (bug, positive.hunk_id, positive.class_name) in own_hunks
+        assert negative.class_name not in {c for b, _, c in positives if b == bug}
+        assert bug_counts[bug] <= max_br
+        assert class_counts[positive.class_name] <= max_cl
+    # a bug stops below its cap only when every class it could add is full
+    for bug, count in bug_counts.items():
+        assert count >= max_br or all(
+            class_counts[c] >= max_cl for b, _, c in positives if b == bug
+        )
 
 
 def test_balancing_is_deterministic():

@@ -256,6 +256,44 @@ def test_pipeline_rerun_writes_new_files_and_leaves_old_ones_intact(tmp_path, co
     assert len(list(read_jsonl(out / "d_aug.jsonl"))) == 2 * len(list(read_jsonl(out / "d_ori.jsonl")))
 
 
+def test_each_run_parses_hunks_jsonl_once(tmp_path, corpus_dir, monkeypatch):
+    loads = []
+    load = cli.load_hunks_jsonl
+    monkeypatch.setattr(cli, "load_hunks_jsonl", lambda path: loads.append(path) or load(path))
+    out = tmp_path / "run"
+    assert main(_pipeline_args(corpus_dir, out)) == 0
+    assert loads == [out / "hunks.jsonl"]
+
+    stage_args = ["--corpus", str(out), "--structured", str(out / "structured.jsonl"),
+                  "--seed", "42"]
+    loads.clear()
+    assert main(["augment", *stage_args, "--factor", "2", "--out", str(tmp_path / "d_aug.jsonl"),
+                 "--rep-out", str(tmp_path / "d_rep.jsonl"),
+                 "--reports-out", str(tmp_path / "aug_reports.jsonl")]) == 0
+    assert len(loads) == 1
+    loads.clear()
+    assert main(["balance", *stage_args, "--train", str(out / "d_ori.jsonl"), "--alpha", "2",
+                 "--omega", "4", "--out", str(tmp_path / "d_bl.jsonl"),
+                 "--reports-out", str(tmp_path / "bl_reports.jsonl")]) == 0
+    assert len(loads) == 1
+
+    # resume skips ingest and extract and reruns augment, whose output is truncated
+    d_aug = (out / "d_aug.jsonl").read_bytes()
+    (out / "d_aug.jsonl").write_bytes(d_aug[: len(d_aug) // 2])
+    loads.clear()
+    assert main(_pipeline_args(corpus_dir, out)) == 0
+    assert len(loads) == 1
+    assert (out / "d_aug.jsonl").read_bytes() == d_aug
+
+    # a changed --factor reruns every stage, ingest included, and still parses once
+    loads.clear()
+    assert main(_pipeline_args(corpus_dir, out, extra=["--factor", "3"])) == 0
+    assert len(loads) == 1
+    fresh = tmp_path / "fresh"
+    assert main(_pipeline_args(corpus_dir, fresh, extra=["--factor", "3"])) == 0
+    assert (out / "d_aug.jsonl").read_bytes() == (fresh / "d_aug.jsonl").read_bytes()
+
+
 def _substitute_cache_counts(caplog) -> dict[str, tuple[int, int]]:
     counts = {}
     for record in caplog.records:

@@ -67,6 +67,20 @@ def test_levenshtein_agrees_with_oracle_on_random_pairs():
         assert (levenshtein(a, b) == 0) == (a == b)
 
 
+# few distinct characters, so repeats are common; "é" and "字" are not ASCII
+_EDIT_TEXTS = st.text(alphabet="ab_Xé字", max_size=150)
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(a=_EDIT_TEXTS, b=_EDIT_TEXTS)
+def test_levenshtein_equals_the_dp_oracle(a, b):
+    assert levenshtein(a, b) == oracle_levenshtein(a, b)
+    # one string past 64 characters, the other a few edits away
+    longer = a * 3 + "Z" * 70
+    edited = longer[5:] + b[:3]
+    assert levenshtein(longer, edited) == oracle_levenshtein(longer, edited)
+
+
 def test_top_k_paper_word_neighbors():
     names = {"is_word", "set_word", "get_word", "check_word_missing_letter", "unrelatedIdentifier"}
     top = top_k_substitutes("word", names, 20)

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bugaug.diffs import DiffParseError, derive_class_name, parse_unified_diff, serialize_hunks
+from bugaug.model import Hunk
 
 SINGLE_HUNK = """\
 --- a/src/Foo.java
@@ -107,6 +110,35 @@ def test_round_trip_is_identity():
         first = parse_unified_diff(text, "cs")
         second = parse_unified_diff(serialize_hunks(first), "cs")
         assert first == second
+
+
+# line texts hold no character that str.splitlines would break on
+_LINE_TEXTS = st.text(st.characters(exclude_categories=("Cc", "Cs", "Zl", "Zp")), max_size=16)
+_BODIES = st.lists(st.tuples(st.sampled_from(["context", "added", "removed"]), _LINE_TEXTS),
+                   max_size=6)
+_SECTIONS = st.tuples(st.integers(0, 999), st.integers(0, 999), _BODIES)
+_PATHS = st.sampled_from(["src/Foo.java", "java/org/apache/Alpha.java", "b/Beta.py", "Gamma"])
+_FILES = st.lists(st.tuples(_PATHS, st.lists(_SECTIONS, min_size=1, max_size=3)), max_size=4)
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(files=_FILES)
+def test_parse_inverts_serialize_for_random_hunks(files):
+    hunks = []
+    for path, sections in files:
+        for old_start, new_start, body in sections:
+            hunks.append(Hunk(
+                id=f"cs#h{len(hunks) + 1}",
+                changeset_id="cs",
+                file_path=path,
+                class_name=derive_class_name(path),
+                old_start=old_start,
+                old_len=sum(marker != "added" for marker, _ in body),
+                new_start=new_start,
+                new_len=sum(marker != "removed" for marker, _ in body),
+                lines=tuple(body),
+            ))
+    assert parse_unified_diff(serialize_hunks(hunks), "cs") == hunks
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import logging
 import random
 from collections import Counter
 
@@ -341,17 +342,22 @@ def test_aug_config_validation():
         AugConfig(qc_max_retries=0)
 
 
-def test_service_paraphraser_round_trip_and_fallbacks():
+def test_service_paraphraser_round_trip_and_fallbacks(monkeypatch, caplog):
     import threading
+    import urllib.request
     from http.server import BaseHTTPRequestHandler, HTTPServer
 
-    from bugaug.nl_ops import make_service_paraphraser
+    from bugaug.nl_ops import SERVICE_FAILURE_BUDGET, make_service_paraphraser
+
+    requests = []
 
     class UpperHandler(BaseHTTPRequestHandler):
         def do_POST(self):
             length = int(self.headers.get("Content-Length", "0"))
             body = self.rfile.read(length).decode("utf-8")
-            payload = ("" if self.path == "/empty" else body.upper()).encode("utf-8")
+            requests.append(body)
+            failed = self.path == "/empty" or body == "fail"
+            payload = ("" if failed else body.upper()).encode("utf-8")
             self.send_response(200)
             self.send_header("Content-Type", "text/plain; charset=utf-8")
             self.send_header("Content-Length", str(len(payload)))
@@ -360,6 +366,9 @@ def test_service_paraphraser_round_trip_and_fallbacks():
 
         def log_message(self, *args):
             pass
+
+    def switch_warnings():
+        return sum("switching to identity" in r.getMessage() for r in caplog.records)
 
     server = HTTPServer(("127.0.0.1", 0), UpperHandler)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
@@ -371,6 +380,16 @@ def test_service_paraphraser_round_trip_and_fallbacks():
         # empty response falls back to identity
         empty = make_service_paraphraser(base + "/empty", timeout=5.0)
         assert empty("unchanged text") == "unchanged text"
+
+        # one success between failures resets the count of consecutive failures
+        flaky = make_service_paraphraser(base + "/", timeout=5.0)
+        requests.clear()
+        texts = ["fail", "fail", "ok", "fail", "fail", "ok", "fail", "fail", "fail", "ok"]
+        with caplog.at_level(logging.WARNING):
+            outputs = [flaky(t) for t in texts]
+        assert outputs == ["fail", "fail", "OK", "fail", "fail", "OK", "fail", "fail", "fail", "ok"]
+        assert requests == texts[:9]
+        assert switch_warnings() == 1
     finally:
         server.shutdown()
         server.server_close()
@@ -379,6 +398,18 @@ def test_service_paraphraser_round_trip_and_fallbacks():
     # unreachable service falls back to identity
     dead = make_service_paraphraser(f"http://127.0.0.1:{server.server_port}/", timeout=0.5)
     assert dead("still here") == "still here"
+
+    # ... and is called SERVICE_FAILURE_BUDGET times in a row at most
+    calls = []
+    urlopen = urllib.request.urlopen
+    monkeypatch.setattr(urllib.request, "urlopen",
+                        lambda *a, **k: calls.append(a) or urlopen(*a, **k))
+    caplog.clear()
+    dead = make_service_paraphraser(f"http://127.0.0.1:{server.server_port}/", timeout=0.5)
+    with caplog.at_level(logging.WARNING):
+        assert [dead(f"text {i}") for i in range(10)] == [f"text {i}" for i in range(10)]
+    assert len(calls) == SERVICE_FAILURE_BUDGET == 3
+    assert switch_warnings() == 1
 
 
 def test_strip_punctuation_output_never_matches_punctuation_set():
