@@ -13,8 +13,10 @@ import json
 import logging
 import math
 import sys
-from functools import cached_property
+from dataclasses import dataclass
+from functools import cache, cached_property
 from pathlib import Path
+from typing import Callable
 
 from . import __version__
 from .balance import balance_dataset, distribution_report
@@ -181,26 +183,17 @@ def _build_augmenter(corpus_dir: CorpusDir, structured_path: Path, args) -> Repo
 def stage_ingest(bugs: Path, diffs: Path, links: Path, seed: int, out_dir: Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     result = ingest_corpus(bugs, diffs, links, seed)
+    corpus = result.corpus
     write_jsonl(out_dir / "train_bugs.jsonl", (bug_to_dict(b) for b in result.train_bugs))
     write_jsonl(out_dir / "test_bugs.jsonl", (bug_to_dict(b) for b in result.test_bugs))
-    write_jsonl(out_dir / "hunks.jsonl", (hunk_to_dict(h) for h in result.corpus.all_hunks()))
-    write_jsonl(
-        out_dir / "links.jsonl",
-        (link_to_dict(result.corpus.links[k]) for k in sorted(result.corpus.links)),
-    )
-    write_jsonl(
-        out_dir / "changesets.jsonl",
-        (changeset_to_dict(result.corpus.changesets[k]) for k in sorted(result.corpus.changesets)),
-    )
+    write_jsonl(out_dir / "hunks.jsonl", (hunk_to_dict(h) for h in corpus.all_hunks()))
+    write_jsonl(out_dir / "links.jsonl", (link_to_dict(corpus.links[k]) for k in sorted(corpus.links)))
+    write_jsonl(out_dir / "changesets.jsonl",
+                (changeset_to_dict(corpus.changesets[k]) for k in sorted(corpus.changesets)))
     write_dataset(out_dir / "d_ori.jsonl", result.d_ori)
     write_qrels(out_dir / "qrels.txt", result.qrels)
-    log.info(
-        "ingested %d train / %d test bugs, %d hunks, |D_ori|=%d",
-        len(result.train_bugs),
-        len(result.test_bugs),
-        len(result.corpus.all_hunks()),
-        len(result.d_ori),
-    )
+    log.info("ingested %d train / %d test bugs, %d hunks, |D_ori|=%d", len(result.train_bugs),
+             len(result.test_bugs), len(corpus.all_hunks()), len(result.d_ori))
 
 
 def stage_extract(corpus_dir: CorpusDir, patterns_path: str | None, lib_prefixes: list[str],
@@ -277,12 +270,10 @@ def stage_stats(dataset_paths: dict[str, Path], top_k: int, out_path: Path,
 def stage_retrieve(corpus_dir: CorpusDir, bugs_path: Path, top_n: int, out_path: Path) -> None:
     log_messages = {cs_id: cs.log_message for cs_id, cs in corpus_dir.changesets().items()}
     index = index_hunks(corpus_dir.hunks, log_messages)
-    run = {}
-    for record in read_jsonl(bugs_path):
-        bug = bug_from_dict(record)
-        run[bug.id] = rank(bug.text, index, top_n)
-    write_run(out_path, run)
-    log.info("ranked %d hunks for %d bug reports", len(index), len(run))
+    texts = {bug.id: bug.text for bug in map(bug_from_dict, read_jsonl(bugs_path))}
+    # one bug's ranking at a time, in id order
+    write_run(out_path, ((bug_id, rank(text, index, top_n)) for bug_id, text in sorted(texts.items())))
+    log.info("ranked %d hunks for %d bug reports", len(index), len(texts))
 
 
 def stage_eval(run_path: Path, qrels_path: Path, metric_names: list[str], out_path: Path) -> None:
@@ -294,7 +285,107 @@ def stage_eval(run_path: Path, qrels_path: Path, metric_names: list[str], out_pa
         print(f"{name}\t{value:.4f}")
 
 
-# --- manifest --------------------------------------------------------------
+# --- stage table -------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Stage:
+    """A stage, run alone by its subcommand or in order by `pipeline`.
+
+    Options go by their argparse dest: "code_dict" for --code-dict.
+    `inputs`: the subcommand's options that name files the stage reads.
+    `paths`: what each path option names in a pipeline run's directory (""
+    is the directory, a tuple several files); other options keep their value.
+    `reads`: run-directory files and pipeline inputs (by option) that the
+    outputs depend on; `writes`: the run-directory files it writes;
+    `config`: the options its outputs depend on. `call` maps the options and
+    a CorpusDir factory to the stage function's positional arguments."""
+
+    name: str
+    inputs: tuple[str, ...]
+    paths: dict[str, str | tuple[str, ...]]
+    reads: tuple[str, ...]
+    writes: tuple[str, ...]
+    config: tuple[str, ...]
+    call: Callable[[argparse.Namespace, Callable[[Path], CorpusDir]], tuple]
+
+
+_OPTION_FILES = ("patterns", "substitutes", "code_dict")
+_AUGMENT_READS = ("d_ori.jsonl", "hunks.jsonl", "links.jsonl", "structured.jsonl", *_OPTION_FILES)
+_AUGMENT_CONFIG = ("seed", "p_drop", "paraphraser", "service_url")
+_DATASETS = ("d_ori.jsonl", "d_rep.jsonl", "d_aug.jsonl", "d_bl.jsonl")
+
+
+def _by_stem(paths: Path | list[Path]) -> dict[str, Path]:
+    """Datasets by name: the one --dataset file, or a pipeline run's four."""
+    return {p.stem: p for p in ([paths] if isinstance(paths, Path) else paths)}
+
+
+STAGES = (
+    Stage("ingest", ("bugs", "diffs", "links"), {"out": ""},
+          reads=("bugs", "diffs", "links"),
+          writes=("train_bugs.jsonl", "test_bugs.jsonl", "hunks.jsonl", "links.jsonl",
+                  "changesets.jsonl", "d_ori.jsonl", "qrels.txt"),
+          config=("seed",), call=lambda a, corpus: (a.bugs, a.diffs, a.links, a.seed, a.out)),
+    Stage("extract", ("corpus", "patterns"), {"corpus": "", "out": "structured.jsonl"},
+          reads=("train_bugs.jsonl", "hunks.jsonl", "patterns"), writes=("structured.jsonl",),
+          config=("lib_prefixes",),
+          call=lambda a, corpus: (corpus(a.corpus), a.patterns, a.lib_prefixes.split(","), a.out)),
+    Stage("augment", ("corpus", "structured", *_OPTION_FILES),
+          {"corpus": "", "structured": "structured.jsonl", "out": "d_aug.jsonl",
+           "rep_out": "d_rep.jsonl", "reports_out": "augmented_reports.jsonl"},
+          reads=_AUGMENT_READS, writes=("d_aug.jsonl", "d_rep.jsonl", "augmented_reports.jsonl"),
+          config=("factor", *_AUGMENT_CONFIG),
+          call=lambda a, corpus: (corpus(a.corpus), a.structured, a, a.out, a.rep_out, a.reports_out)),
+    Stage("balance", ("corpus", "structured", "train", *_OPTION_FILES),
+          {"corpus": "", "structured": "structured.jsonl", "train": "d_ori.jsonl",
+           "out": "d_bl.jsonl", "reports_out": "balance_reports.jsonl"},
+          reads=_AUGMENT_READS, writes=("d_bl.jsonl", "balance_reports.jsonl"),
+          config=("alpha", "omega", *_AUGMENT_CONFIG),
+          call=lambda a, corpus: (corpus(a.corpus), a.structured, a.train, a, a.out, a.reports_out)),
+    Stage("stats", ("dataset",), {"dataset": _DATASETS, "out": "stats.json"},
+          reads=_DATASETS, writes=("stats.json",), config=("top_k",),
+          call=lambda a, corpus: (_by_stem(a.dataset), a.top_k, a.out, getattr(a, "csv", None))),
+    Stage("retrieve", ("index", "bugs"),
+          {"index": "", "bugs": "test_bugs.jsonl", "out": "run.txt"},
+          reads=("changesets.jsonl", "hunks.jsonl", "test_bugs.jsonl"), writes=("run.txt",),
+          config=("top_n",), call=lambda a, corpus: (corpus(a.index), a.bugs, a.top_n, a.out)),
+    Stage("eval", ("run", "qrels"),
+          {"run": "run.txt", "qrels": "qrels.txt", "out": "metrics.json"},
+          reads=("run.txt", "qrels.txt"), writes=("metrics.json",), config=("metrics",),
+          call=lambda a, corpus: (a.run, a.qrels, parse_metric_names(a.metrics.split(",")), a.out)),
+)
+
+
+def run_stage(stage: Stage, args, corpus: Callable[[Path], CorpusDir], run_dir: Path | None = None):
+    """Run stage with args; given run_dir, with its path options naming files
+    there. stage_<name> is looked up now, not at import, so a replaced stage
+    function (a test stub, a benchmark's tracing wrapper) is the one called."""
+    if run_dir is not None:
+        args = argparse.Namespace(**{**vars(args), **{
+            option: run_dir / name if isinstance(name, str) else [run_dir / n for n in name]
+            for option, name in stage.paths.items()}})
+    globals()[f"stage_{stage.name}"](*stage.call(args, corpus))
+
+
+def _check_usage(parser: argparse.ArgumentParser, args, options) -> None:
+    """Exit 2 with the subcommand's usage, before any stage runs, if a file one
+    of options names is missing, a service paraphraser has no URL or a metric
+    is unknown. An option is named by its flag, as typed."""
+    for option in options:
+        path = getattr(args, option)
+        if path is not None and not Path(path).exists():
+            parser.error(f"--{option.replace('_', '-')}: path does not exist: {path}")
+    if getattr(args, "paraphraser", None) == "service" and not args.service_url:
+        parser.error("--paraphraser service requires --service-url")
+    if hasattr(args, "metrics"):
+        try:
+            parse_metric_names(args.metrics.split(","))
+        except ValueError as exc:
+            parser.error(f"--metrics: {exc}")
+
+
+# --- manifest and resume ------------------------------------------------------
 
 
 def _sha256(path: Path) -> str:
@@ -314,61 +405,32 @@ def _digest_tree(path: Path) -> dict[str, str]:
 
 
 def _pipeline_manifest(args) -> dict:
-    """Everything that determines the pipeline's artifacts, before any stage runs."""
-    option_files = {"patterns": args.patterns, "substitutes": args.substitutes,
-                    "code_dict": args.code_dict}
+    """Everything that determines the pipeline's artifacts, before any stage
+    runs. Its inputs are the reads that no stage writes."""
+    written = {name for stage in STAGES for name in stage.writes}
+    inputs = [name for stage in STAGES for name in stage.reads if name not in written]
     return {
         "tool": "bugaug",
         "version": __version__,
         "seed": args.seed,
-        "config": {
-            "factor": args.factor,
-            "alpha": args.alpha,
-            "omega": args.omega,
-            "p_drop": args.p_drop,
-            "paraphraser": args.paraphraser,
-            "service_url": args.service_url,
-            "lib_prefixes": args.lib_prefixes,
-            "top_k": args.top_k,
-            "top_n": args.top_n,
-            "metrics": args.metrics,
-        },
-        "inputs": {
-            "bugs": _digest_tree(args.bugs),
-            "diffs": _digest_tree(args.diffs),
-            "links": _digest_tree(args.links),
-            **{name: _digest_tree(Path(path)) for name, path in option_files.items() if path},
-        },
+        "config": {k: getattr(args, k) for stage in STAGES for k in stage.config if k != "seed"},
+        "inputs": {name: _digest_tree(Path(getattr(args, name)))
+                   for name in inputs if getattr(args, name)},
         "stages": {},
+        "keys": {},
     }
 
 
-def _completed_stages(manifest_path: Path, manifest: dict) -> dict[str, dict[str, str]]:
-    """Stage digests of the previous run in this directory, if it ran with the
-    same tool, version, seed, config and inputs; otherwise none."""
-    try:
-        previous = json.loads(manifest_path.read_text("utf-8"))
-    except (OSError, ValueError):
-        return {}
-    if any(previous.get(k) != manifest[k] for k in ("tool", "version", "seed", "config", "inputs")):
-        return {}
-    return previous.get("stages", {})
+def _stage_key(stage: Stage, manifest: dict, args, digests: dict) -> str:
+    """SHA-256 of the tool, the version, the stage's config values and the
+    digests of what it reads (None for an option file not given)."""
+    payload = [manifest["tool"], manifest["version"],
+               {k: getattr(args, k) for k in stage.config},
+               {name: digests.get(name) for name in stage.reads}]
+    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode("utf-8")).hexdigest()
 
 
 # --- command handlers -------------------------------------------------------
-
-
-def _require(parser: argparse.ArgumentParser, flag: str, path: Path) -> Path:
-    if not path.exists():
-        parser.error(f"{flag}: path does not exist: {path}")
-    return path
-
-
-def _metric_names(parser: argparse.ArgumentParser, spec: str) -> list[str]:
-    try:
-        return parse_metric_names(spec.split(","))
-    except ValueError as exc:
-        parser.error(f"--metrics: {exc}")
 
 
 def cmd_fixture(args, parser) -> int:
@@ -377,154 +439,44 @@ def cmd_fixture(args, parser) -> int:
     return 0
 
 
-def cmd_ingest(args, parser) -> int:
-    _require(parser, "--bugs", args.bugs)
-    _require(parser, "--diffs", args.diffs)
-    _require(parser, "--links", args.links)
-    stage_ingest(args.bugs, args.diffs, args.links, args.seed, args.out)
-    return 0
-
-
-def _require_augment_opts(parser: argparse.ArgumentParser, args) -> None:
-    for flag, path in (("--patterns", args.patterns), ("--substitutes", args.substitutes),
-                       ("--code-dict", args.code_dict)):
-        if path:
-            _require(parser, flag, Path(path))
-    if args.paraphraser == "service" and not args.service_url:
-        parser.error("--paraphraser service requires --service-url")
-
-
-def cmd_extract(args, parser) -> int:
-    _require(parser, "--corpus", args.corpus)
-    if args.patterns:
-        _require(parser, "--patterns", Path(args.patterns))
-    stage_extract(CorpusDir(args.corpus), args.patterns, args.lib_prefixes.split(","), args.out)
-    return 0
-
-
-def cmd_augment(args, parser) -> int:
-    _require(parser, "--corpus", args.corpus)
-    _require(parser, "--structured", args.structured)
-    _require_augment_opts(parser, args)
-    stage_augment(
-        CorpusDir(args.corpus), args.structured, args, args.out, args.rep_out, args.reports_out
-    )
-    return 0
-
-
-def cmd_balance(args, parser) -> int:
-    _require(parser, "--corpus", args.corpus)
-    _require(parser, "--structured", args.structured)
-    _require(parser, "--train", args.train)
-    _require_augment_opts(parser, args)
-    stage_balance(
-        CorpusDir(args.corpus), args.structured, args.train, args, args.out, args.reports_out
-    )
-    return 0
-
-
-def cmd_stats(args, parser) -> int:
-    _require(parser, "--dataset", args.dataset)
-    stage_stats({args.dataset.stem: args.dataset}, args.top_k, args.out, args.csv)
-    return 0
-
-
-def cmd_retrieve(args, parser) -> int:
-    _require(parser, "--index", args.index)
-    _require(parser, "--bugs", args.bugs)
-    stage_retrieve(CorpusDir(args.index), args.bugs, args.top_n, args.out)
-    return 0
-
-
-def cmd_eval(args, parser) -> int:
-    _require(parser, "--run", args.run)
-    _require(parser, "--qrels", args.qrels)
-    stage_eval(args.run, args.qrels, _metric_names(parser, args.metrics), args.out)
+def cmd_stage(args, parser) -> int:
+    """Run the stage the subcommand names on its own."""
+    stage = next(s for s in STAGES if s.name == args.command)
+    _check_usage(parser, args, stage.inputs)
+    run_stage(stage, args, cache(CorpusDir))
     return 0
 
 
 def cmd_pipeline(args, parser) -> int:
-    _require(parser, "--bugs", args.bugs)
-    _require(parser, "--diffs", args.diffs)
-    _require(parser, "--links", args.links)
-    _require_augment_opts(parser, args)
-    metric_names = _metric_names(parser, args.metrics)
+    # options a stage maps into the run directory name files that earlier stages write
+    _check_usage(parser, args, [o for s in STAGES for o in s.inputs if o not in s.paths])
     out: Path = args.out
     out.mkdir(parents=True, exist_ok=True)
-    corpus_dir = CorpusDir(out)
-    structured_path = out / "structured.jsonl"
-
-    stages = [
-        (
-            "ingest",
-            [
-                "train_bugs.jsonl", "test_bugs.jsonl", "hunks.jsonl", "links.jsonl",
-                "changesets.jsonl", "d_ori.jsonl", "qrels.txt",
-            ],
-            lambda: stage_ingest(args.bugs, args.diffs, args.links, args.seed, out),
-        ),
-        (
-            "extract",
-            ["structured.jsonl"],
-            lambda: stage_extract(corpus_dir, args.patterns, args.lib_prefixes.split(","), structured_path),
-        ),
-        (
-            "augment",
-            ["d_aug.jsonl", "d_rep.jsonl", "augmented_reports.jsonl"],
-            lambda: stage_augment(
-                corpus_dir, structured_path, args, out / "d_aug.jsonl",
-                out / "d_rep.jsonl", out / "augmented_reports.jsonl",
-            ),
-        ),
-        (
-            "balance",
-            ["d_bl.jsonl", "balance_reports.jsonl"],
-            lambda: stage_balance(
-                corpus_dir, structured_path, out / "d_ori.jsonl", args,
-                out / "d_bl.jsonl", out / "balance_reports.jsonl",
-            ),
-        ),
-        (
-            "stats",
-            ["stats.json"],
-            lambda: stage_stats(
-                {
-                    "d_ori": out / "d_ori.jsonl",
-                    "d_rep": out / "d_rep.jsonl",
-                    "d_aug": out / "d_aug.jsonl",
-                    "d_bl": out / "d_bl.jsonl",
-                },
-                args.top_k,
-                out / "stats.json",
-                None,
-            ),
-        ),
-        (
-            "retrieve",
-            ["run.txt"],
-            lambda: stage_retrieve(corpus_dir, out / "test_bugs.jsonl", args.top_n, out / "run.txt"),
-        ),
-        (
-            "eval",
-            ["metrics.json"],
-            lambda: stage_eval(out / "run.txt", out / "qrels.txt", metric_names, out / "metrics.json"),
-        ),
-    ]
-
     manifest_path = out / "manifest.json"
     manifest = _pipeline_manifest(args)
-    completed = {} if args.force else _completed_stages(manifest_path, manifest)
-    for name, outputs, fn in stages:
-        paths = [out / o for o in outputs]
-        if completed.get(name) == _digest_files(paths):
-            log.info("stage %s: outputs match the manifest, skipping (use --force to recompute)", name)
+    try:
+        previous = {} if args.force else json.loads(manifest_path.read_text("utf-8"))
+    except (OSError, ValueError):
+        previous = {}
+    digests = dict(manifest["inputs"])  # by input name, then by each written file's name
+    corpus = cache(CorpusDir)
+    for stage in STAGES:
+        key = _stage_key(stage, manifest, args, digests)
+        outputs = [out / name for name in stage.writes]
+        written = _digest_files(outputs) if previous.get("keys", {}).get(stage.name) == key else None
+        if written is not None and written == previous.get("stages", {}).get(stage.name):
+            log.info("stage %s: key and outputs match the manifest, skipping "
+                     "(use --force to recompute)", stage.name)
         else:
             try:
-                fn()
+                run_stage(stage, args, corpus, out)
             except Exception as exc:
-                print(f"pipeline stage {name!r} failed: {exc}", file=sys.stderr)
+                print(f"pipeline stage {stage.name!r} failed: {exc}", file=sys.stderr)
                 return 1
-        manifest["stages"][name] = _digest_files(paths)
+            written = _digest_files(outputs)
+        digests.update(written)
+        manifest["stages"][stage.name] = written
+        manifest["keys"][stage.name] = key
         _write_json(manifest_path, manifest)
     print(f"pipeline complete; artifacts in {out}")
     return 0
@@ -555,7 +507,7 @@ def _positive(text: str) -> float:
     return value
 
 
-def _add_command(subparsers, name: str, handler, summary: str) -> argparse.ArgumentParser:
+def _add_command(subparsers, name: str, summary: str, handler=cmd_stage) -> argparse.ArgumentParser:
     """A subcommand whose handler reports usage errors through its own parser."""
     sub = subparsers.add_parser(name, help=summary)
     sub.set_defaults(func=lambda args: handler(args, sub))
@@ -582,27 +534,26 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("-v", "--verbose", action="store_true", help="verbose logging")
     subparsers = parser.add_subparsers(dest="command", required=True)
 
-    sub = _add_command(subparsers, "fixture", cmd_fixture, "generate a synthetic demo corpus")
+    sub = _add_command(subparsers, "fixture", "generate a synthetic demo corpus", cmd_fixture)
     sub.add_argument("--out", type=Path, required=True)
     sub.add_argument("--bugs", type=int, default=50)
     sub.add_argument("--seed", type=int, default=7)
 
-    sub = _add_command(subparsers, "ingest", cmd_ingest,
-                       "parse inputs, build D_ori and the date split")
+    sub = _add_command(subparsers, "ingest", "parse inputs, build D_ori and the date split")
     sub.add_argument("--bugs", type=Path, required=True, help="bug reports JSON-lines")
     sub.add_argument("--diffs", type=Path, required=True, help="directory of .diff files + changesets.jsonl")
     sub.add_argument("--links", type=Path, required=True, help="bug/changeset link records JSON-lines")
     sub.add_argument("--seed", type=int, default=42)
     sub.add_argument("--out", type=Path, required=True, help="output corpus directory")
 
-    sub = _add_command(subparsers, "extract", cmd_extract,
+    sub = _add_command(subparsers, "extract",
                        "decompose train bug reports into structured samples")
     sub.add_argument("--corpus", type=Path, required=True, help="ingest output directory")
     sub.add_argument("--patterns", default=None)
     sub.add_argument("--lib-prefixes", dest="lib_prefixes", default=",".join(DEFAULT_LIBRARY_PREFIXES))
     sub.add_argument("--out", type=Path, required=True)
 
-    sub = _add_command(subparsers, "augment", cmd_augment, "generate D_aug (and optionally D_rep)")
+    sub = _add_command(subparsers, "augment", "generate D_aug (and optionally D_rep)")
     sub.add_argument("--corpus", type=Path, required=True)
     sub.add_argument("--structured", type=Path, required=True)
     sub.add_argument("--factor", type=_at_least_one, default=10)
@@ -611,7 +562,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--reports-out", dest="reports_out", type=Path, default=None)
     _add_augment_opts(sub)
 
-    sub = _add_command(subparsers, "balance", cmd_balance, "build the balanced dataset D_bl")
+    sub = _add_command(subparsers, "balance", "build the balanced dataset D_bl")
     sub.add_argument("--corpus", type=Path, required=True)
     sub.add_argument("--structured", type=Path, required=True)
     sub.add_argument("--train", type=Path, required=True, help="training dataset JSON-lines (e.g. d_ori.jsonl)")
@@ -621,26 +572,27 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--reports-out", dest="reports_out", type=Path, default=None)
     _add_augment_opts(sub)
 
-    sub = _add_command(subparsers, "stats", cmd_stats, "per-bug / per-class distribution report")
+    sub = _add_command(subparsers, "stats", "per-bug / per-class distribution report")
     sub.add_argument("--dataset", type=Path, required=True)
     sub.add_argument("--top-k", dest="top_k", type=_at_least_one, default=10)
     sub.add_argument("--out", type=Path, required=True)
     sub.add_argument("--csv", type=Path, default=None)
 
-    sub = _add_command(subparsers, "retrieve", cmd_retrieve,
+    sub = _add_command(subparsers, "retrieve",
                        "rank hunks for bug reports with the lexical baseline")
     sub.add_argument("--index", type=Path, required=True, help="corpus directory with hunks.jsonl")
     sub.add_argument("--bugs", type=Path, required=True)
     sub.add_argument("--top-n", dest="top_n", type=_at_least_one, default=100)
     sub.add_argument("--out", type=Path, required=True)
 
-    sub = _add_command(subparsers, "eval", cmd_eval, "score a run file against qrels")
+    sub = _add_command(subparsers, "eval", "score a run file against qrels")
     sub.add_argument("--run", type=Path, required=True)
     sub.add_argument("--qrels", type=Path, required=True)
     sub.add_argument("--metrics", default="mrr,map,p@1,p@3,p@5")
     sub.add_argument("--out", type=Path, required=True)
 
-    sub = _add_command(subparsers, "pipeline", cmd_pipeline, "run every stage into one output directory")
+    sub = _add_command(subparsers, "pipeline", "run every stage into one output directory",
+                       cmd_pipeline)
     sub.add_argument("--bugs", type=Path, required=True)
     sub.add_argument("--diffs", type=Path, required=True)
     sub.add_argument("--links", type=Path, required=True)

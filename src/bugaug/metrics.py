@@ -12,7 +12,8 @@ from typing import Iterable, Mapping, Sequence
 from .model import open_new
 
 Qrels = Mapping[str, set]
-RankingRun = Mapping[str, Sequence[tuple[str, float]]]
+Ranking = Sequence[tuple[str, float]]
+RankingRun = Mapping[str, Ranking]
 
 
 def sort_ranking(entries: Iterable[tuple[str, float]]) -> list[tuple[str, float]]:
@@ -136,10 +137,11 @@ def read_run(path: str | Path) -> dict[str, list[tuple[str, float]]]:
     return {bug: sort_ranking(entries) for bug, entries in raw.items()}
 
 
-def write_run(path: str | Path, run: RankingRun) -> None:
+def write_run(path: str | Path, rankings: Iterable[tuple[str, Ranking]]) -> None:
+    """Write (bug_id, ranking) pairs in the order given."""
     with open_new(path) as fh:
-        for bug_id in sorted(run):
-            for position, (hunk_id, score) in enumerate(run[bug_id], start=1):
+        for bug_id, ranking in rankings:
+            for position, (hunk_id, score) in enumerate(ranking, start=1):
                 fh.write(f"{bug_id} {hunk_id} {position} {score:.6f}\n")
 
 

@@ -31,20 +31,19 @@ def index_tokens(text: str) -> list[str]:
 class IndexedHunk:
     hunk_id: str
     class_name: str
-    term_frequencies: dict[str, int]
     length: int
 
 
 @dataclass
 class HunkIndex:
     """Hunks in ascending id order. `postings` maps each term to the ascending
-    positions in `hunks` of the hunks that contain it, and `posting_tfs` to an
-    array of the term's frequency in each of them, in the same order.
+    positions in `hunks` of the hunks that contain it, so its document
+    frequency is the list's length, and `posting_tfs` to an array of the
+    term's frequency in each of them, in the same order.
     `norms[position]` is that hunk's BM25 length normaliser,
     k1 * (1 - b + b * length / average_length)."""
 
     hunks: list[IndexedHunk]
-    document_frequencies: dict[str, int]
     average_length: float
     postings: dict[str, list[int]]
     posting_tfs: dict[str, array]
@@ -86,14 +85,7 @@ def index_hunks(
             else:
                 positions.append(position)
                 posting_tfs[token].append(count)
-        indexed.append(
-            IndexedHunk(
-                hunk_id=hunk.id,
-                class_name=hunk.class_name,
-                term_frequencies=tf,
-                length=len(tokens),
-            )
-        )
+        indexed.append(IndexedHunk(hunk_id=hunk.id, class_name=hunk.class_name, length=len(tokens)))
     total_length = sum(d.length for d in indexed)
     average_length = total_length / len(indexed) if indexed else 0.0
     # average_length is 0 only when every length is 0; it must not divide then
@@ -101,7 +93,6 @@ def index_hunks(
     norms = [k1 * (1.0 - b + b * d.length / divisor) for d in indexed]
     return HunkIndex(
         hunks=indexed,
-        document_frequencies={term: len(positions) for term, positions in postings.items()},
         average_length=average_length,
         postings=postings,
         posting_tfs=posting_tfs,
@@ -137,7 +128,7 @@ def rank(
         positions = index.postings.get(term)
         if positions is None:
             continue
-        df = index.document_frequencies[term]
+        df = len(positions)
         # query_count * idf * tf * (k1 + 1) / (tf + norm), multiplied left to right
         qi = query_count * math.log(1.0 + (n_docs - df + 0.5) / (df + 0.5))
         for position, tf in zip(positions, index.posting_tfs[term]):

@@ -4,6 +4,8 @@ import hashlib
 import json
 import logging
 import re
+import shutil
+from functools import cache
 from importlib import resources
 
 import pytest
@@ -256,7 +258,13 @@ def test_pipeline_rerun_writes_new_files_and_leaves_old_ones_intact(tmp_path, co
     assert len(list(read_jsonl(out / "d_aug.jsonl"))) == 2 * len(list(read_jsonl(out / "d_ori.jsonl")))
 
 
-def test_each_run_parses_hunks_jsonl_once(tmp_path, corpus_dir, monkeypatch):
+def _skipped_stages(caplog) -> list[str]:
+    return [m[1] for r in caplog.records
+            if (m := re.fullmatch(r"stage (\S+): .*skipping.*", r.getMessage()))]
+
+
+def test_each_run_parses_hunks_jsonl_once(tmp_path, corpus_dir, monkeypatch, caplog):
+    caplog.set_level(logging.INFO, logger="bugaug")
     loads = []
     load = cli.load_hunks_jsonl
     monkeypatch.setattr(cli, "load_hunks_jsonl", lambda path: loads.append(path) or load(path))
@@ -285,10 +293,13 @@ def test_each_run_parses_hunks_jsonl_once(tmp_path, corpus_dir, monkeypatch):
     assert len(loads) == 1
     assert (out / "d_aug.jsonl").read_bytes() == d_aug
 
-    # a changed --factor reruns every stage, ingest included, and still parses once
+    # a changed --factor reruns only augment and stats, which reads d_aug.jsonl and
+    # d_rep.jsonl, and still parses once
     loads.clear()
+    caplog.clear()
     assert main(_pipeline_args(corpus_dir, out, extra=["--factor", "3"])) == 0
     assert len(loads) == 1
+    assert _skipped_stages(caplog) == ["ingest", "extract", "balance", "retrieve", "eval"]
     fresh = tmp_path / "fresh"
     assert main(_pipeline_args(corpus_dir, fresh, extra=["--factor", "3"])) == 0
     assert (out / "d_aug.jsonl").read_bytes() == (fresh / "d_aug.jsonl").read_bytes()
@@ -355,6 +366,20 @@ def test_retrieve_subcommand(tmp_path, corpus_dir):
     assert all(len(line.split()) == 4 for line in lines)
 
 
+def test_retrieve_writes_rankings_in_bug_id_order(tmp_path, corpus_dir):
+    out = tmp_path / "run"
+    assert main(_pipeline_args(corpus_dir, out)) == 0
+    lines = (out / "test_bugs.jsonl").read_text("utf-8").splitlines(keepends=True)
+    assert len(lines) > 1
+    reversed_bugs = tmp_path / "reversed.jsonl"
+    reversed_bugs.write_text("".join(reversed(lines)), "utf-8")
+    assert main(["retrieve", "--index", str(out), "--bugs", str(reversed_bugs),
+                 "--out", str(tmp_path / "run.txt")]) == 0
+    assert (tmp_path / "run.txt").read_bytes() == (out / "run.txt").read_bytes()
+    bug_ids = [line.split()[0] for line in (out / "run.txt").read_text("utf-8").splitlines()]
+    assert bug_ids == sorted(bug_ids)
+
+
 def test_augment_subcommand_with_shuffle_paraphraser(tmp_path, corpus_dir):
     out = tmp_path / "artifacts"
     main(
@@ -407,3 +432,141 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert "bugaug" in capsys.readouterr().out
+
+
+def test_fresh_run_skips_nothing_and_rerun_skips_everything(tmp_path, corpus_dir, caplog):
+    caplog.set_level(logging.INFO, logger="bugaug")
+    out = tmp_path / "run"
+    assert main(_pipeline_args(corpus_dir, out)) == 0
+    assert _skipped_stages(caplog) == []
+    manifest = json.loads((out / "manifest.json").read_text("utf-8"))
+    names = [stage.name for stage in cli.STAGES]
+    assert sorted(manifest["stages"]) == sorted(manifest["keys"]) == sorted(names)
+    assert all(re.fullmatch(r"[0-9a-f]{64}", key) for key in manifest["keys"].values())
+    caplog.clear()
+    assert main(_pipeline_args(corpus_dir, out)) == 0
+    assert _skipped_stages(caplog) == names
+
+
+def test_each_stage_needs_only_its_declared_reads(tmp_path, corpus_dir):
+    out = tmp_path / "run"
+    argv = _pipeline_args(corpus_dir, out)
+    assert main(argv) == 0
+    args = cli.build_parser().parse_args(argv)
+    for stage in cli.STAGES:
+        alone = tmp_path / stage.name
+        alone.mkdir()
+        # pipeline inputs such as --bugs stay where they are; run-directory files are copied
+        copied = [name for name in stage.reads if (out / name).is_file()]
+        for name in copied:
+            shutil.copyfile(out / name, alone / name)
+        cli.run_stage(stage, args, cache(cli.CorpusDir), alone)
+        for name in stage.writes:
+            assert (alone / name).read_bytes() == (out / name).read_bytes(), (stage.name, name)
+        assert sorted(p.name for p in alone.iterdir()) == sorted({*copied, *stage.writes})
+
+
+def _option_files(tmp_path, base) -> dict[str, list[str]]:
+    """A changed value for each option that names a file the pipeline reads."""
+    bundled = resources.files("bugaug").joinpath("data")
+    patterns = json.loads(bundled.joinpath("patterns.json").read_text("utf-8"))
+    patterns["EB"] = ["should"]
+    substitutes = {word: ["glitch"]
+                   for word in json.loads(bundled.joinpath("substitutes.json").read_text("utf-8"))}
+    first_bug = list(read_jsonl(base / "train_bugs.jsonl"))[0]["id"]
+    files = {"patterns": patterns, "substitutes": substitutes,
+             "code_dict": {first_bug: ["AlphaService", "BetaQueue"]}}
+    changes = {}
+    for option, payload in files.items():
+        path = tmp_path / f"{option}.json"
+        path.write_text(json.dumps(payload), "utf-8")
+        changes[option] = [f"--{option.replace('_', '-')}", str(path)]
+    return changes
+
+
+_CONFIG_CHANGES = {
+    "seed": ["--seed", "43"],
+    "factor": ["--factor", "3"],
+    "alpha": ["--alpha", "1.5"],
+    "omega": ["--omega", "2.0"],
+    "p_drop": ["--p-drop", "0.2"],
+    "paraphraser": ["--paraphraser", "shuffle"],
+    "service_url": ["--service-url", "http://localhost:9"],
+    "lib_prefixes": ["--lib-prefixes", "com."],
+    "top_k": ["--top-k", "3"],
+    "top_n": ["--top-n", "5"],
+    "metrics": ["--metrics", "mrr,p@1"],
+}
+
+
+def _file_digests(manifest: dict) -> dict[str, str]:
+    return {name: digest for stage in manifest["stages"].values() for name, digest in stage.items()}
+
+
+def test_each_stage_declares_the_config_its_outputs_depend_on(tmp_path, corpus_dir, caplog):
+    caplog.set_level(logging.INFO, logger="bugaug")
+    base = tmp_path / "base"
+    assert main(_pipeline_args(corpus_dir, base)) == 0
+    base_manifest = json.loads((base / "manifest.json").read_text("utf-8"))
+    assert set(base_manifest["config"]) | {"seed"} == set(_CONFIG_CHANGES)
+    base_digests = _file_digests(base_manifest)
+    for option, extra in {**_CONFIG_CHANGES, **_option_files(tmp_path, base)}.items():
+        rerun, fresh = tmp_path / f"rerun_{option}", tmp_path / f"fresh_{option}"
+        shutil.copytree(base, rerun)
+        caplog.clear()
+        assert main(_pipeline_args(corpus_dir, rerun, extra=extra)) == 0, option
+        skipped = _skipped_stages(caplog)
+        assert main(_pipeline_args(corpus_dir, fresh, extra=extra)) == 0, option
+        for path in sorted(fresh.iterdir()):
+            assert (rerun / path.name).read_bytes() == path.read_bytes(), (option, path.name)
+        assert sorted(p.name for p in rerun.iterdir()) == sorted(p.name for p in fresh.iterdir())
+
+        manifest = json.loads((fresh / "manifest.json").read_text("utf-8"))
+        digests = _file_digests(manifest)
+        changed = {option} | {name for name in digests if digests[name] != base_digests.get(name)}
+        # the identity paraphraser never calls the service; every other change shows
+        assert (len(changed) > 1) == (option != "service_url"), option
+        expected = [stage.name for stage in cli.STAGES
+                    if not changed & {*stage.config, *stage.reads}]
+        assert skipped == expected, option
+
+
+def test_stage_functions_are_looked_up_when_called(tmp_path, corpus_dir, monkeypatch):
+    """Every stage function is found by name at call time and called with
+    positional arguments only, so a replaced stage_<name> (a stub, a tracing
+    wrapper) is the one that runs, in the pipeline and in its subcommand."""
+    calls = []
+
+    def positional_only(name, fn):
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+        return wrapper
+
+    for stage in cli.STAGES:
+        name = f"stage_{stage.name}"
+        monkeypatch.setattr(cli, name, positional_only(stage.name, getattr(cli, name)))
+    out = tmp_path / "run"
+    assert main(_pipeline_args(corpus_dir, out)) == 0
+    assert calls == [stage.name for stage in cli.STAGES]
+
+    alone = tmp_path / "alone"
+    common = ["--corpus", str(out), "--structured", str(out / "structured.jsonl")]
+    commands = {
+        "ingest": ["--bugs", str(corpus_dir / "bugs.jsonl"), "--diffs", str(corpus_dir / "diffs"),
+                   "--links", str(corpus_dir / "links.jsonl"), "--out", str(alone)],
+        "extract": ["--corpus", str(out), "--out", str(tmp_path / "structured.jsonl")],
+        "augment": [*common, "--out", str(tmp_path / "d_aug.jsonl")],
+        "balance": [*common, "--train", str(out / "d_ori.jsonl"), "--alpha", "1", "--omega", "1",
+                    "--out", str(tmp_path / "d_bl.jsonl")],
+        "stats": ["--dataset", str(out / "d_bl.jsonl"), "--out", str(tmp_path / "stats.json")],
+        "retrieve": ["--index", str(out), "--bugs", str(out / "test_bugs.jsonl"),
+                     "--out", str(tmp_path / "run.txt")],
+        "eval": ["--run", str(out / "run.txt"), "--qrels", str(out / "qrels.txt"),
+                 "--out", str(tmp_path / "metrics.json")],
+    }
+    assert list(commands) == [stage.name for stage in cli.STAGES]
+    for command, argv in commands.items():
+        calls.clear()
+        assert main([command, *argv]) == 0, command
+        assert calls == [command]

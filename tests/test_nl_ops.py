@@ -37,6 +37,13 @@ def _texts(tokens) -> list[str]:
     return [t.text for t in tokens]
 
 
+def test_token_rejects_empty_or_whitespace_text():
+    for bad in ("", "a b", " a", "a\t", "\n"):
+        with pytest.raises(ValueError, match="bad token text"):
+            Token(bad)
+    assert Token("a.b()").text == "a.b()"
+
+
 # --- budgets ---------------------------------------------------------------
 
 

@@ -52,8 +52,8 @@ def test_empty_hunk_indexes_with_zero_length():
 def test_reindexing_is_idempotent():
     first = index_hunks(_hunks())
     second = index_hunks(_hunks())
-    assert first.document_frequencies == second.document_frequencies
-    assert [d.term_frequencies for d in first.hunks] == [d.term_frequencies for d in second.hunks]
+    assert first.postings == second.postings
+    assert first.posting_tfs == second.posting_tfs
     assert first.average_length == second.average_length
 
 
@@ -138,27 +138,35 @@ def test_rank_on_empty_index_raises():
         rank("q", empty, top_n=1)
 
 
-def _full_scan_rank(query: str, index, top_n: int, k1: float = 1.2, b: float = 0.75):
-    """Reference ranking: BM25 over every indexed hunk, then one full sort."""
+def _document_tokens(hunks) -> list[tuple[str, list[str]]]:
+    """(hunk id, its first 512 index tokens) in id order, rebuilt without the index."""
+    return [(h.id, index_tokens(hunk_document(h))[:512]) for h in sorted(hunks, key=lambda h: h.id)]
+
+
+def _full_scan_rank(query: str, hunks, top_n: int, k1: float = 1.2, b: float = 0.75):
+    """Reference ranking: BM25 over every hunk, with tf and df counted from
+    the hunks' own tokens, then one full sort."""
     query_counts: dict[str, int] = {}
     for token in index_tokens(query)[:256]:
         query_counts[token] = query_counts.get(token, 0) + 1
-    n_docs = len(index)
+    documents = _document_tokens(hunks)
+    n_docs = len(documents)
+    average_length = sum(len(tokens) for _, tokens in documents) / n_docs
     scored = []
-    for doc in index.hunks:
+    for hunk_id, tokens in documents:
         score = 0.0
         for term, query_count in query_counts.items():
-            tf = doc.term_frequencies.get(term, 0)
+            tf = tokens.count(term)
             if tf == 0:
                 continue
-            df = index.document_frequencies.get(term, 0)
+            df = sum(1 for _, other in documents if term in other)
             idf = math.log(1.0 + (n_docs - df + 0.5) / (df + 0.5))
-            if index.average_length > 0:
-                norm = k1 * (1.0 - b + b * doc.length / index.average_length)
+            if average_length > 0:
+                norm = k1 * (1.0 - b + b * len(tokens) / average_length)
             else:
                 norm = k1
             score += query_count * idf * tf * (k1 + 1.0) / (tf + norm)
-        scored.append((doc.hunk_id, score))
+        scored.append((hunk_id, score))
     scored.sort(key=lambda e: (-e[1], e[0]))
     return scored[:top_n]
 
@@ -179,15 +187,21 @@ def test_rank_equals_full_scan_reference(documents, query_terms, data):
         for hunk_id, words in zip(ids, documents)
     ]
     index = index_hunks(hunks)
-    for term, positions in index.postings.items():
-        assert positions == sorted(set(positions))
-        assert len(positions) == index.document_frequencies[term]
-    assert index.postings.keys() == index.document_frequencies.keys()
+    # each posting list holds, in ascending order, exactly the positions of the
+    # hunks whose tokens contain the term, with the term's count in each
+    documents = _document_tokens(hunks)
+    postings: dict[str, list[int]] = {}
+    for position, (_, tokens) in enumerate(documents):
+        for term in dict.fromkeys(tokens):
+            postings.setdefault(term, []).append(position)
+    assert index.postings == postings
+    for term, positions in postings.items():
+        assert list(index.posting_tfs[term]) == [documents[p][1].count(term) for p in positions]
 
     query = " ".join(query_terms)
-    matched = sum(1 for d in index.hunks if set(d.term_frequencies) & set(query_terms))
+    matched = sum(1 for _, tokens in documents if set(tokens) & set(query_terms))
     for top_n in sorted({1, max(1, matched - 1), max(1, matched), matched + 1, len(hunks) + 2}):
-        assert rank(query, index, top_n) == _full_scan_rank(query, index, top_n)
+        assert rank(query, index, top_n) == _full_scan_rank(query, hunks, top_n)
 
 
 def test_rank_rejects_top_n_below_one():
