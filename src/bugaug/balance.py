@@ -30,7 +30,6 @@ def balance_dataset(
     omega: float,
     sampler: NegativeSampler,
     seed: int,
-    name: str = "D_bl",
 ) -> Dataset:
     """Grow each bug toward the per-bug cap by adding (fresh augmented report,
     eligible hunk) positives, one fresh negative per addition; a hunk is
@@ -64,28 +63,17 @@ def balance_dataset(
             hunk_id, class_name = eligible[rng.randrange(len(eligible))]
             ordinal += 1
             aug_id = augmented_report_id(bug, ordinal)
-            samples.append(
-                TrainingSample(
-                    bug_ref=aug_id,
-                    origin_bug_id=bug,
-                    hunk_id=hunk_id,
-                    class_name=class_name,
-                    label="positive",
-                )
+            positive = TrainingSample(
+                bug_ref=aug_id,
+                origin_bug_id=bug,
+                hunk_id=hunk_id,
+                class_name=class_name,
+                label="positive",
             )
-            neg = sampler.draw(bug, derive_rng(seed, "negative", name, aug_id))
-            samples.append(
-                TrainingSample(
-                    bug_ref=aug_id,
-                    origin_bug_id=bug,
-                    hunk_id=neg.id,
-                    class_name=neg.class_name,
-                    label="negative",
-                )
-            )
+            samples.extend(sampler.pair(positive, derive_rng(seed, "negative", "D_bl", aug_id)))
             bug_counts[bug] += 1
-            class_counts[class_name] = class_counts.get(class_name, 0) + 1
-    return Dataset(name=name, samples=samples)
+            class_counts[class_name] += 1
+    return Dataset(name="D_bl", samples=samples)
 
 
 @dataclass

@@ -156,13 +156,7 @@ def referenced_reports(
             yield augmenter.augment(sample.origin_bug_id, int(ref.rpartition("#aug")[2]))
 
 
-def generate_augmented_set(
-    d_ori: Dataset,
-    factor: int,
-    sampler: NegativeSampler,
-    seed: int,
-    name: str = "D_aug",
-) -> Dataset:
+def generate_augmented_set(d_ori: Dataset, factor: int, sampler: NegativeSampler, seed: int) -> Dataset:
     """D_aug: the original set plus, per original positive, `factor` fresh
     augmented positives on the same hunk and one fresh negative each."""
     if factor < 1:
@@ -174,35 +168,18 @@ def generate_augmented_set(
         for _ in range(factor):
             ordinals[bug] = ordinals.get(bug, 0) + 1
             aug_id = augmented_report_id(bug, ordinals[bug])
-            samples.append(
-                TrainingSample(
-                    bug_ref=aug_id,
-                    origin_bug_id=bug,
-                    hunk_id=positive.hunk_id,
-                    class_name=positive.class_name,
-                    label="positive",
-                )
+            augmented = TrainingSample(
+                bug_ref=aug_id,
+                origin_bug_id=bug,
+                hunk_id=positive.hunk_id,
+                class_name=positive.class_name,
+                label="positive",
             )
-            neg = sampler.draw(bug, derive_rng(seed, "negative", name, aug_id))
-            samples.append(
-                TrainingSample(
-                    bug_ref=aug_id,
-                    origin_bug_id=bug,
-                    hunk_id=neg.id,
-                    class_name=neg.class_name,
-                    label="negative",
-                )
-            )
-    return Dataset(name=name, samples=samples)
+            samples.extend(sampler.pair(augmented, derive_rng(seed, "negative", "D_aug", aug_id)))
+    return Dataset(name="D_aug", samples=samples)
 
 
-def generate_repeated_set(
-    d_ori: Dataset,
-    factor: int,
-    sampler: NegativeSampler,
-    seed: int,
-    name: str = "D_rep",
-) -> Dataset:
+def generate_repeated_set(d_ori: Dataset, factor: int, sampler: NegativeSampler, seed: int) -> Dataset:
     """D_rep: positives repeated verbatim to `factor` copies total, with one
     fresh negative per added copy. No augmentation is involved."""
     if factor < 1:
@@ -210,18 +187,6 @@ def generate_repeated_set(
     samples = list(d_ori.samples)
     for positive in d_ori.positives():
         for repeat in range(factor - 1):
-            samples.append(positive)
-            neg = sampler.draw(
-                positive.origin_bug_id,
-                derive_rng(seed, "negative", name, positive.origin_bug_id, positive.hunk_id, repeat),
-            )
-            samples.append(
-                TrainingSample(
-                    bug_ref=positive.bug_ref,
-                    origin_bug_id=positive.origin_bug_id,
-                    hunk_id=neg.id,
-                    class_name=neg.class_name,
-                    label="negative",
-                )
-            )
-    return Dataset(name=name, samples=samples)
+            rng = derive_rng(seed, "negative", "D_rep", positive.origin_bug_id, positive.hunk_id, repeat)
+            samples.extend(sampler.pair(positive, rng))
+    return Dataset(name="D_rep", samples=samples)

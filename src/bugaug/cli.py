@@ -171,7 +171,7 @@ def _build_augmenter(corpus_dir: CorpusDir, structured_path: Path, args) -> Repo
         dictionary=dictionary,
         qc=qc,
         aug_config=AugConfig(seed=args.seed),
-        code_config=CodeOpConfig(seed=args.seed),
+        code_config=CodeOpConfig(),
         paraphraser=paraphraser,
         p_drop=args.p_drop,
     )
@@ -330,7 +330,8 @@ STAGES = (
     Stage("extract", ("corpus", "patterns"), {"corpus": "", "out": "structured.jsonl"},
           reads=("train_bugs.jsonl", "hunks.jsonl", "patterns"), writes=("structured.jsonl",),
           config=("lib_prefixes",),
-          call=lambda a, corpus: (corpus(a.corpus), a.patterns, a.lib_prefixes.split(","), a.out)),
+          call=lambda a, corpus: (corpus(a.corpus), a.patterns,
+                                  [p for p in a.lib_prefixes.split(",") if p], a.out)),
     Stage("augment", ("corpus", "structured", *_OPTION_FILES),
           {"corpus": "", "structured": "structured.jsonl", "out": "d_aug.jsonl",
            "rep_out": "d_rep.jsonl", "reports_out": "augmented_reports.jsonl"},

@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .diffs import derive_class_name
-from .model import Hunk, Sample, Token
+from .model import Hunk, Sample, Token, word_list
 
 _METHOD_CALL_RE = re.compile(r"\b([A-Za-z_$][\w$]*)\s*\(")
 _CALL_KEYWORDS = frozenset(
@@ -32,7 +32,6 @@ class CodeOpConfig:
     top_k: int = 20
     insert_radius: int = 3
     swap_radius: int = 3
-    seed: int = 0
 
     def __post_init__(self):
         if self.top_k < 1:
@@ -70,7 +69,9 @@ def load_code_name_dicts(path: str | Path) -> dict[str, CodeNameDictionary]:
     with open(path, encoding="utf-8") as fh:
         raw = json.load(fh)
     return {
-        str(bug_id): CodeNameDictionary(bug_id=str(bug_id), names=tuple(sorted(set(map(str, names)))))
+        str(bug_id): CodeNameDictionary(
+            bug_id=str(bug_id), names=tuple(sorted(set(map(str, word_list(names, bug_id)))))
+        )
         for bug_id, names in raw.items()
     }
 
@@ -225,13 +226,7 @@ def code_token_swap(
     return out
 
 
-def augment_code_sample(
-    sample: Sample,
-    names: CodeNameDictionary,
-    config: CodeOpConfig,
-    rng,
-    audit=None,
-) -> Sample:
+def augment_code_sample(sample: Sample, names: CodeNameDictionary, config: CodeOpConfig, rng) -> Sample:
     """Apply replace -> insert -> swap once each; operators with no legal move
     are skipped and no token is ever deleted."""
     context = {
@@ -249,14 +244,5 @@ def augment_code_sample(
         for event in events:
             if event["op"] == "insert":
                 lines.insert(event["index"], lines[event["anchor"]])
-    tokens = code_token_swap(
-        tokens,
-        context,
-        rng,
-        line_indices=lines,
-        swap_radius=config.swap_radius,
-        audit=events,
-    )
-    if audit is not None:
-        audit.extend(events)
+    tokens = code_token_swap(tokens, context, rng, line_indices=lines, swap_radius=config.swap_radius)
     return Sample(kind=sample.kind, tokens=tokens, source_span=sample.source_span, line_indices=lines)

@@ -162,6 +162,18 @@ class NegativeSampler:
             raise CorpusError(f"no eligible negative class for bug {origin_bug_id!r}")
         return rng.choice(pool)
 
+    def pair(self, positive: TrainingSample, rng) -> tuple[TrainingSample, TrainingSample]:
+        """The positive and its negative: the same bug_ref and origin bug, and
+        a hunk `draw` takes from outside the origin bug's inducing classes."""
+        neg = self.draw(positive.origin_bug_id, rng)
+        return positive, TrainingSample(
+            bug_ref=positive.bug_ref,
+            origin_bug_id=positive.origin_bug_id,
+            hunk_id=neg.id,
+            class_name=neg.class_name,
+            label="negative",
+        )
+
 
 def sampler_from_links(
     hunks_by_changeset: Mapping[str, list[Hunk]], links: Mapping[str, LinkRecord]
@@ -179,25 +191,14 @@ def sampler_from_links(
     return NegativeSampler([h for hs in hunks_by_changeset.values() for h in hs], excluded)
 
 
-def negative_sampler_for(corpus: ProjectCorpus, bug_ids: list[str]) -> NegativeSampler:
-    for bug_id in bug_ids:
-        corpus.inducing_hunks(bug_id)  # raises on an unknown or empty inducing changeset
-    return sampler_from_links(corpus.hunks_by_changeset, {b: corpus.links[b] for b in bug_ids})
-
-
 # --- D_ori ---------------------------------------------------------------
 
 
-def build_d_ori(
-    bugs: list[BugReport],
-    corpus: ProjectCorpus,
-    rng_seed: int,
-    name: str = "D_ori",
-) -> Dataset:
+def build_d_ori(bugs: list[BugReport], corpus: ProjectCorpus, rng_seed: int) -> Dataset:
     """Positives are inducing hunks whose class occurs in a fixing changeset of
     the same bug; each positive gets one seeded-uniform negative."""
     linked = [b for b in sorted(bugs, key=lambda b: b.id) if b.id in corpus.links]
-    sampler = negative_sampler_for(corpus, [b.id for b in linked])
+    sampler = sampler_from_links(corpus.hunks_by_changeset, {b.id: corpus.links[b.id] for b in linked})
     samples: list[TrainingSample] = []
     for bug in linked:
         fixing = corpus.fixing_classes(bug.id)
@@ -206,27 +207,16 @@ def build_d_ori(
             log.warning("bug %s excluded: no inducing hunk matches a fixing-changeset class", bug.id)
             continue
         for hunk in surviving:
-            samples.append(
-                TrainingSample(
-                    bug_ref=bug.id,
-                    origin_bug_id=bug.id,
-                    hunk_id=hunk.id,
-                    class_name=hunk.class_name,
-                    label="positive",
-                )
+            positive = TrainingSample(
+                bug_ref=bug.id,
+                origin_bug_id=bug.id,
+                hunk_id=hunk.id,
+                class_name=hunk.class_name,
+                label="positive",
             )
-            rng = derive_rng(rng_seed, "negative", name, bug.id, hunk.id)
-            neg = sampler.draw(bug.id, rng)
-            samples.append(
-                TrainingSample(
-                    bug_ref=bug.id,
-                    origin_bug_id=bug.id,
-                    hunk_id=neg.id,
-                    class_name=neg.class_name,
-                    label="negative",
-                )
-            )
-    return Dataset(name=name, samples=samples)
+            rng = derive_rng(rng_seed, "negative", "D_ori", bug.id, hunk.id)
+            samples.extend(sampler.pair(positive, rng))
+    return Dataset(name="D_ori", samples=samples)
 
 
 def build_qrels(bugs: list[BugReport], corpus: ProjectCorpus) -> dict[str, set[str]]:

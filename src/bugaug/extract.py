@@ -16,13 +16,12 @@ from importlib import resources
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .model import BugReport, Sample, StackFrame, StructuredBugReport, Token
+from .model import BugReport, Sample, StackFrame, StructuredBugReport, Token, word_list
 
 DEFAULT_LIBRARY_PREFIXES = ("java.", "javax.", "sun.", "jdk.")
 
 # punctuation filtered from code snippets; underscore is an identifier character
 PUNCTUATION_CHARS = "".join(c for c in string.punctuation if c != "_")
-_PUNCT_SET = frozenset(PUNCTUATION_CHARS)
 
 _CODE_LINE_KEYWORDS = frozenset(
     """public private protected class interface enum void int long double float
@@ -110,11 +109,15 @@ class PatternDictionary:
     @classmethod
     def from_dict(cls, data: dict) -> "PatternDictionary":
         ob = data.get("OB", {})
+
+        def words(section: dict, key: str) -> frozenset[str]:
+            return frozenset(w.lower() for w in word_list(section.get(key, []), key))
+
         return cls(
-            negative_verbs=frozenset(w.lower() for w in ob.get("negative_verbs", [])),
-            negations=frozenset(w.lower() for w in ob.get("negations", [])),
-            eb=frozenset(w.lower() for w in data.get("EB", [])),
-            s2r=frozenset(w.lower() for w in data.get("S2R", [])),
+            negative_verbs=words(ob, "negative_verbs"),
+            negations=words(ob, "negations"),
+            eb=words(data, "EB"),
+            s2r=words(data, "S2R"),
         )
 
     @classmethod

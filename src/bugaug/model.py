@@ -7,6 +7,7 @@ serialized artifacts are byte-stable across runs.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -112,17 +113,11 @@ class Dataset:
     def negatives(self) -> list[TrainingSample]:
         return [s for s in self.samples if s.label == "negative"]
 
-    def positive_counts_by_bug(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for s in self.positives():
-            counts[s.origin_bug_id] = counts.get(s.origin_bug_id, 0) + 1
-        return counts
+    def positive_counts_by_bug(self) -> Counter[str]:
+        return Counter(s.origin_bug_id for s in self.positives())
 
-    def positive_counts_by_class(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for s in self.positives():
-            counts[s.class_name] = counts.get(s.class_name, 0) + 1
-        return counts
+    def positive_counts_by_class(self) -> Counter[str]:
+        return Counter(s.class_name for s in self.positives())
 
     def __len__(self) -> int:
         return len(self.samples)
@@ -193,6 +188,17 @@ class AugmentedBugReport:
 
     def text(self) -> str:
         return "\n\n".join(s.text() for s in self.samples)
+
+
+# --- user word lists ----------------------------------------------------
+
+
+def word_list(value, key: str) -> list | tuple:
+    """value, if it is a list of words; a bare string, which would iterate as
+    its characters, is refused with the key that holds it."""
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{key!r}: expected a list of words, got {type(value).__name__} {value!r}")
+    return value
 
 
 # --- timestamps ---------------------------------------------------------

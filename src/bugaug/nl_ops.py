@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from .extract import PatternDictionary, classify_tokens, detect_code_tokens, tokenize, word_core
-from .model import NL_KINDS, Sample, Token
+from .model import NL_KINDS, Sample, Token, word_list
 from .rng import derive_rng
 
 log = logging.getLogger(__name__)
@@ -85,7 +85,7 @@ class SubstituteDictionary:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SubstituteDictionary":
-        return cls({str(k): tuple(str(s) for s in v) for k, v in sorted(data.items())})
+        return cls({str(k): tuple(str(s) for s in word_list(v, k)) for k, v in sorted(data.items())})
 
     @classmethod
     def load(cls, path: str | Path) -> "SubstituteDictionary":

@@ -205,7 +205,7 @@ def _full_augmenter(patterns, substitutes) -> ReportAugmenter:
         dictionary=substitutes,
         qc=QualityControl(patterns=patterns, identifiers=frozenset(identifiers)),
         aug_config=AugConfig(seed=77),
-        code_config=CodeOpConfig(seed=77),
+        code_config=CodeOpConfig(),
         paraphraser=identity_paraphraser,
         p_drop=0.5,
     )

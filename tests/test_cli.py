@@ -66,6 +66,19 @@ def test_ingest_then_extract(tmp_path, corpus_dir):
     assert records and all(r["samples"] for r in records)
 
 
+def test_lib_prefixes_ignore_empty_entries(tmp_path, corpus_dir):
+    """A trailing comma must not add a "" prefix, which every class name
+    starts with and which would class every frame as a library frame."""
+    out = tmp_path / "run"
+    assert main(_pipeline_args(corpus_dir, out)) == 0
+    plain, trailing = tmp_path / "plain.jsonl", tmp_path / "trailing.jsonl"
+    for prefixes, path in (("java.,javax.", plain), ("java.,javax.,", trailing)):
+        assert main(["extract", "--corpus", str(out), "--lib-prefixes", prefixes, "--out", str(path)]) == 0
+    assert trailing.read_bytes() == plain.read_bytes()
+    traces = [s for r in read_jsonl(plain) for s in r["samples"] if s["kind"] == "StackTrace"]
+    assert any(max(s["line_indices"]) > 1 for s in traces)  # app frames between header and bottom
+
+
 def test_missing_input_exits_2_and_names_the_flag(tmp_path, capsys, corpus_dir):
     with pytest.raises(SystemExit) as exc:
         main(
@@ -413,6 +426,30 @@ def test_report_files_hold_exactly_the_reports_their_dataset_references(tmp_path
         refs = _distinct_augmented_refs(out / dataset)
         assert refs, dataset
         assert [r["id"] for r in read_jsonl(out / reports)] == refs
+
+
+_PINNED_DIGESTS = {
+    "d_ori.jsonl": "281820a08324f6493f4bbd2ce3533386c3710a4cc7a6ed74a7481d62a39c1d41",
+    "d_aug.jsonl": "c462976a09b93577fe7c0f1c4eedfec79b8906e78d00b3704124752b2efa656c",
+    "d_rep.jsonl": "bb3473dc2a21ea36759f0936bd358325abb90bfced12b9fcb5669fad237e0e6c",
+    "d_bl.jsonl": "3489af2aebb964abc52229bc821d6d776c63674b18be76bfd82c7f95df3abd71",
+    "augmented_reports.jsonl": "01f4c33fff5e2017b0403d6c0d97a1246fdc4957aebf5978331af7a87d60b497",
+    "balance_reports.jsonl": "a861fd10e1877854def4b1597ae7db815c9f16910e2895a431b11b8657b80692",
+}
+
+
+def test_dataset_artifacts_match_pinned_digests(tmp_path):
+    """Every dataset and report file is a pure function of its inputs and
+    seed: a changed random stream key (negative, augment or balance) shows
+    here as a changed digest. D_bl adds samples at these settings."""
+    corpus = tmp_path / "corpus"
+    generate_corpus(corpus, n_bugs=30, seed=7)
+    out = tmp_path / "run"
+    extra = ["--factor", "3", "--alpha", "2.0", "--omega", "4.0", "--paraphraser", "shuffle"]
+    assert main(_pipeline_args(corpus, out, extra=extra)) == 0
+    assert len(list(read_jsonl(out / "d_bl.jsonl"))) > len(list(read_jsonl(out / "d_ori.jsonl")))
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in _PINNED_DIGESTS}
+    assert digests == _PINNED_DIGESTS
 
 
 def test_augment_writes_the_same_d_aug_without_reports_out(tmp_path, corpus_dir):

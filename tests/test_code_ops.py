@@ -246,7 +246,7 @@ def test_swap_rejects_unknown_context():
 
 def test_augment_code_sample_never_loses_tokens():
     rng = random.Random(17)
-    config = CodeOpConfig(seed=17)
+    config = CodeOpConfig()
     for _ in range(100):
         n = rng.randint(1, 15)
         tokens = [
@@ -314,3 +314,14 @@ def test_load_code_name_dicts_round_trip(tmp_path):
     loaded = load_code_name_dicts(path)
     assert loaded["b1"].names == ("Alpha", "Zeta")  # deduplicated, sorted
     assert loaded["b2"].names == ("solo",)
+
+
+def test_load_code_name_dicts_rejects_a_string_of_names(tmp_path):
+    import json
+
+    from bugaug.code_ops import load_code_name_dicts
+
+    path = tmp_path / "names.json"
+    path.write_text(json.dumps({"b1": ["Alpha"], "b2": "Alpha"}), "utf-8")
+    with pytest.raises(ValueError, match="'b2'"):
+        load_code_name_dicts(path)

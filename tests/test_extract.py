@@ -2,8 +2,11 @@ from __future__ import annotations
 
 import random
 
+import pytest
+
 from bugaug.extract import (
     DEFAULT_LIBRARY_PREFIXES,
+    PatternDictionary,
     _find_traces,
     classify_tokens,
     detect_code_tokens,
@@ -271,3 +274,10 @@ def test_structure_is_deterministic(patterns):
 def test_tokenize_never_yields_whitespace():
     for token in tokenize("  a\tb\nc  d "):
         assert token and not any(c.isspace() for c in token)
+
+
+@pytest.mark.parametrize("data, key", [({"EB": "should"}, "'EB'"),
+                                       ({"OB": {"negations": "not"}}, "'negations'")])
+def test_pattern_loading_rejects_a_string_of_keywords(data, key):
+    with pytest.raises(ValueError, match=key):
+        PatternDictionary.from_dict(data)

@@ -228,6 +228,11 @@ def test_dictionary_validation_rejects_empty_substitutes():
         SubstituteDictionary({"fails": ()})
 
 
+def test_dictionary_loading_rejects_a_string_of_substitutes():
+    with pytest.raises(ValueError, match="'crash'"):
+        SubstituteDictionary.from_dict({"crash": "fail"})
+
+
 def test_bundled_substitutes_keep_categories_stable(patterns, substitutes):
     """Replacing a category keyword must not silently change the label: every
     substitute of an OB/EB/S2R keyword belongs to the same keyword list."""
