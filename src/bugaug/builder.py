@@ -13,7 +13,7 @@ import logging
 from dataclasses import dataclass
 from typing import Iterator
 
-from .code_ops import CodeNameDictionary, CodeOpConfig, augment_code_sample
+from .code_ops import CodeNameDictionary, augment_code_sample
 from .corpus import NegativeSampler
 from .model import (
     NL_KINDS,
@@ -96,7 +96,6 @@ class ReportAugmenter:
     dictionary: SubstituteDictionary
     qc: QualityControl
     aug_config: AugConfig
-    code_config: CodeOpConfig
     paraphraser: Paraphraser
     p_drop: float = 0.5
 
@@ -128,7 +127,7 @@ class ReportAugmenter:
                 sample.kind in ("StackTrace", "CodeSnippet") or any(t.is_code for t in current.tokens)
             ):
                 rng = derive_rng(self.aug_config.seed, "code", origin_bug_id, ordinal, idx)
-                current = augment_code_sample(current, names, self.code_config, rng)
+                current = augment_code_sample(current, names, rng)
                 ops.append("code")
             aug_samples.append(current)
             ops_log.append(ops)

@@ -26,12 +26,7 @@ from .builder import (
     generate_repeated_set,
     referenced_reports,
 )
-from .code_ops import (
-    CodeOpConfig,
-    load_code_name_dicts,
-    mine_code_names,
-    substitute_cache_info,
-)
+from .code_ops import load_code_name_dicts, mine_code_names, substitute_cache_info
 from .corpus import ingest_corpus, load_hunks_jsonl, load_links, sampler_from_links
 from .extract import DEFAULT_LIBRARY_PREFIXES, PatternDictionary, structure_bug_report
 from .fixtures import generate_corpus
@@ -171,7 +166,6 @@ def _build_augmenter(corpus_dir: CorpusDir, structured_path: Path, args) -> Repo
         dictionary=dictionary,
         qc=qc,
         aug_config=AugConfig(seed=args.seed),
-        code_config=CodeOpConfig(),
         paraphraser=paraphraser,
         p_drop=args.p_drop,
     )

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .diffs import derive_class_name
 from .model import Hunk, Sample, Token, word_list
 
 _METHOD_CALL_RE = re.compile(r"\b([A-Za-z_$][\w$]*)\s*\(")
@@ -26,18 +25,11 @@ _CALL_KEYWORDS = frozenset(
 
 SWAP_CONTEXTS = ("stack_trace", "snippet", "prose")
 
-
-@dataclass(frozen=True)
-class CodeOpConfig:
-    top_k: int = 20
-    insert_radius: int = 3
-    swap_radius: int = 3
-
-    def __post_init__(self):
-        if self.top_k < 1:
-            raise ValueError("top_k must be >= 1")
-        if self.insert_radius < 1 or self.swap_radius < 1:
-            raise ValueError("radii must be >= 1")
+# the paper's settings: substitutes from the 20 nearest names; an insert lands
+# and a snippet or prose swap pairs within 3 positions
+TOP_K = 20
+INSERT_RADIUS = 3
+SWAP_RADIUS = 3
 
 
 @dataclass(frozen=True)
@@ -147,36 +139,32 @@ def _code_indices(tokens: Sequence[Token]) -> list[int]:
     return [i for i, t in enumerate(tokens) if t.is_code]
 
 
-def code_token_replace(tokens, names: CodeNameDictionary, rng, *, top_k: int = 20, audit=None) -> list[Token]:
-    """Replace one random code token with one of its top-k nearest names."""
+def code_token_replace(tokens, names: CodeNameDictionary, rng) -> list[Token]:
+    """Replace one random code token with one of its TOP_K nearest names."""
     out = list(tokens)
     code_idx = _code_indices(out)
     if not code_idx:
         return out
     i = rng.choice(code_idx)
-    pool = _ranked_substitutes(out[i].text, names.names, top_k)
+    pool = _ranked_substitutes(out[i].text, names.names, TOP_K)
     if not pool:
         return out
     out[i] = Token(text=rng.choice(pool), is_code=True)
-    if audit is not None:
-        audit.append({"op": "replace", "index": i})
     return out
 
 
-def code_token_insert(
-    tokens, names: CodeNameDictionary, rng, *, top_k: int = 20, insert_radius: int = 3, audit=None
-) -> list[Token]:
-    """Insert a substitute of one random code token at most insert_radius
+def code_token_insert(tokens, names: CodeNameDictionary, rng, *, audit=None) -> list[Token]:
+    """Insert a substitute of one random code token at most INSERT_RADIUS
     positions away from it (clamped to the sequence bounds)."""
     out = list(tokens)
     code_idx = _code_indices(out)
     if not code_idx:
         return out
     i = rng.choice(code_idx)
-    pool = _ranked_substitutes(out[i].text, names.names, top_k)
+    pool = _ranked_substitutes(out[i].text, names.names, TOP_K)
     if not pool:
         return out
-    insert_at = rng.randint(max(0, i - insert_radius), min(len(out), i + insert_radius))
+    insert_at = rng.randint(max(0, i - INSERT_RADIUS), min(len(out), i + INSERT_RADIUS))
     out.insert(insert_at, Token(text=rng.choice(pool), is_code=True))
     if audit is not None:
         audit.append({"op": "insert", "anchor": i, "index": insert_at})
@@ -189,13 +177,12 @@ def code_token_swap(
     rng,
     *,
     line_indices: Sequence[int] | None = None,
-    swap_radius: int = 3,
     audit=None,
 ) -> list[Token]:
     """Swap two code tokens under the context's constraint.
 
     Stack traces allow swaps only between tokens on consecutive lines;
-    snippets and prose only within swap_radius positions. With no legal pair
+    snippets and prose only within SWAP_RADIUS positions. With no legal pair
     the input is returned unchanged.
     """
     if context not in SWAP_CONTEXTS:
@@ -211,7 +198,7 @@ def code_token_swap(
             if context == "stack_trace":
                 if abs(line_indices[i] - line_indices[j]) == 1:
                     pairs.append((i, j))
-            elif j - i <= swap_radius:
+            elif j - i <= SWAP_RADIUS:
                 pairs.append((i, j))
     if not pairs:
         return out
@@ -226,7 +213,7 @@ def code_token_swap(
     return out
 
 
-def augment_code_sample(sample: Sample, names: CodeNameDictionary, config: CodeOpConfig, rng) -> Sample:
+def augment_code_sample(sample: Sample, names: CodeNameDictionary, rng) -> Sample:
     """Apply replace -> insert -> swap once each; operators with no legal move
     are skipped and no token is ever deleted."""
     context = {
@@ -236,13 +223,10 @@ def augment_code_sample(sample: Sample, names: CodeNameDictionary, config: CodeO
     tokens = list(sample.tokens)
     lines = list(sample.line_indices) if sample.line_indices is not None else None
     events: list[dict] = []
-    tokens = code_token_replace(tokens, names, rng, top_k=config.top_k, audit=events)
-    tokens = code_token_insert(
-        tokens, names, rng, top_k=config.top_k, insert_radius=config.insert_radius, audit=events
-    )
+    tokens = code_token_replace(tokens, names, rng)
+    tokens = code_token_insert(tokens, names, rng, audit=events)
     if lines is not None:
         for event in events:
-            if event["op"] == "insert":
-                lines.insert(event["index"], lines[event["anchor"]])
-    tokens = code_token_swap(tokens, context, rng, line_indices=lines, swap_radius=config.swap_radius)
+            lines.insert(event["index"], lines[event["anchor"]])
+    tokens = code_token_swap(tokens, context, rng, line_indices=lines)
     return Sample(kind=sample.kind, tokens=tokens, source_span=sample.source_span, line_indices=lines)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import re
 import string
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -71,14 +71,10 @@ def is_code_token(text: str, identifiers: Iterable[str] = ()) -> bool:
     return False
 
 
-def detect_code_tokens(tokens: Sequence[str | Token], identifiers: Iterable[str] = ()) -> list[Token]:
+def detect_code_tokens(tokens: Sequence[str], identifiers: Iterable[str] = ()) -> list[Token]:
     """Mark code tokens: camelCase, snake_case, dotted paths, calls, or known identifiers."""
     ident_set = frozenset(identifiers)
-    out: list[Token] = []
-    for tok in tokens:
-        text = tok.text if isinstance(tok, Token) else tok
-        out.append(Token(text=text, is_code=is_code_token(text, ident_set)))
-    return out
+    return [Token(text=text, is_code=is_code_token(text, ident_set)) for text in tokens]
 
 
 def strip_punctuation(snippet_tokens: Sequence[Token]) -> list[Token]:
@@ -109,6 +105,8 @@ class PatternDictionary:
     @classmethod
     def from_dict(cls, data: dict) -> "PatternDictionary":
         ob = data.get("OB", {})
+        if not isinstance(ob, dict):
+            raise ValueError(f"'OB': expected an object of word lists, got {type(ob).__name__} {ob!r}")
 
         def words(section: dict, key: str) -> frozenset[str]:
             return frozenset(w.lower() for w in word_list(section.get(key, []), key))
@@ -222,36 +220,16 @@ def _find_traces(
     return found
 
 
-def reduce_stack_trace(
-    trace: Sequence[StackFrame], library_prefixes: Sequence[str] = DEFAULT_LIBRARY_PREFIXES
-) -> list[StackFrame]:
-    """Keep the header, the first three application frames, and the last frame."""
+def reduce_stack_trace(trace: Sequence[StackFrame]) -> list[StackFrame]:
+    """Keep the header, the first three application frames, and the last frame.
+
+    Frames arrive classified: _frame_from_line marks a frame "app" when its
+    class matches no library prefix."""
     if not trace:
         raise ValueError("trace must be non-empty")
-    prefixes = tuple(library_prefixes)
-    app_indices = [
-        i
-        for i, f in enumerate(trace)
-        if 0 < i < len(trace) - 1
-        and f.kind in ("app", "library")
-        and f.class_ref is not None
-        and not f.class_ref.startswith(prefixes)
-    ]
-    keep: list[int] = [0]
-    for idx in app_indices[:3]:
-        if idx not in keep:
-            keep.append(idx)
-    if (len(trace) - 1) not in keep:
-        keep.append(len(trace) - 1)
-    out = []
-    for idx in keep:
-        frame = trace[idx]
-        if frame.kind in ("app", "library") and frame.class_ref is not None:
-            kind = "library" if frame.class_ref.startswith(prefixes) else "app"
-            if kind != frame.kind:
-                frame = replace(frame, kind=kind)
-        out.append(frame)
-    return out
+    last = len(trace) - 1
+    app = [i for i in range(1, last) if trace[i].kind == "app"]
+    return [trace[i] for i in sorted({0, *app[:3], last})]
 
 
 # --- code snippets ------------------------------------------------------
@@ -313,7 +291,7 @@ def structure_bug_report(
 
     for start, end, frames in _find_traces(lines, library_prefixes):
         claimed.update(range(start, end))
-        reduced = reduce_stack_trace(frames, library_prefixes)
+        reduced = reduce_stack_trace(frames)
         tokens: list[Token] = []
         line_indices: list[int] = []
         for li, frame in enumerate(reduced):

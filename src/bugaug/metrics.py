@@ -15,6 +15,9 @@ Qrels = Mapping[str, set]
 Ranking = Sequence[tuple[str, float]]
 RankingRun = Mapping[str, Ranking]
 
+# the cutoffs k of the P@k scores per_bug_scores exports
+PER_BUG_KS = (1, 3, 5)
+
 
 def sort_ranking(entries: Iterable[tuple[str, float]]) -> list[tuple[str, float]]:
     """Score descending, ties by hunk id ascending; duplicate ids rejected."""
@@ -79,7 +82,7 @@ def precision_at_k(run: RankingRun, qrels: Qrels, k: int) -> float:
     return total / len(qrels)
 
 
-def per_bug_scores(run: RankingRun, qrels: Qrels, ks: Sequence[int] = (1, 3, 5)) -> dict[str, dict]:
+def per_bug_scores(run: RankingRun, qrels: Qrels) -> dict[str, dict]:
     """Per-bug reciprocal rank / AP / P@k, for external significance testing."""
     _check_run(run, qrels)
     out: dict[str, dict] = {}
@@ -90,7 +93,7 @@ def per_bug_scores(run: RankingRun, qrels: Qrels, ks: Sequence[int] = (1, 3, 5))
             "reciprocal_rank": reciprocal_rank(ranking, relevant),
             "average_precision": average_precision(ranking, relevant),
         }
-        for k in ks:
+        for k in PER_BUG_KS:
             scores[f"p@{k}"] = sum(1 for h, _ in ranking[:k] if h in relevant) / k
         out[bug] = scores
     return out

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Iterable, Iterator, TextIO
@@ -263,12 +263,18 @@ def bug_to_dict(bug: BugReport) -> dict:
     }
 
 
+def _optional_text(d: dict, key: str) -> str:
+    """d[key] as text; a missing key or a JSON null reads as ""."""
+    value = d.get(key)
+    return "" if value is None else str(value)
+
+
 def bug_from_dict(d: dict) -> BugReport:
     return BugReport(
         id=str(d["id"]),
-        project=str(d.get("project", "")),
+        project=_optional_text(d, "project"),
         summary=str(d["summary"]),
-        description=str(d.get("description", "")),
+        description=_optional_text(d, "description"),
         opened_at=parse_timestamp(str(d["opened_at"])),
         status=str(d.get("status", "fixed")),
     )
@@ -286,9 +292,9 @@ def changeset_to_dict(cs: Changeset) -> dict:
 def changeset_from_dict(d: dict) -> Changeset:
     return Changeset(
         id=str(d["id"]),
-        author=str(d.get("author", "")),
+        author=_optional_text(d, "author"),
         committed_at=parse_timestamp(str(d["committed_at"])),
-        log_message=str(d.get("log_message", "")),
+        log_message=_optional_text(d, "log_message"),
     )
 
 
@@ -328,11 +334,15 @@ def link_to_dict(link: LinkRecord) -> dict:
     }
 
 
+def _id_list(d: dict, key: str) -> tuple[str, ...]:
+    return tuple(str(x) for x in word_list(d.get(key, []), key))
+
+
 def link_from_dict(d: dict) -> LinkRecord:
     return LinkRecord(
         bug_id=str(d["bug_id"]),
-        inducing_changeset_ids=tuple(str(x) for x in d.get("inducing_changeset_ids", [])),
-        fixing_changeset_ids=tuple(str(x) for x in d.get("fixing_changeset_ids", [])),
+        inducing_changeset_ids=_id_list(d, "inducing_changeset_ids"),
+        fixing_changeset_ids=_id_list(d, "fixing_changeset_ids"),
     )
 
 

@@ -27,6 +27,12 @@ Paraphraser = Callable[[str], str]
 
 OP_KINDS = ("replace", "insert", "swap", "delete")
 
+# the paper's per-operator rates: lambda applications per paragraph token
+LAMBDAS = {"replace": 0.1, "insert": 0.1, "swap": 0.1, "delete": 0.05}
+
+# seconds the service paraphraser waits for one response
+SERVICE_TIMEOUT_S = 10.0
+
 # consecutive failures after which the service paraphraser stops calling out
 SERVICE_FAILURE_BUDGET = 3
 
@@ -46,18 +52,10 @@ REJECTED = _RejectedType()
 
 @dataclass(frozen=True)
 class AugConfig:
-    lambda_replace: float = 0.1
-    lambda_insert: float = 0.1
-    lambda_swap: float = 0.1
-    lambda_delete: float = 0.05
     qc_max_retries: int = 10
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("lambda_replace", "lambda_insert", "lambda_swap", "lambda_delete"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {value}")
         if self.qc_max_retries < 1:
             raise ValueError("qc_max_retries must be >= 1")
 
@@ -98,15 +96,15 @@ class SubstituteDictionary:
         return cls.from_dict(json.loads(data))
 
 
-def op_budget(token_count: int, lam: float, kind: str) -> int:
-    """Number of applications: floor(lambda * tokens), floored at 1 for
+def op_budget(token_count: int, kind: str) -> int:
+    """Number of applications: floor(LAMBDAS[kind] * tokens), floored at 1 for
     replace/insert/swap on paragraphs of at least 2 tokens; delete uses the
     plain floor."""
     if kind not in OP_KINDS:
         raise ValueError(f"unknown op kind {kind!r}")
     if token_count < 0:
         raise ValueError("token_count must be >= 0")
-    n = int(lam * token_count)
+    n = int(LAMBDAS[kind] * token_count)
     if kind == "delete":
         return n
     return max(1, n) if token_count >= 2 else 0
@@ -221,15 +219,9 @@ def augment_paragraph(
     if paragraph.kind not in NL_KINDS:
         raise ValueError(f"augment_paragraph expects OB/EB/S2R, got {paragraph.kind!r}")
     original = list(paragraph.tokens)
-    n_tokens = len(original)
     original_category = qc.category(original)
     original_code_count = qc.code_token_count(original)
-    budgets = {
-        "replace": op_budget(n_tokens, config.lambda_replace, "replace"),
-        "insert": op_budget(n_tokens, config.lambda_insert, "insert"),
-        "swap": op_budget(n_tokens, config.lambda_swap, "swap"),
-        "delete": op_budget(n_tokens, config.lambda_delete, "delete"),
-    }
+    budgets = {kind: op_budget(len(original), kind) for kind in OP_KINDS}
     for attempt in range(config.qc_max_retries):
         rng = derive_rng(config.seed, "nl", *stream_key, attempt)
         tokens = dictionary_replace(original, dictionary, budgets["replace"], rng)
@@ -268,7 +260,7 @@ def make_shuffle_paraphraser(
         if not tokens:
             return text
         rng = derive_rng(seed, "shuffle", text)
-        tokens = dictionary_replace(tokens, dictionary, op_budget(len(tokens), 0.1, "replace"), rng)
+        tokens = dictionary_replace(tokens, dictionary, op_budget(len(tokens), "replace"), rng)
         clauses: list[list[Token]] = [[]]
         for tok in tokens:
             clauses[-1].append(tok)
@@ -282,7 +274,7 @@ def make_shuffle_paraphraser(
     return paraphrase
 
 
-def make_service_paraphraser(url: str, timeout: float = 10.0) -> Paraphraser:
+def make_service_paraphraser(url: str) -> Paraphraser:
     """Round-trip paraphrase via an external HTTP service.
 
     POSTs plain text and expects plain text back; on any failure (or an empty
@@ -312,7 +304,7 @@ def make_service_paraphraser(url: str, timeout: float = 10.0) -> Paraphraser:
             method="POST",
         )
         try:
-            with urllib.request.urlopen(request, timeout=timeout) as response:
+            with urllib.request.urlopen(request, timeout=SERVICE_TIMEOUT_S) as response:
                 body = response.read().decode("utf-8")
         except (urllib.error.URLError, OSError, UnicodeDecodeError) as exc:
             return fallback(text, f"failed ({exc})")

@@ -19,6 +19,8 @@ from .model import Hunk
 
 HUNK_TOKEN_LIMIT = 512
 QUERY_TOKEN_LIMIT = 256
+K1 = 1.2
+B = 0.75
 
 _TOKEN_RE = re.compile(r"[a-z0-9_]+")
 
@@ -30,7 +32,6 @@ def index_tokens(text: str) -> list[str]:
 @dataclass(frozen=True)
 class IndexedHunk:
     hunk_id: str
-    class_name: str
     length: int
 
 
@@ -41,14 +42,13 @@ class HunkIndex:
     frequency is the list's length, and `posting_tfs` to an array of the
     term's frequency in each of them, in the same order.
     `norms[position]` is that hunk's BM25 length normaliser,
-    k1 * (1 - b + b * length / average_length)."""
+    K1 * (1 - B + B * length / average_length)."""
 
     hunks: list[IndexedHunk]
     average_length: float
     postings: dict[str, list[int]]
     posting_tfs: dict[str, array]
     norms: list[float]
-    k1: float
 
     def __len__(self) -> int:
         return len(self.hunks)
@@ -58,22 +58,16 @@ def hunk_document(hunk: Hunk, log_message: str = "") -> str:
     return "\n".join([log_message] + hunk.all_texts()) if log_message else "\n".join(hunk.all_texts())
 
 
-def index_hunks(
-    hunks: Sequence[Hunk],
-    log_messages: Mapping[str, str] | None = None,
-    token_limit: int = HUNK_TOKEN_LIMIT,
-    k1: float = 1.2,
-    b: float = 0.75,
-) -> HunkIndex:
+def index_hunks(hunks: Sequence[Hunk], log_messages: Mapping[str, str] | None = None) -> HunkIndex:
     """Index hunks by term frequency; each document is truncated to the first
-    `token_limit` tokens before counting."""
+    HUNK_TOKEN_LIMIT tokens before counting."""
     log_messages = log_messages or {}
     indexed: list[IndexedHunk] = []
     postings: dict[str, list[int]] = {}
     posting_tfs: dict[str, array] = {}
     for position, hunk in enumerate(sorted(hunks, key=lambda h: h.id)):
         tokens = index_tokens(hunk_document(hunk, log_messages.get(hunk.changeset_id, "")))
-        tokens = tokens[:token_limit]
+        tokens = tokens[:HUNK_TOKEN_LIMIT]
         tf: dict[str, int] = {}
         for token in tokens:
             tf[token] = tf.get(token, 0) + 1
@@ -85,28 +79,22 @@ def index_hunks(
             else:
                 positions.append(position)
                 posting_tfs[token].append(count)
-        indexed.append(IndexedHunk(hunk_id=hunk.id, class_name=hunk.class_name, length=len(tokens)))
+        indexed.append(IndexedHunk(hunk_id=hunk.id, length=len(tokens)))
     total_length = sum(d.length for d in indexed)
     average_length = total_length / len(indexed) if indexed else 0.0
     # average_length is 0 only when every length is 0; it must not divide then
     divisor = average_length or 1.0
-    norms = [k1 * (1.0 - b + b * d.length / divisor) for d in indexed]
+    norms = [K1 * (1.0 - B + B * d.length / divisor) for d in indexed]
     return HunkIndex(
         hunks=indexed,
         average_length=average_length,
         postings=postings,
         posting_tfs=posting_tfs,
         norms=norms,
-        k1=k1,
     )
 
 
-def rank(
-    bug_report_text: str,
-    index: HunkIndex,
-    top_n: int,
-    query_token_limit: int = QUERY_TOKEN_LIMIT,
-) -> list[tuple[str, float]]:
+def rank(bug_report_text: str, index: HunkIndex, top_n: int) -> list[tuple[str, float]]:
     """Top-n (hunk_id, score) pairs, score descending, ties by hunk id.
 
     Only hunks that share a term with the query are scored; every such score
@@ -116,12 +104,12 @@ def rank(
         raise ValueError(f"top_n must be at least 1, got {top_n}")
     if not index.hunks:
         raise ValueError("index is empty")
-    tokens = index_tokens(bug_report_text)[:query_token_limit]
+    tokens = index_tokens(bug_report_text)[:QUERY_TOKEN_LIMIT]
     query_counts: dict[str, int] = {}
     for token in tokens:
         query_counts[token] = query_counts.get(token, 0) + 1
     n_docs = len(index)
-    k1_plus_1 = index.k1 + 1.0
+    k1_plus_1 = K1 + 1.0
     norms = index.norms
     scores: dict[int, float] = {}
     for term, query_count in query_counts.items():

@@ -260,7 +260,7 @@ def test_criterion_5_operator_constraint_suite():
         applications += 1
         assert len(replaced) == len(tokens)
         audit: list[dict] = []
-        inserted = code_token_insert(tokens, names, rng, insert_radius=3, audit=audit)
+        inserted = code_token_insert(tokens, names, rng, audit=audit)
         applications += 1
         assert len(inserted) >= len(tokens)
         for event in audit:
@@ -278,7 +278,7 @@ def test_criterion_5_operator_constraint_suite():
                 line += rng.random() < 0.4
                 lines.append(line)
         audit = []
-        out = code_token_swap(tokens, context, rng, line_indices=lines, swap_radius=3, audit=audit)
+        out = code_token_swap(tokens, context, rng, line_indices=lines, audit=audit)
         applications += 1
         assert len(out) == len(tokens)
         assert Counter(t.text for t in out) == Counter(t.text for t in tokens)

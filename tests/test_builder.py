@@ -13,7 +13,7 @@ from bugaug.builder import (
     referenced_reports,
     replay_report,
 )
-from bugaug.code_ops import CodeOpConfig, mine_code_names
+from bugaug.code_ops import mine_code_names
 from bugaug.corpus import build_d_ori
 from bugaug.extract import structure_bug_report
 from bugaug.model import (
@@ -205,7 +205,6 @@ def _full_augmenter(patterns, substitutes) -> ReportAugmenter:
         dictionary=substitutes,
         qc=QualityControl(patterns=patterns, identifiers=frozenset(identifiers)),
         aug_config=AugConfig(seed=77),
-        code_config=CodeOpConfig(),
         paraphraser=identity_paraphraser,
         p_drop=0.5,
     )

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from bugaug import code_ops
 from bugaug.code_ops import (
     CodeNameDictionary,
-    CodeOpConfig,
     augment_code_sample,
     code_token_insert,
     code_token_replace,
@@ -145,9 +144,9 @@ def test_substitutes_are_ranked_once_per_key(monkeypatch):
     tokens = [Token("memoAlphx", is_code=True), Token("words")]
     rng = random.Random(4)
     for _ in range(30):
-        code_token_replace(tokens, names, rng, top_k=2)
-        code_token_insert(tokens, names, rng, top_k=2)
-    assert calls == [("memoAlphx", names.names, 2)]
+        code_token_replace(tokens, names, rng)
+        code_token_insert(tokens, names, rng)
+    assert calls == [("memoAlphx", names.names, 20)]
 
 
 def _mixed_tokens() -> list[Token]:
@@ -192,7 +191,7 @@ def test_insert_index_stays_within_radius():
         code_at = rng.randrange(n)
         tokens[code_at] = Token("someCodeName", is_code=True)
         audit: list[dict] = []
-        out = code_token_insert(tokens, NAMES, rng, insert_radius=3, audit=audit)
+        out = code_token_insert(tokens, NAMES, rng, audit=audit)
         assert len(out) == n + 1
         (event,) = audit
         assert event["anchor"] == code_at
@@ -246,7 +245,6 @@ def test_swap_rejects_unknown_context():
 
 def test_augment_code_sample_never_loses_tokens():
     rng = random.Random(17)
-    config = CodeOpConfig()
     for _ in range(100):
         n = rng.randint(1, 15)
         tokens = [
@@ -254,7 +252,7 @@ def test_augment_code_sample_never_loses_tokens():
         ]
         sample = Sample(kind="CodeSnippet", tokens=tokens)
         before_code = sum(t.is_code for t in tokens)
-        out = augment_code_sample(sample, NAMES, config, rng)
+        out = augment_code_sample(sample, NAMES, rng)
         assert len(out.tokens) >= len(tokens)
         assert len(out.tokens) - len(tokens) in (0, 1)  # at most the one insert
         assert sum(t.is_code for t in out.tokens) >= before_code
@@ -262,7 +260,7 @@ def test_augment_code_sample_never_loses_tokens():
 
 def test_augment_code_sample_without_code_tokens_is_identity():
     sample = Sample(kind="CodeSnippet", tokens=[Token("plain"), Token("words")])
-    out = augment_code_sample(sample, NAMES, CodeOpConfig(), random.Random(0))
+    out = augment_code_sample(sample, NAMES, random.Random(0))
     assert out.tokens == sample.tokens
 
 
@@ -271,7 +269,7 @@ def test_augment_code_sample_keeps_line_indices_aligned():
     sample = Sample(kind="StackTrace", tokens=tokens, line_indices=[0, 0, 1, 1])
     rng = random.Random(2)
     for _ in range(50):
-        out = augment_code_sample(sample, NAMES, CodeOpConfig(), rng)
+        out = augment_code_sample(sample, NAMES, rng)
         assert out.line_indices is not None
         assert len(out.line_indices) == len(out.tokens)
 
@@ -295,13 +293,6 @@ def test_mine_code_names_collects_classes_and_methods():
     assert "legacyCall" in names.names
     assert "if" not in names.names  # keyword filtered
     assert "contextOnly" not in names.names  # context lines are not mined
-
-
-def test_code_op_config_validation():
-    with pytest.raises(ValueError):
-        CodeOpConfig(top_k=0)
-    with pytest.raises(ValueError):
-        CodeOpConfig(insert_radius=0)
 
 
 def test_load_code_name_dicts_round_trip(tmp_path):

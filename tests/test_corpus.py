@@ -12,7 +12,7 @@ from bugaug.corpus import (
     split_by_date,
 )
 from bugaug.fixtures import generate_corpus
-from bugaug.model import CorpusError
+from bugaug.model import CorpusError, bug_from_dict, changeset_from_dict, link_from_dict
 
 from conftest import build_corpus, make_bug
 
@@ -150,3 +150,23 @@ def test_duplicate_bug_ids_rejected(tmp_path):
     path.write_text(record + "\n" + record + "\n", "utf-8")
     with pytest.raises(CorpusError):
         load_bugs(path)
+
+
+def test_null_optional_bug_fields_read_as_empty_text():
+    bug = bug_from_dict({"id": "b1", "project": None, "summary": "Crash", "description": None,
+                         "opened_at": "2021-03-01T00:00:00Z"})
+    assert (bug.project, bug.description, bug.text) == ("", "", "Crash")
+
+
+def test_null_optional_changeset_fields_read_as_empty_text():
+    cs = changeset_from_dict({"id": "cs1", "author": None, "committed_at": "2021-03-01T00:00:00Z",
+                              "log_message": None})
+    assert (cs.author, cs.log_message) == ("", "")
+
+
+@pytest.mark.parametrize("key", ["inducing_changeset_ids", "fixing_changeset_ids"])
+def test_link_refuses_a_string_changeset_list(key):
+    record = {"bug_id": "b1", "inducing_changeset_ids": ["cs1"], "fixing_changeset_ids": ["cs2"]}
+    record[key] = "cs1"
+    with pytest.raises(ValueError, match=key):
+        link_from_dict(record)

@@ -3,6 +3,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bugaug.extract import (
     DEFAULT_LIBRARY_PREFIXES,
@@ -100,7 +102,7 @@ def test_reduce_twenty_frame_trace():
     lines.append("    at java.lang.Thread.run(Thread.java:748)")
     (trace,) = _traces("\n".join(lines))
     assert len(trace) == 20
-    reduced = reduce_stack_trace(trace, DEFAULT_LIBRARY_PREFIXES)
+    reduced = reduce_stack_trace(trace)
     assert [f.raw for f in reduced] == [lines[0], lines[5], lines[6], lines[7], lines[19]]
     assert len(reduced) == 5
 
@@ -133,6 +135,30 @@ def test_reduce_always_keeps_first_and_last_frames():
         assert raws[0] == traces[0][0].raw
         assert raws[-1] == traces[0][-1].raw
         assert len(reduced) <= 5
+
+
+_FRAME_CLASSES = ("java.util.Lib", "javax.swing.Pane", "sun.misc.Unsafe", "org.demo.Worker",
+                  "org.demo.util.Strings", "com.acme.Thing")
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(
+    classes=st.lists(st.sampled_from(_FRAME_CLASSES), min_size=1, max_size=12),
+    prefixes=st.lists(st.sampled_from(DEFAULT_LIBRARY_PREFIXES + ("org.demo.util.", "com.")),
+                      unique=True),
+)
+def test_structured_trace_keeps_header_first_three_app_frames_and_last(classes, prefixes):
+    header = "org.demo.BoomException: x"
+    frames = [f"    at {cls}.m{i}({cls.rsplit('.', 1)[1]}.java:{i})" for i, cls in enumerate(classes)]
+    bug = make_bug("b", summary="Crash", description="\n".join([header] + frames))
+    (trace,) = [s for s in structure_bug_report(bug, PatternDictionary.default(), prefixes).samples
+                if s.kind == "StackTrace"]
+    kept: dict[int, list[str]] = {}
+    for token, line in zip(trace.tokens, trace.line_indices):
+        kept.setdefault(line, []).append(token.text)
+    app = [raw for cls, raw in zip(classes[:-1], frames) if not cls.startswith(tuple(prefixes))]
+    expected = [header, *app[:3], frames[-1]]
+    assert [" ".join(kept[i]) for i in sorted(kept)] == [" ".join(raw.split()) for raw in expected]
 
 
 def test_three_line_method_body_is_one_snippet(patterns):
@@ -277,7 +303,8 @@ def test_tokenize_never_yields_whitespace():
 
 
 @pytest.mark.parametrize("data, key", [({"EB": "should"}, "'EB'"),
-                                       ({"OB": {"negations": "not"}}, "'negations'")])
+                                       ({"OB": {"negations": "not"}}, "'negations'"),
+                                       ({"OB": ["fails"]}, "'OB'")])
 def test_pattern_loading_rejects_a_string_of_keywords(data, key):
     with pytest.raises(ValueError, match=key):
         PatternDictionary.from_dict(data)

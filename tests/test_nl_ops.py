@@ -48,24 +48,24 @@ def test_token_rejects_empty_or_whitespace_text():
 
 
 def test_budget_replace_thirty_tokens():
-    assert op_budget(30, 0.1, "replace") == 3
+    assert op_budget(30, "replace") == 3
 
 
 def test_budget_delete_floors():
-    assert op_budget(30, 0.05, "delete") == 1
-    assert op_budget(10, 0.05, "delete") == 0
+    assert op_budget(30, "delete") == 1
+    assert op_budget(10, "delete") == 0
 
 
 def test_budget_floor_of_one_for_short_paragraphs():
-    assert op_budget(5, 0.1, "swap") == 1
-    assert op_budget(2, 0.1, "insert") == 1
-    assert op_budget(1, 0.1, "replace") == 0
-    assert op_budget(0, 0.1, "replace") == 0
+    assert op_budget(5, "swap") == 1
+    assert op_budget(2, "insert") == 1
+    assert op_budget(1, "replace") == 0
+    assert op_budget(0, "replace") == 0
 
 
 def test_budget_rejects_unknown_kind():
     with pytest.raises(ValueError):
-        op_budget(10, 0.1, "mangle")
+        op_budget(10, "mangle")
 
 
 # --- dictionary replace ------------------------------------------------------
@@ -349,8 +349,6 @@ def test_shuffle_paraphraser_with_empty_dict_rotates_only():
 
 def test_aug_config_validation():
     with pytest.raises(ValueError):
-        AugConfig(lambda_replace=1.5)
-    with pytest.raises(ValueError):
         AugConfig(qc_max_retries=0)
 
 
@@ -387,14 +385,14 @@ def test_service_paraphraser_round_trip_and_fallbacks(monkeypatch, caplog):
     thread.start()
     try:
         base = f"http://127.0.0.1:{server.server_port}"
-        paraphrase = make_service_paraphraser(base + "/", timeout=5.0)
+        paraphrase = make_service_paraphraser(base + "/")
         assert paraphrase("make it loud") == "MAKE IT LOUD"
         # empty response falls back to identity
-        empty = make_service_paraphraser(base + "/empty", timeout=5.0)
+        empty = make_service_paraphraser(base + "/empty")
         assert empty("unchanged text") == "unchanged text"
 
         # one success between failures resets the count of consecutive failures
-        flaky = make_service_paraphraser(base + "/", timeout=5.0)
+        flaky = make_service_paraphraser(base + "/")
         requests.clear()
         texts = ["fail", "fail", "ok", "fail", "fail", "ok", "fail", "fail", "fail", "ok"]
         with caplog.at_level(logging.WARNING):
@@ -408,7 +406,7 @@ def test_service_paraphraser_round_trip_and_fallbacks(monkeypatch, caplog):
         thread.join(timeout=5)
 
     # unreachable service falls back to identity
-    dead = make_service_paraphraser(f"http://127.0.0.1:{server.server_port}/", timeout=0.5)
+    dead = make_service_paraphraser(f"http://127.0.0.1:{server.server_port}/")
     assert dead("still here") == "still here"
 
     # ... and is called SERVICE_FAILURE_BUDGET times in a row at most
@@ -417,7 +415,7 @@ def test_service_paraphraser_round_trip_and_fallbacks(monkeypatch, caplog):
     monkeypatch.setattr(urllib.request, "urlopen",
                         lambda *a, **k: calls.append(a) or urlopen(*a, **k))
     caplog.clear()
-    dead = make_service_paraphraser(f"http://127.0.0.1:{server.server_port}/", timeout=0.5)
+    dead = make_service_paraphraser(f"http://127.0.0.1:{server.server_port}/")
     with caplog.at_level(logging.WARNING):
         assert [dead(f"text {i}") for i in range(10)] == [f"text {i}" for i in range(10)]
     assert len(calls) == SERVICE_FAILURE_BUDGET == 3

@@ -37,7 +37,7 @@ def test_query_without_index_terms_scores_zero_in_id_order():
 def test_long_hunk_truncates_to_limit():
     lines = tuple(("added", f"token{i} filler{i};") for i in range(400))  # >1200 tokens
     hunk = make_hunk("big", "cs", "Big", lines=lines)
-    index = index_hunks([hunk], token_limit=512)
+    index = index_hunks([hunk])
     assert index.hunks[0].length == 512
 
 
