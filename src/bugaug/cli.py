@@ -418,9 +418,12 @@ def _pipeline_manifest(args) -> dict:
 
 def _stage_key(stage: Stage, manifest: dict, args, digests: dict) -> str:
     """SHA-256 of the tool, the version, the stage's config values and the
-    digests of what it reads (None for an option file not given)."""
-    payload = [manifest["tool"], manifest["version"],
-               {k: getattr(args, k) for k in stage.config},
+    digests of what it reads (None for an option file not given). Only the
+    service paraphraser reads --service-url, so only it keys on the URL."""
+    config = {k: getattr(args, k) for k in stage.config}
+    if "service_url" in config and args.paraphraser != "service":
+        config["service_url"] = None
+    payload = [manifest["tool"], manifest["version"], config,
                {name: digests.get(name) for name in stage.reads}]
     return hashlib.sha256(json.dumps(payload, sort_keys=True).encode("utf-8")).hexdigest()
 

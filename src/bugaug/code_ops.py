@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .model import Hunk, Sample, Token, word_list
+from .model import Hunk, Sample, Token, is_word, word_list
 
 _METHOD_CALL_RE = re.compile(r"\b([A-Za-z_$][\w$]*)\s*\(")
 _CALL_KEYWORDS = frozenset(
@@ -39,7 +39,7 @@ class CodeNameDictionary:
 
     def __post_init__(self):
         for name in self.names:
-            if not name or any(c.isspace() for c in name):
+            if not is_word(name):
                 raise ValueError(f"bad code name {name!r} for bug {self.bug_id!r}")
 
 

@@ -8,6 +8,7 @@ punctuation filtering for snippets.
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 import string
@@ -54,6 +55,13 @@ def tokenize(text: str) -> list[str]:
 def word_core(token: str) -> str:
     """Token text with surrounding punctuation stripped ('context.' -> 'context')."""
     return token.strip(PUNCTUATION_CHARS)
+
+
+@functools.cache
+def keyword_form(token: str) -> str:
+    """word_core(token).lower(), the form dictionary keywords take. Memoized:
+    the cache grows with a corpus's vocabulary, not with its length."""
+    return word_core(token).lower()
 
 
 def is_code_token(text: str, identifiers: Iterable[str] = ()) -> bool:
@@ -131,7 +139,7 @@ class PatternDictionary:
 
 def classify_tokens(tokens: Sequence[Token], patterns: PatternDictionary) -> str:
     """Label a token sequence OB/EB/S2R/Other; priority S2R > EB > OB."""
-    cores = [word_core(t.text).lower() for t in tokens if not t.is_code]
+    cores = [keyword_form(t.text) for t in tokens if not t.is_code]
     raws = [t.text for t in tokens if not t.is_code]
     numbered = sum(1 for r in raws if _NUMBERED_STEP_RE.match(r))
     if numbered >= 2 or any(c in patterns.s2r for c in cores):

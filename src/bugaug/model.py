@@ -123,13 +123,20 @@ class Dataset:
         return len(self.samples)
 
 
+def is_word(text: str) -> bool:
+    """True if text is one non-empty run of non-whitespace characters: the
+    check every token, code name and substitute passes. str.split splits on
+    exactly the characters str.isspace accepts, so this is one C call."""
+    return text.split() == [text]
+
+
 @dataclass(frozen=True)
 class Token:
     text: str
     is_code: bool = False
 
     def __post_init__(self):
-        if not self.text or any(c.isspace() for c in self.text):
+        if not is_word(self.text):
             raise ValueError(f"bad token text {self.text!r}")
 
 

@@ -17,8 +17,8 @@ from importlib import resources
 from pathlib import Path
 from typing import Callable, Sequence
 
-from .extract import PatternDictionary, classify_tokens, detect_code_tokens, tokenize, word_core
-from .model import NL_KINDS, Sample, Token, word_list
+from .extract import PatternDictionary, classify_tokens, is_code_token, keyword_form, tokenize, word_core
+from .model import NL_KINDS, Sample, Token, is_word, word_list
 from .rng import derive_rng
 
 log = logging.getLogger(__name__)
@@ -74,6 +74,10 @@ class SubstituteDictionary:
                 raise ValueError(f"dictionary keyword {keyword!r} has no substitutes")
             if keyword in subs:
                 raise ValueError(f"dictionary keyword {keyword!r} maps to itself")
+            for sub in subs:
+                if not is_word(sub):
+                    raise ValueError(f"dictionary keyword {keyword!r}: substitute {sub!r} "
+                                     "is not one word")
 
     def __contains__(self, keyword: str) -> bool:
         return keyword in self.entries
@@ -128,7 +132,7 @@ def _keyword_indices(tokens: Sequence[Token], dictionary: SubstituteDictionary) 
     return [
         i
         for i, t in enumerate(tokens)
-        if not t.is_code and word_core(t.text).lower() in dictionary
+        if not t.is_code and keyword_form(t.text) in dictionary
     ]
 
 
@@ -140,7 +144,7 @@ def dictionary_replace(tokens, dictionary, n, rng) -> list[Token]:
     if n <= 0 or not candidates:
         return out
     for i in sorted(rng.sample(candidates, min(n, len(candidates)))):
-        keyword = word_core(out[i].text).lower()
+        keyword = keyword_form(out[i].text)
         substitute = rng.choice(dictionary.substitutes(keyword))
         out[i] = Token(text=_replace_core(out[i].text, substitute), is_code=False)
     return out
@@ -154,7 +158,7 @@ def dictionary_insert(tokens, dictionary, n, rng) -> list[Token]:
         return out
     # resolve keywords first: insertions below shift the candidate indices
     chosen = sorted(rng.sample(candidates, min(n, len(candidates))))
-    for keyword in [word_core(out[i].text).lower() for i in chosen]:
+    for keyword in [keyword_form(out[i].text) for i in chosen]:
         substitute = rng.choice(dictionary.substitutes(keyword))
         out.insert(rng.randint(0, len(out)), Token(text=substitute, is_code=False))
     return out
@@ -185,15 +189,27 @@ def random_delete(tokens, n, rng) -> list[Token]:
 # --- quality control -----------------------------------------------------
 
 
+def _memo_tokenize(text: str, memo: dict[str, Token], identifiers: frozenset[str]) -> list[Token]:
+    """detect_code_tokens(tokenize(text), identifiers), classifying each
+    distinct word once: memo keeps its Token, which is frozen and so shared."""
+    words = tokenize(text)
+    for word in words:
+        if word not in memo:
+            memo[word] = Token(word, is_code_token(word, identifiers))
+    return [memo[word] for word in words]
+
+
 @dataclass(frozen=True)
 class QualityControl:
-    """Independent category and code-token checks applied to augmented text."""
+    """Independent category and code-token checks applied to augmented text.
+    One instance serves one stage and memoizes the words it classifies."""
 
     patterns: PatternDictionary
     identifiers: frozenset[str] = field(default_factory=frozenset)
+    _tokens: dict[str, Token] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def retokenize(self, text: str) -> list[Token]:
-        return detect_code_tokens(tokenize(text), self.identifiers)
+        return _memo_tokenize(text, self._tokens, self.identifiers)
 
     def category(self, tokens: Sequence[Token]) -> str:
         return classify_tokens(tokens, self.patterns)
@@ -254,9 +270,11 @@ def make_shuffle_paraphraser(
     """Offline paraphrase stand-in: one dictionary-replace pass plus a rotation
     of clause order; code tokens are preserved by construction."""
     ident_set = frozenset(identifiers)
+    # the words this paraphraser has classified, kept for its stage
+    memo: dict[str, Token] = {}
 
     def paraphrase(text: str) -> str:
-        tokens = detect_code_tokens(tokenize(text), ident_set)
+        tokens = _memo_tokenize(text, memo, ident_set)
         if not tokens:
             return text
         rng = derive_rng(seed, "shuffle", text)

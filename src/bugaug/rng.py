@@ -13,12 +13,8 @@ import random
 
 def derive_seed(master_seed: int, *key: object) -> int:
     """Map (master seed, key parts) to a stable 64-bit stream seed."""
-    h = hashlib.blake2b(digest_size=8)
-    h.update(str(master_seed).encode("utf-8"))
-    for part in key:
-        h.update(b"\x1f")
-        h.update(str(part).encode("utf-8"))
-    return int.from_bytes(h.digest(), "big")
+    data = "\x1f".join(map(str, (master_seed, *key))).encode("utf-8")
+    return int.from_bytes(hashlib.blake2b(data, digest_size=8).digest(), "big")
 
 
 def derive_rng(master_seed: int, *key: object) -> random.Random:

@@ -17,7 +17,6 @@ from bugaug.builder import generate_augmented_set, generate_repeated_set
 from bugaug.cli import main
 from bugaug.code_ops import (
     CodeNameDictionary,
-    augment_code_sample,
     code_token_insert,
     code_token_replace,
     code_token_swap,

@@ -561,11 +561,27 @@ def test_each_stage_declares_the_config_its_outputs_depend_on(tmp_path, corpus_d
         manifest = json.loads((fresh / "manifest.json").read_text("utf-8"))
         digests = _file_digests(manifest)
         changed = {option} | {name for name in digests if digests[name] != base_digests.get(name)}
-        # the identity paraphraser never calls the service; every other change shows
+        # the identity paraphraser never calls the service, so no stage reruns for
+        # its URL; every other change shows
         assert (len(changed) > 1) == (option != "service_url"), option
         expected = [stage.name for stage in cli.STAGES
-                    if not changed & {*stage.config, *stage.reads}]
+                    if option == "service_url" or not changed & {*stage.config, *stage.reads}]
         assert skipped == expected, option
+
+
+def test_only_the_service_paraphraser_keys_its_stages_on_the_service_url(tmp_path, corpus_dir):
+    def keys(*extra):
+        args = cli.build_parser().parse_args(_pipeline_args(corpus_dir, tmp_path, extra=extra))
+        manifest = cli._pipeline_manifest(args)
+        return {stage.name: cli._stage_key(stage, manifest, args, {}) for stage in cli.STAGES}
+
+    for paraphraser in ("identity", "shuffle"):
+        chosen = ["--paraphraser", paraphraser]
+        assert keys(*chosen) == keys(*chosen, "--service-url", "http://localhost:9")
+    service = ["--paraphraser", "service"]
+    first = keys(*service, "--service-url", "http://localhost:9")
+    second = keys(*service, "--service-url", "http://localhost:8")
+    assert {name for name in first if first[name] != second[name]} == {"augment", "balance"}
 
 
 def test_stage_functions_are_looked_up_when_called(tmp_path, corpus_dir, monkeypatch):

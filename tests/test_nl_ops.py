@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import json
 import logging
 import random
 from collections import Counter
@@ -9,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bugaug.extract import PatternDictionary, classify_tokens, detect_code_tokens, tokenize
+from bugaug import nl_ops
+from bugaug.extract import classify_tokens, detect_code_tokens, is_code_token, tokenize
 from bugaug.model import Sample, Token
 from bugaug.nl_ops import (
     REJECTED,
@@ -38,7 +38,7 @@ def _texts(tokens) -> list[str]:
 
 
 def test_token_rejects_empty_or_whitespace_text():
-    for bad in ("", "a b", " a", "a\t", "\n"):
+    for bad in ("", "a b", " a", "a\t", "\n", " ", "\x1c", "\x85", "a\u3000b"):
         with pytest.raises(ValueError, match="bad token text"):
             Token(bad)
     assert Token("a.b()").text == "a.b()"
@@ -228,6 +228,12 @@ def test_dictionary_validation_rejects_empty_substitutes():
         SubstituteDictionary({"fails": ()})
 
 
+def test_dictionary_validation_rejects_a_substitute_that_is_not_one_word():
+    for bad in ("stops working", "", " crashes", "a\u3000b"):
+        with pytest.raises(ValueError, match="'fails'"):
+            SubstituteDictionary({"fails": ("crashes", bad)})
+
+
 def test_dictionary_loading_rejects_a_string_of_substitutes():
     with pytest.raises(ValueError, match="'crash'"):
         SubstituteDictionary.from_dict({"crash": "fail"})
@@ -338,6 +344,45 @@ def test_shuffle_paraphraser_preserves_code_tokens(patterns, substitutes):
     before = [t.text for t in detect_code_tokens(tokenize(text), ("JarScanner",)) if t.is_code]
     after = [t.text for t in detect_code_tokens(tokenize(out), ("JarScanner",)) if t.is_code]
     assert Counter(before) == Counter(after)
+
+
+# words, code tokens, unicode whitespace and arbitrary characters
+_PIECES = st.one_of(
+    st.sampled_from(["JarScanner", "jarscanner", "Util", "util", "fails", "Fails,", "getFoo()",
+                     "snake_case", "org.demo.Util", "1."]),
+    st.sampled_from([" ", "\t", "\n", "\x1c", "\x85", "\u3000", "\xa0"]),
+    st.text(max_size=5),
+)
+_TEXTS = st.lists(_PIECES, max_size=15).map("".join)
+_IDS = frozenset({"JarScanner", "Util"})
+
+
+@settings(max_examples=200, deadline=None)
+@given(texts=st.lists(_TEXTS, min_size=1, max_size=4))
+def test_qc_retokenize_classifies_like_is_code_token(patterns, texts):
+    qc = _qc(patterns, identifiers=_IDS)
+    for text in [*texts, *map(str.swapcase, texts)]:  # the memo fills across texts
+        expected = [Token(w, is_code_token(w, _IDS)) for w in text.split()]
+        assert qc.retokenize(text) == expected
+        assert qc.retokenize(text) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(texts=st.lists(_TEXTS, min_size=1, max_size=4))
+def test_shuffle_paraphraser_tokenizes_like_detect_code_tokens(substitutes, texts):
+    seen = []
+
+    def recording_replace(tokens, *args):
+        seen.append(list(tokens))
+        return dictionary_replace(tokens, *args)
+
+    paraphrase = make_shuffle_paraphraser(substitutes, seed=5, identifiers=sorted(_IDS))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(nl_ops, "dictionary_replace", recording_replace)
+        for text in [*texts, *map(str.swapcase, texts), *texts]:  # later texts read the memo
+            seen.clear()
+            paraphrase(text)
+            assert seen == ([detect_code_tokens(tokenize(text), _IDS)] if text.split() else [])
 
 
 def test_shuffle_paraphraser_with_empty_dict_rotates_only():
