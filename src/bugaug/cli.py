@@ -27,7 +27,7 @@ from .builder import (
     referenced_reports,
 )
 from .code_ops import load_code_name_dicts, mine_code_names, substitute_cache_info
-from .corpus import ingest_corpus, load_hunks_jsonl, load_links, sampler_from_links
+from .corpus import ProjectCorpus, ingest_corpus, load_hunks_jsonl, load_links
 from .extract import DEFAULT_LIBRARY_PREFIXES, PatternDictionary, structure_bug_report
 from .fixtures import generate_corpus
 from .metrics import (
@@ -98,30 +98,17 @@ class CorpusDir:
         return load_hunks_jsonl(self.path / "hunks.jsonl")
 
     @cached_property
-    def hunks_by_changeset(self):
+    def corpus(self) -> ProjectCorpus:
+        """The hunks and links. A changeset with no hunks is not a key, so it
+        reads as unknown: an inducing changeset may not be empty either way."""
         grouped: dict[str, list] = {}
         for hunk in self.hunks:
             grouped.setdefault(hunk.changeset_id, []).append(hunk)
-        return grouped
-
-    @cached_property
-    def links(self):
-        return load_links(self.path / "links.jsonl")
+        return ProjectCorpus(grouped, load_links(self.path / "links.jsonl"))
 
     @cached_property
     def class_identifiers(self) -> list[str]:
         return sorted({h.class_name for h in self.hunks})
-
-    @cached_property
-    def code_names(self):
-        """Code names mined from each linked bug's inducing hunks."""
-        names = {}
-        for bug_id, link in sorted(self.links.items()):
-            hunks = [h for cs_id in link.inducing_changeset_ids
-                     for h in self.hunks_by_changeset.get(cs_id, [])]
-            if hunks:
-                names[bug_id] = mine_code_names(bug_id, hunks)
-        return names
 
 
 def load_dataset(path: str | Path, name: str) -> Dataset:
@@ -158,10 +145,13 @@ def _build_augmenter(corpus_dir: CorpusDir, structured_path: Path, args) -> Repo
     identifiers = corpus_dir.class_identifiers
     qc = QualityControl(patterns=patterns, identifiers=frozenset(identifiers))
     paraphraser = _paraphraser(args.paraphraser, args.service_url, dictionary, args.seed, identifiers)
+    corpus = corpus_dir.corpus
     return ReportAugmenter(
         structured_by_bug=structured,
         code_names_by_bug=(
-            load_code_name_dicts(args.code_dict) if args.code_dict else corpus_dir.code_names
+            load_code_name_dicts(args.code_dict) if args.code_dict
+            else {bug_id: mine_code_names(bug_id, corpus.inducing_hunks(bug_id))
+                  for bug_id in structured if bug_id in corpus.links}
         ),
         dictionary=dictionary,
         qc=qc,
@@ -178,16 +168,17 @@ def stage_ingest(bugs: Path, diffs: Path, links: Path, seed: int, out_dir: Path)
     out_dir.mkdir(parents=True, exist_ok=True)
     result = ingest_corpus(bugs, diffs, links, seed)
     corpus = result.corpus
+    hunks = corpus.all_hunks()
     write_jsonl(out_dir / "train_bugs.jsonl", (bug_to_dict(b) for b in result.train_bugs))
     write_jsonl(out_dir / "test_bugs.jsonl", (bug_to_dict(b) for b in result.test_bugs))
-    write_jsonl(out_dir / "hunks.jsonl", (hunk_to_dict(h) for h in corpus.all_hunks()))
+    write_jsonl(out_dir / "hunks.jsonl", (hunk_to_dict(h) for h in hunks))
     write_jsonl(out_dir / "links.jsonl", (link_to_dict(corpus.links[k]) for k in sorted(corpus.links)))
     write_jsonl(out_dir / "changesets.jsonl",
-                (changeset_to_dict(corpus.changesets[k]) for k in sorted(corpus.changesets)))
+                (changeset_to_dict(result.changesets[k]) for k in sorted(result.changesets)))
     write_dataset(out_dir / "d_ori.jsonl", result.d_ori)
     write_qrels(out_dir / "qrels.txt", result.qrels)
     log.info("ingested %d train / %d test bugs, %d hunks, |D_ori|=%d", len(result.train_bugs),
-             len(result.test_bugs), len(corpus.all_hunks()), len(result.d_ori))
+             len(result.test_bugs), len(hunks), len(result.d_ori))
 
 
 def stage_extract(corpus_dir: CorpusDir, patterns_path: str | None, lib_prefixes: list[str],
@@ -219,7 +210,7 @@ def _write_reports(path: Path, dataset: Dataset, corpus_dir: CorpusDir, structur
 def stage_augment(corpus_dir: CorpusDir, structured_path: Path, args, out_path: Path,
                   rep_out: Path | None, reports_out: Path | None) -> None:
     d_ori = corpus_dir.d_ori()
-    sampler = sampler_from_links(corpus_dir.hunks_by_changeset, corpus_dir.links)
+    sampler = corpus_dir.corpus.negative_sampler()
     d_aug = generate_augmented_set(d_ori, args.factor, sampler, args.seed)
     write_dataset(out_path, d_aug)
     log.info("|D_aug|=%d (factor %d over |D_ori|=%d)", len(d_aug), args.factor, len(d_ori))
@@ -234,7 +225,7 @@ def stage_augment(corpus_dir: CorpusDir, structured_path: Path, args, out_path: 
 def stage_balance(corpus_dir: CorpusDir, structured_path: Path, train_path: Path, args,
                   out_path: Path, reports_out: Path | None) -> None:
     d_train = load_dataset(train_path, "D_train")
-    sampler = sampler_from_links(corpus_dir.hunks_by_changeset, corpus_dir.links)
+    sampler = corpus_dir.corpus.negative_sampler()
     d_bl = balance_dataset(d_train, args.alpha, args.omega, sampler, args.seed)
     write_dataset(out_path, d_bl)
     log.info("|D_bl|=%d (alpha=%s omega=%s)", len(d_bl), args.alpha, args.omega)
@@ -304,7 +295,10 @@ class Stage:
     call: Callable[[argparse.Namespace, Callable[[Path], CorpusDir]], tuple]
 
 
-_OPTION_FILES = ("patterns", "substitutes", "code_dict")
+# the options that name a dictionary file, each with the loader that parses it
+_DICTIONARY_LOADERS = {"patterns": PatternDictionary.load, "substitutes": SubstituteDictionary.load,
+                       "code_dict": load_code_name_dicts}
+_OPTION_FILES = tuple(_DICTIONARY_LOADERS)
 _AUGMENT_READS = ("d_ori.jsonl", "hunks.jsonl", "links.jsonl", "structured.jsonl", *_OPTION_FILES)
 _AUGMENT_CONFIG = ("seed", "p_drop", "paraphraser", "service_url")
 _DATASETS = ("d_ori.jsonl", "d_rep.jsonl", "d_aug.jsonl", "d_bl.jsonl")
@@ -351,6 +345,10 @@ STAGES = (
           call=lambda a, corpus: (a.run, a.qrels, parse_metric_names(a.metrics.split(",")), a.out)),
 )
 
+# a pipeline run's input options: the reads that no stage writes
+_PIPELINE_INPUTS = tuple(dict.fromkeys(
+    name for stage in STAGES for name in stage.reads if all(name not in s.writes for s in STAGES)))
+
 
 def run_stage(stage: Stage, args, corpus: Callable[[Path], CorpusDir], run_dir: Path | None = None):
     """Run stage with args; given run_dir, with its path options naming files
@@ -365,12 +363,21 @@ def run_stage(stage: Stage, args, corpus: Callable[[Path], CorpusDir], run_dir: 
 
 def _check_usage(parser: argparse.ArgumentParser, args, options) -> None:
     """Exit 2 with the subcommand's usage, before any stage runs, if a file one
-    of options names is missing, a service paraphraser has no URL or a metric
-    is unknown. An option is named by its flag, as typed."""
+    of options names is missing or is a dictionary its loader refuses, a
+    service paraphraser has no URL or a metric is unknown. An option is named
+    by its flag, as typed."""
     for option in options:
         path = getattr(args, option)
-        if path is not None and not Path(path).exists():
-            parser.error(f"--{option.replace('_', '-')}: path does not exist: {path}")
+        if path is None:
+            continue
+        flag = f"--{option.replace('_', '-')}"
+        if not Path(path).exists():
+            parser.error(f"{flag}: path does not exist: {path}")
+        if option in _DICTIONARY_LOADERS:
+            try:
+                _DICTIONARY_LOADERS[option](path)
+            except (OSError, ValueError) as exc:
+                parser.error(f"{flag}: {path}: {exc}")
     if getattr(args, "paraphraser", None) == "service" and not args.service_url:
         parser.error("--paraphraser service requires --service-url")
     if hasattr(args, "metrics"):
@@ -401,16 +408,14 @@ def _digest_tree(path: Path) -> dict[str, str]:
 
 def _pipeline_manifest(args) -> dict:
     """Everything that determines the pipeline's artifacts, before any stage
-    runs. Its inputs are the reads that no stage writes."""
-    written = {name for stage in STAGES for name in stage.writes}
-    inputs = [name for stage in STAGES for name in stage.reads if name not in written]
+    runs."""
     return {
         "tool": "bugaug",
         "version": __version__,
         "seed": args.seed,
         "config": {k: getattr(args, k) for stage in STAGES for k in stage.config if k != "seed"},
         "inputs": {name: _digest_tree(Path(getattr(args, name)))
-                   for name in inputs if getattr(args, name)},
+                   for name in _PIPELINE_INPUTS if getattr(args, name)},
         "stages": {},
         "keys": {},
     }
@@ -446,8 +451,7 @@ def cmd_stage(args, parser) -> int:
 
 
 def cmd_pipeline(args, parser) -> int:
-    # options a stage maps into the run directory name files that earlier stages write
-    _check_usage(parser, args, [o for s in STAGES for o in s.inputs if o not in s.paths])
+    _check_usage(parser, args, _PIPELINE_INPUTS)
     out: Path = args.out
     out.mkdir(parents=True, exist_ok=True)
     manifest_path = out / "manifest.json"

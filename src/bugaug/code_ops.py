@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .model import Hunk, Sample, Token, is_word, word_list
+from .model import Hunk, Sample, Token, is_word, json_object, word_list
 
 _METHOD_CALL_RE = re.compile(r"\b([A-Za-z_$][\w$]*)\s*\(")
 _CALL_KEYWORDS = frozenset(
@@ -64,7 +64,7 @@ def load_code_name_dicts(path: str | Path) -> dict[str, CodeNameDictionary]:
         str(bug_id): CodeNameDictionary(
             bug_id=str(bug_id), names=tuple(sorted(set(map(str, word_list(names, bug_id)))))
         )
-        for bug_id, names in raw.items()
+        for bug_id, names in json_object(raw).items()
     }
 
 

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping
+from typing import Callable
 
 from .diffs import parse_unified_diff
 from .model import (
@@ -38,8 +38,10 @@ DROPPED_STATUSES = ("wont_fix", "not_a_bug")
 
 @dataclass
 class ProjectCorpus:
-    bugs: dict[str, BugReport]
-    changesets: dict[str, Changeset]
+    """Hunks by changeset and links by bug: the one place a bug's link is
+    joined to its hunks. Every changeset the corpus knows is a key of
+    hunks_by_changeset, with [] if it changed nothing."""
+
     hunks_by_changeset: dict[str, list[Hunk]]
     links: dict[str, LinkRecord]
 
@@ -49,9 +51,9 @@ class ProjectCorpus:
         return out
 
     def changeset_hunks(self, changeset_id: str) -> list[Hunk]:
-        if changeset_id not in self.changesets:
+        if changeset_id not in self.hunks_by_changeset:
             raise CorpusError(f"link references unknown changeset {changeset_id!r}")
-        return self.hunks_by_changeset.get(changeset_id, [])
+        return self.hunks_by_changeset[changeset_id]
 
     def inducing_hunks(self, bug_id: str) -> list[Hunk]:
         link = self.links[bug_id]
@@ -66,12 +68,18 @@ class ProjectCorpus:
     def inducing_classes(self, bug_id: str) -> frozenset[str]:
         return frozenset(h.class_name for h in self.inducing_hunks(bug_id))
 
-    def fixing_classes(self, bug_id: str) -> frozenset[str]:
-        link = self.links[bug_id]
-        classes: set[str] = set()
-        for cs_id in link.fixing_changeset_ids:
-            classes.update(h.class_name for h in self.changeset_hunks(cs_id))
-        return frozenset(classes)
+    def positive_hunks(self, bug_id: str) -> list[Hunk]:
+        """The bug's inducing hunks whose class a fixing changeset touches."""
+        fixing = {h.class_name for cs_id in self.links[bug_id].fixing_changeset_ids
+                  for h in self.changeset_hunks(cs_id)}
+        return [h for h in self.inducing_hunks(bug_id) if h.class_name in fixing]
+
+    def negative_sampler(self) -> NegativeSampler:
+        """Negatives over every hunk. A linked bug excludes its inducing
+        classes, joined only when the sampler is first asked about the bug; a
+        bug with no link excludes nothing."""
+        return NegativeSampler(self.all_hunks(),
+                               lambda bug: self.inducing_classes(bug) if bug in self.links else frozenset())
 
 
 # --- loading -------------------------------------------------------------
@@ -143,16 +151,17 @@ def split_by_date(bugs: list[BugReport]) -> tuple[list[BugReport], list[BugRepor
 
 
 class NegativeSampler:
-    """Draws negative hunks for a bug from classes outside its inducing set."""
+    """Draws negative hunks for a bug from classes outside its inducing set.
+    excluded_classes(bug_id) is called once per bug the sampler is asked about."""
 
-    def __init__(self, hunks: list[Hunk], excluded_classes_by_bug: dict[str, frozenset[str]]):
+    def __init__(self, hunks: list[Hunk], excluded_classes: Callable[[str], frozenset[str]]):
         self._hunks = sorted(hunks, key=lambda h: h.id)
-        self._excluded = excluded_classes_by_bug
+        self._excluded = excluded_classes
         self._cache: dict[str, list[Hunk]] = {}
 
     def eligible(self, origin_bug_id: str) -> list[Hunk]:
         if origin_bug_id not in self._cache:
-            excluded = self._excluded.get(origin_bug_id, frozenset())
+            excluded = self._excluded(origin_bug_id)
             self._cache[origin_bug_id] = [h for h in self._hunks if h.class_name not in excluded]
         return self._cache[origin_bug_id]
 
@@ -175,22 +184,6 @@ class NegativeSampler:
         )
 
 
-def sampler_from_links(
-    hunks_by_changeset: Mapping[str, list[Hunk]], links: Mapping[str, LinkRecord]
-) -> NegativeSampler:
-    """Negatives over every hunk; each linked bug excludes the classes of its
-    inducing changesets' hunks."""
-    excluded = {
-        bug_id: frozenset(
-            h.class_name
-            for cs_id in link.inducing_changeset_ids
-            for h in hunks_by_changeset.get(cs_id, ())
-        )
-        for bug_id, link in links.items()
-    }
-    return NegativeSampler([h for hs in hunks_by_changeset.values() for h in hs], excluded)
-
-
 # --- D_ori ---------------------------------------------------------------
 
 
@@ -198,11 +191,10 @@ def build_d_ori(bugs: list[BugReport], corpus: ProjectCorpus, rng_seed: int) -> 
     """Positives are inducing hunks whose class occurs in a fixing changeset of
     the same bug; each positive gets one seeded-uniform negative."""
     linked = [b for b in sorted(bugs, key=lambda b: b.id) if b.id in corpus.links]
-    sampler = sampler_from_links(corpus.hunks_by_changeset, {b.id: corpus.links[b.id] for b in linked})
+    sampler = corpus.negative_sampler()
     samples: list[TrainingSample] = []
     for bug in linked:
-        fixing = corpus.fixing_classes(bug.id)
-        surviving = [h for h in corpus.inducing_hunks(bug.id) if h.class_name in fixing]
+        surviving = corpus.positive_hunks(bug.id)
         if not surviving:
             log.warning("bug %s excluded: no inducing hunk matches a fixing-changeset class", bug.id)
             continue
@@ -225,8 +217,7 @@ def build_qrels(bugs: list[BugReport], corpus: ProjectCorpus) -> dict[str, set[s
     for bug in sorted(bugs, key=lambda b: b.id):
         if bug.id not in corpus.links:
             continue
-        fixing = corpus.fixing_classes(bug.id)
-        relevant = {h.id for h in corpus.inducing_hunks(bug.id) if h.class_name in fixing}
+        relevant = {h.id for h in corpus.positive_hunks(bug.id)}
         if relevant:
             qrels[bug.id] = relevant
         else:
@@ -237,10 +228,11 @@ def build_qrels(bugs: list[BugReport], corpus: ProjectCorpus) -> dict[str, set[s
 @dataclass
 class IngestResult:
     corpus: ProjectCorpus
+    changesets: dict[str, Changeset]
     train_bugs: list[BugReport]
     test_bugs: list[BugReport]
     d_ori: Dataset
-    qrels: dict[str, set[str]] = field(default_factory=dict)
+    qrels: dict[str, set[str]]
 
 
 def ingest_corpus(
@@ -251,16 +243,9 @@ def ingest_corpus(
 ) -> IngestResult:
     bugs = drop_unusable_bugs(load_bugs(bugs_path))
     changesets, hunks_by_changeset = load_diff_dir(diffs_dir)
-    links = load_links(links_path)
-    corpus = ProjectCorpus(
-        bugs={b.id: b for b in bugs},
-        changesets=changesets,
-        hunks_by_changeset=hunks_by_changeset,
-        links=links,
-    )
+    corpus = ProjectCorpus(hunks_by_changeset, load_links(links_path))
     train_bugs, test_bugs = split_by_date(bugs)
     d_ori = build_d_ori(train_bugs, corpus, seed)
     qrels = build_qrels(test_bugs, corpus)
-    return IngestResult(
-        corpus=corpus, train_bugs=train_bugs, test_bugs=test_bugs, d_ori=d_ori, qrels=qrels
-    )
+    return IngestResult(corpus=corpus, changesets=changesets, train_bugs=train_bugs,
+                        test_bugs=test_bugs, d_ori=d_ori, qrels=qrels)

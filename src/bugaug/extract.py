@@ -17,7 +17,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .model import BugReport, Sample, StackFrame, StructuredBugReport, Token, word_list
+from .model import BugReport, Sample, StackFrame, StructuredBugReport, Token, json_object, word_list
 
 DEFAULT_LIBRARY_PREFIXES = ("java.", "javax.", "sun.", "jdk.")
 
@@ -112,7 +112,7 @@ class PatternDictionary:
 
     @classmethod
     def from_dict(cls, data: dict) -> "PatternDictionary":
-        ob = data.get("OB", {})
+        ob = json_object(data).get("OB", {})
         if not isinstance(ob, dict):
             raise ValueError(f"'OB': expected an object of word lists, got {type(ob).__name__} {ob!r}")
 

@@ -197,7 +197,14 @@ class AugmentedBugReport:
         return "\n\n".join(s.text() for s in self.samples)
 
 
-# --- user word lists ----------------------------------------------------
+# --- user dictionaries and word lists ----------------------------------
+
+
+def json_object(value) -> dict:
+    """value, if it is an object: a dictionary file's top level must be one."""
+    if not isinstance(value, dict):
+        raise ValueError(f"expected an object at the top level, got {type(value).__name__}")
+    return value
 
 
 def word_list(value, key: str) -> list | tuple:

@@ -10,15 +10,13 @@ from __future__ import annotations
 
 import json
 import logging
-import urllib.error
-import urllib.request
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 from typing import Callable, Sequence
 
 from .extract import PatternDictionary, classify_tokens, is_code_token, keyword_form, tokenize, word_core
-from .model import NL_KINDS, Sample, Token, is_word, word_list
+from .model import NL_KINDS, Sample, Token, is_word, json_object, word_list
 from .rng import derive_rng
 
 log = logging.getLogger(__name__)
@@ -87,7 +85,8 @@ class SubstituteDictionary:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SubstituteDictionary":
-        return cls({str(k): tuple(str(s) for s in word_list(v, k)) for k, v in sorted(data.items())})
+        return cls({str(k): tuple(str(s) for s in word_list(v, k))
+                    for k, v in sorted(json_object(data).items())})
 
     @classmethod
     def load(cls, path: str | Path) -> "SubstituteDictionary":
@@ -300,6 +299,11 @@ def make_service_paraphraser(url: str) -> Paraphraser:
     SERVICE_FAILURE_BUDGET consecutive failures it stops calling the service
     and is the identity from then on; a success resets the count.
     """
+    # imported here, not at module level: urllib.request loads ssl, which
+    # every other run would pay for at startup
+    import urllib.error
+    import urllib.request
+
     failures = 0
 
     def fallback(text: str, reason: str) -> str:

@@ -7,9 +7,9 @@ from datetime import datetime, timedelta, timezone
 import pytest
 from hypothesis.configuration import set_hypothesis_home_dir
 
-from bugaug.corpus import NegativeSampler, ProjectCorpus
+from bugaug.corpus import ProjectCorpus
 from bugaug.extract import PatternDictionary
-from bugaug.model import BugReport, Changeset, Hunk, LinkRecord, Token
+from bugaug.model import BugReport, Hunk, LinkRecord, Token
 from bugaug.nl_ops import SubstituteDictionary
 
 EPOCH = datetime(2021, 3, 1, tzinfo=timezone.utc)
@@ -42,15 +42,6 @@ def make_bug(bug_id: str, day: int = 0, summary: str = "Widget does not close", 
     )
 
 
-def make_changeset(cs_id: str, day: int = 0, log_message: str = "tidy up") -> Changeset:
-    return Changeset(
-        id=cs_id,
-        author="dev",
-        committed_at=EPOCH + timedelta(days=day),
-        log_message=log_message,
-    )
-
-
 def make_hunk(hunk_id: str, changeset_id: str, class_name: str,
               lines: tuple = (("added", "int x = 1;"),)) -> Hunk:
     n_removed = sum(1 for m, _ in lines if m == "removed")
@@ -69,18 +60,17 @@ def make_hunk(hunk_id: str, changeset_id: str, class_name: str,
     )
 
 
-def build_corpus(spec: dict[str, dict]) -> ProjectCorpus:
+def build_corpus(spec: dict[str, dict]) -> tuple[dict[str, BugReport], ProjectCorpus]:
     """spec: bug_id -> {"inducing": {cs_id: [classes]}, "fixing": {cs_id: [classes]},
-    "day": int}. Extra unlinked hunks may ride along under key "_extra"."""
+    "day": int}. Extra unlinked hunks may ride along under key "_extra".
+    Returns the bugs by id beside the corpus."""
     bugs = {}
-    changesets = {}
     hunks_by_changeset: dict[str, list[Hunk]] = {}
     links = {}
     counter = 0
     for bug_id, cfg in spec.items():
         if bug_id == "_extra":
             for cs_id, classes in cfg.items():
-                changesets[cs_id] = make_changeset(cs_id)
                 for cls in classes:
                     counter += 1
                     hunks_by_changeset.setdefault(cs_id, []).append(
@@ -90,9 +80,7 @@ def build_corpus(spec: dict[str, dict]) -> ProjectCorpus:
         bugs[bug_id] = make_bug(bug_id, day=cfg.get("day", 0))
         for group in ("inducing", "fixing"):
             for cs_id, classes in cfg.get(group, {}).items():
-                if cs_id not in changesets:
-                    changesets[cs_id] = make_changeset(cs_id)
-                    hunks_by_changeset.setdefault(cs_id, [])
+                hunks_by_changeset.setdefault(cs_id, [])
                 for cls in classes:
                     counter += 1
                     hunks_by_changeset[cs_id].append(make_hunk(f"{cs_id}#h{counter}", cs_id, cls))
@@ -101,14 +89,7 @@ def build_corpus(spec: dict[str, dict]) -> ProjectCorpus:
             inducing_changeset_ids=tuple(cfg.get("inducing", {})),
             fixing_changeset_ids=tuple(cfg.get("fixing", {})),
         )
-    return ProjectCorpus(
-        bugs=bugs, changesets=changesets, hunks_by_changeset=hunks_by_changeset, links=links
-    )
-
-
-def sampler_for(corpus: ProjectCorpus) -> NegativeSampler:
-    excluded = {bug_id: corpus.inducing_classes(bug_id) for bug_id in corpus.links}
-    return NegativeSampler(corpus.all_hunks(), excluded)
+    return bugs, ProjectCorpus(hunks_by_changeset, links)
 
 
 _WORDS = (

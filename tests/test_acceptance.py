@@ -59,7 +59,7 @@ def _negative(bug: str, hunk: str, cls: str) -> TrainingSample:
 
 def _spare_sampler(bugs: set[str], excluded: dict[str, frozenset]) -> NegativeSampler:
     pool = [make_hunk(f"spare{i}", "csx", f"SpareClass{i}") for i in range(4)]
-    return NegativeSampler(pool, {b: excluded.get(b, frozenset()) for b in bugs})
+    return NegativeSampler(pool, lambda bug: excluded.get(bug, frozenset()) if bug in bugs else frozenset())
 
 
 def _synthetic_d_ori(n_positives: int, n_bugs: int) -> tuple[Dataset, NegativeSampler]:

@@ -24,9 +24,8 @@ def _dataset(positives: list[tuple[str, str, str]]) -> Dataset:
 
 
 def _sampler(positives: list[tuple[str, str, str]]) -> NegativeSampler:
-    bugs = {b for b, _, _ in positives}
     pool = [make_hunk(f"neg{i}", "csn", f"Spare{i}") for i in range(3)]
-    return NegativeSampler(pool, {b: frozenset(c for bb, _, c in positives if bb == b) for b in bugs})
+    return NegativeSampler(pool, lambda bug: frozenset(c for b, _, c in positives if b == bug))
 
 
 def test_scaled_cap_uses_exact_arithmetic():

@@ -26,7 +26,7 @@ from bugaug.model import (
 )
 from bugaug.nl_ops import AugConfig, QualityControl, identity_paraphraser
 
-from conftest import build_corpus, make_bug, sampler_for
+from conftest import build_corpus, make_bug
 
 
 def _sample(kind: str, *texts: str) -> Sample:
@@ -102,15 +102,15 @@ def test_misaligned_samples_is_an_error():
 
 
 def _tiny_d_ori() -> tuple[Dataset, object]:
-    corpus = build_corpus(
+    bugs, corpus = build_corpus(
         {
             "b1": {"inducing": {"cs1": ["Alpha"]}, "fixing": {"cs1f": ["Alpha"]}},
             "b2": {"inducing": {"cs2": ["Beta"]}, "fixing": {"cs2f": ["Beta"]}},
             "_extra": {"csN": ["Gamma", "Delta", "Epsilon"]},
         }
     )
-    d_ori = build_d_ori(list(corpus.bugs.values()), corpus, rng_seed=3)
-    return d_ori, sampler_for(corpus)
+    d_ori = build_d_ori(list(bugs.values()), corpus, rng_seed=3)
+    return d_ori, corpus.negative_sampler()
 
 
 def test_augmented_set_factor_one_arithmetic():
@@ -181,7 +181,7 @@ def test_generators_reject_factor_below_one():
 
 
 def _full_augmenter(patterns, substitutes) -> ReportAugmenter:
-    corpus = build_corpus(
+    _, corpus = build_corpus(
         {
             "b1": {"inducing": {"cs1": ["AsyncDispatcher", "TimerQueue"]}, "fixing": {"cs1f": ["AsyncDispatcher", "TimerQueue"]}},
             "_extra": {"csN": ["Gamma"]},
@@ -251,15 +251,15 @@ def test_report_augmenter_unknown_bug_raises(patterns, substitutes):
 
 
 def test_generated_negatives_avoid_inducing_classes_and_keep_ratio():
-    corpus = build_corpus(
+    bugs, corpus = build_corpus(
         {
             "b1": {"inducing": {"cs1": ["Alpha"]}, "fixing": {"cs1f": ["Alpha"]}},
             "b2": {"inducing": {"cs2": ["Beta"]}, "fixing": {"cs2f": ["Beta"]}},
             "_extra": {"csN": ["Gamma", "Delta"]},
         }
     )
-    d_ori = build_d_ori(list(corpus.bugs.values()), corpus, rng_seed=3)
-    sampler = sampler_for(corpus)
+    d_ori = build_d_ori(list(bugs.values()), corpus, rng_seed=3)
+    sampler = corpus.negative_sampler()
     for dataset in (
         generate_augmented_set(d_ori, 5, sampler, seed=8),
         generate_repeated_set(d_ori, 5, sampler, seed=8),

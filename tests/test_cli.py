@@ -155,6 +155,43 @@ def test_subcommand_usage_errors_print_the_subcommand_usage(tmp_path, capsys, co
         assert capsys.readouterr().err.startswith(usage), argv
 
 
+def test_a_malformed_dictionary_exits_2_before_any_stage_runs(tmp_path, capsys, corpus_dir):
+    """A dictionary file its loader refuses is a usage error: the message starts
+    with the subcommand's usage and names the flag, the file and the fault,
+    and nothing is written."""
+    array = tmp_path / "array.json"
+    array.write_text('["fails"]', "utf-8")
+    multi_word = tmp_path / "multi_word.json"
+    multi_word.write_text('{"fails": ["stops working"]}', "utf-8")
+    not_an_object, not_a_word = "expected an object at the top level, got list", "is not one word"
+    stage_args = ["--corpus", str(tmp_path), "--structured", str(tmp_path)]
+    balance_args = ["balance", *stage_args, "--train", str(tmp_path), "--alpha", "1", "--omega", "1",
+                    "--out", str(tmp_path / "b.jsonl")]
+    cases = [
+        (_pipeline_args(corpus_dir, tmp_path / "run", extra=["--substitutes", str(multi_word)]),
+         "pipeline", "--substitutes", multi_word, not_a_word),
+        (_pipeline_args(corpus_dir, tmp_path / "run", extra=["--patterns", str(array)]),
+         "pipeline", "--patterns", array, not_an_object),
+        (["extract", "--corpus", str(tmp_path), "--patterns", str(array),
+          "--out", str(tmp_path / "s.jsonl")], "extract", "--patterns", array, not_an_object),
+        (["augment", *stage_args, "--out", str(tmp_path / "a.jsonl"), "--code-dict", str(array)],
+         "augment", "--code-dict", array, not_an_object),
+        (["augment", *stage_args, "--out", str(tmp_path / "a.jsonl"), "--substitutes",
+          str(multi_word)], "augment", "--substitutes", multi_word, not_a_word),
+        ([*balance_args, "--substitutes", str(array)], "balance", "--substitutes", array,
+         not_an_object),
+    ]
+    for argv, command, flag, path, fault in cases:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: bugaug {command} "), argv
+        assert f"{flag}: {path}: " in err and fault in err, argv
+    for name in ("run", "s.jsonl", "a.jsonl", "b.jsonl"):
+        assert not (tmp_path / name).exists(), name
+
+
 def test_runtime_failure_exits_1(tmp_path, capsys):
     bad = tmp_path / "bad"
     bad.mkdir()
@@ -274,6 +311,23 @@ def test_pipeline_rerun_writes_new_files_and_leaves_old_ones_intact(tmp_path, co
 def _skipped_stages(caplog) -> list[str]:
     return [m[1] for r in caplog.records
             if (m := re.fullmatch(r"stage (\S+): .*skipping.*", r.getMessage()))]
+
+
+def test_a_stale_link_changes_no_artifact(tmp_path, corpus_dir):
+    """A link for a bug bugs.jsonl does not hold, naming an unknown changeset,
+    is joined for no bug: the datasets, report files and metrics stay as
+    they are without it."""
+    stale = tmp_path / "stale"
+    shutil.copytree(corpus_dir, stale)
+    with open(stale / "links.jsonl", "a", encoding="utf-8") as fh:
+        fh.write(json.dumps({"bug_id": "ghost-1", "inducing_changeset_ids": ["nope"],
+                             "fixing_changeset_ids": ["nope"]}) + "\n")
+    assert main(_pipeline_args(corpus_dir, tmp_path / "plain")) == 0
+    assert main(_pipeline_args(stale, tmp_path / "with_stale")) == 0
+    assert "ghost-1" in (tmp_path / "with_stale" / "links.jsonl").read_text("utf-8")
+    for name in ("d_ori.jsonl", "d_aug.jsonl", "d_bl.jsonl", "augmented_reports.jsonl",
+                 "balance_reports.jsonl", "metrics.json"):
+        assert (tmp_path / "with_stale" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes(), name
 
 
 def test_each_run_parses_hunks_jsonl_once(tmp_path, corpus_dir, monkeypatch, caplog):

@@ -18,7 +18,7 @@ from conftest import build_corpus, make_bug
 
 
 def test_positive_filter_keeps_only_classes_touched_by_fix():
-    corpus = build_corpus(
+    bugs, corpus = build_corpus(
         {
             "b1": {
                 "inducing": {"csI": ["Alpha", "Beta"]},
@@ -27,69 +27,68 @@ def test_positive_filter_keeps_only_classes_touched_by_fix():
             "_extra": {"csN": ["Gamma", "Delta"]},
         }
     )
-    dataset = build_d_ori([corpus.bugs["b1"]], corpus, rng_seed=1)
+    dataset = build_d_ori([bugs["b1"]], corpus, rng_seed=1)
     positives = dataset.positives()
     assert positives and all(p.class_name == "Alpha" for p in positives)
 
 
 def test_positive_negative_counts_match_and_exclusion_holds():
-    corpus = build_corpus(
+    bugs, corpus = build_corpus(
         {
             "b1": {"inducing": {"cs1": ["Alpha", "Beta"]}, "fixing": {"cs1f": ["Alpha", "Beta"]}},
             "b2": {"inducing": {"cs2": ["Gamma"]}, "fixing": {"cs2f": ["Gamma"]}},
             "_extra": {"csN": ["Delta", "Epsilon"]},
         }
     )
-    dataset = build_d_ori(list(corpus.bugs.values()), corpus, rng_seed=9)
+    dataset = build_d_ori(list(bugs.values()), corpus, rng_seed=9)
     assert len(dataset.positives()) == len(dataset.negatives())
     for neg in dataset.negatives():
         assert neg.class_name not in corpus.inducing_classes(neg.origin_bug_id)
 
 
 def test_negatives_are_deterministic_under_seed():
-    corpus = build_corpus(
+    bugs, corpus = build_corpus(
         {
             "b1": {"inducing": {"cs1": ["Alpha"]}, "fixing": {"cs1f": ["Alpha"]}},
             "_extra": {"csN": ["Beta", "Gamma", "Delta"]},
         }
     )
-    bugs = list(corpus.bugs.values())
-    first = build_d_ori(bugs, corpus, rng_seed=7)
-    second = build_d_ori(bugs, corpus, rng_seed=7)
+    first = build_d_ori(list(bugs.values()), corpus, rng_seed=7)
+    second = build_d_ori(list(bugs.values()), corpus, rng_seed=7)
     assert first.samples == second.samples
     assert first.negatives()
 
 
 def test_bug_with_no_surviving_hunks_is_excluded_and_logged(caplog):
-    corpus = build_corpus(
+    bugs, corpus = build_corpus(
         {
             "b1": {"inducing": {"cs1": ["Alpha"]}, "fixing": {"cs1f": ["Beta"]}},
             "_extra": {"csN": ["Gamma"]},
         }
     )
     with caplog.at_level(logging.WARNING):
-        dataset = build_d_ori([corpus.bugs["b1"]], corpus, rng_seed=1)
+        dataset = build_d_ori([bugs["b1"]], corpus, rng_seed=1)
     assert dataset.samples == []
     assert any("excluded" in rec.message for rec in caplog.records)
 
 
 def test_no_eligible_negative_class_raises():
-    corpus = build_corpus(
+    bugs, corpus = build_corpus(
         {"b1": {"inducing": {"cs1": ["Alpha"]}, "fixing": {"cs1f": ["Alpha"]}}}
     )
     with pytest.raises(CorpusError):
-        build_d_ori([corpus.bugs["b1"]], corpus, rng_seed=1)
+        build_d_ori([bugs["b1"]], corpus, rng_seed=1)
 
 
 def test_missing_changeset_raises():
-    corpus = build_corpus(
+    bugs, corpus = build_corpus(
         {"b1": {"inducing": {"cs1": ["Alpha"]}, "fixing": {"cs1f": ["Alpha"]}}}
     )
     corpus.links["b1"] = corpus.links["b1"].__class__(
         bug_id="b1", inducing_changeset_ids=("nope",), fixing_changeset_ids=("cs1f",)
     )
     with pytest.raises(CorpusError):
-        build_d_ori([corpus.bugs["b1"]], corpus, rng_seed=1)
+        build_d_ori([bugs["b1"]], corpus, rng_seed=1)
 
 
 def test_split_even_count():

@@ -1,8 +1,12 @@
-"""Every module uses every name it imports."""
+"""Every module uses every name it imports, and importing the CLI loads no
+module only the service paraphraser needs."""
 
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -41,3 +45,13 @@ def test_unused_import_scan_sees_plain_from_and_dotted_imports():
               "from typing import Any, Sequence as Seq\nimport re\nre.compile('x')\n")
     assert unused_imports(source) == ["line 2: json", "line 3: os", "line 4: Any", "line 4: Seq"]
     assert unused_imports("from .model import Token\n", frozenset({"Token"})) == []
+
+
+def test_importing_the_cli_loads_neither_urllib_request_nor_ssl():
+    """Only the service paraphraser speaks HTTP, so every other run starts
+    without urllib.request and the ssl module it pulls in."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    code = "import sys, bugaug.cli; print(sorted({'urllib.request', 'ssl'} & set(sys.modules)))"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                            check=True)
+    assert result.stdout.strip() == "[]"
