@@ -10,10 +10,24 @@ can be replayed bit-exactly.
 from __future__ import annotations
 
 import logging
+import marshal
+import os
+import shutil
+import sys
+import tempfile
+import threading
 from dataclasses import dataclass
-from typing import Iterator
+from itertools import starmap
+from pathlib import Path
+from typing import Callable, Iterator, NoReturn, TextIO
 
-from .code_ops import CodeNameDictionary, augment_code_sample
+from .code_ops import (
+    CodeNameDictionary,
+    augment_code_sample,
+    merge_substitute_cache,
+    substitute_cache_delta,
+    substitute_cache_info,
+)
 from .corpus import NegativeSampler
 from .model import (
     NL_KINDS,
@@ -23,6 +37,9 @@ from .model import (
     SampleProvenance,
     StructuredBugReport,
     TrainingSample,
+    augmented_report_to_dict,
+    jsonl_line,
+    open_new,
 )
 from .nl_ops import (
     REJECTED,
@@ -142,17 +159,130 @@ class ReportAugmenter:
         )
 
 
+def referenced_refs(dataset: Dataset) -> list[tuple[str, int]]:
+    """(origin bug, ordinal) of each distinct augmented bug_ref of `dataset`,
+    in first-reference order; original samples (bug_ref == origin_bug_id)
+    have none."""
+    refs: dict[str, tuple[str, int]] = {}
+    for sample in dataset.samples:
+        ref = sample.bug_ref
+        if ref != sample.origin_bug_id and ref not in refs:
+            refs[ref] = (sample.origin_bug_id, int(ref.rpartition("#aug")[2]))
+    return list(refs.values())
+
+
 def referenced_reports(
     dataset: Dataset, augmenter: ReportAugmenter
 ) -> Iterator[AugmentedBugReport]:
-    """The report behind each distinct augmented bug_ref of `dataset`, in
-    first-reference order; original samples (bug_ref == origin_bug_id) have none."""
-    seen: set[str] = set()
-    for sample in dataset.samples:
-        ref = sample.bug_ref
-        if ref != sample.origin_bug_id and ref not in seen:
-            seen.add(ref)
-            yield augmenter.augment(sample.origin_bug_id, int(ref.rpartition("#aug")[2]))
+    """The report behind each of referenced_refs(dataset), in its order."""
+    return starmap(augmenter.augment, referenced_refs(dataset))
+
+
+Augment = Callable[[str, int], AugmentedBugReport]
+
+
+def _report_line(augment: Augment, ref: tuple[str, int]) -> str:
+    return jsonl_line(augmented_report_to_dict(augment(*ref)))
+
+
+class _Shard:
+    """A forked child that builds the reports of refs. It writes their lines
+    to one anonymous temporary file and then its substitute-cache delta, or
+    its error, to another, and leaves through os._exit: it runs none of the
+    parent's exit handlers and flushes none of its buffers."""
+
+    def __init__(self, refs: list[tuple[str, int]], augment: Augment):
+        self.lines = tempfile.TemporaryFile()
+        self.result = tempfile.TemporaryFile()
+        self.pid: int | None = os.fork()
+        if self.pid == 0:
+            self._build(refs, augment)
+
+    def _build(self, refs: list[tuple[str, int]], augment: Augment) -> NoReturn:
+        code = 1
+        try:
+            since = substitute_cache_info()
+            for ref in refs:
+                self.lines.write(_report_line(augment, ref).encode("utf-8"))
+            self.lines.flush()
+            marshal.dump(substitute_cache_delta(since), self.result)
+            code = 0
+        except BaseException as exc:
+            marshal.dump(f"{type(exc).__name__}: {exc}", self.result)
+        finally:
+            self.result.flush()
+            os._exit(code)
+
+    def append_to(self, out: TextIO, name: str) -> None:
+        """Wait for the child, then append its lines to out and merge its
+        cache delta; a child that raised or was killed raises here."""
+        _, status = os.waitpid(self.pid, 0)
+        self.pid = None
+        code = os.waitstatus_to_exitcode(status)
+        if code < 0:
+            raise RuntimeError(f"{name} was killed by signal {-code}")
+        self.result.seek(0)
+        payload = marshal.load(self.result)
+        if code:
+            raise RuntimeError(f"{name} failed: {payload}")
+        out.flush()
+        self.lines.seek(0)
+        shutil.copyfileobj(self.lines, out.buffer)
+        merge_substitute_cache(payload)
+
+    def kill(self) -> None:
+        if self.pid is not None:
+            import signal  # only a failed stage needs it
+
+            os.kill(self.pid, signal.SIGKILL)
+
+    def reap(self) -> None:
+        if self.pid is not None:
+            os.waitpid(self.pid, 0)
+            self.pid = None
+        self.lines.close()
+        self.result.close()
+
+
+def write_reports(path: str | Path, refs: list[tuple[str, int]], augment: Augment | None) -> None:
+    """Write augment(*ref) for each ref to path as JSON lines, in refs' order.
+
+    Each report is a pure function of its ref, so the reports are built on
+    every CPU this process may run on: refs are split into contiguous, equal
+    shards, one per CPU, so a bug's adjacent refs share a process except at
+    a shard boundary. This process builds the first shard into path while a
+    forked child builds each other one (one CPU, or fewer than two refs,
+    forks nothing). The children's lines are appended in shard order and
+    their substitute-cache entries and counts merged here, so neither the
+    bytes nor the cache depend on the CPU count. A failed shard, here or in
+    a child, fails the call: every child is reaped and path is removed.
+    A process running other threads forks nothing: a child has only the
+    forking thread, so a lock another thread held would stay held in it.
+    """
+    forkable = hasattr(os, "sched_getaffinity") and threading.active_count() == 1
+    cpus = len(os.sched_getaffinity(0)) if forkable else 1
+    count = max(1, min(cpus, len(refs)))
+    shards = [refs[len(refs) * i // count:len(refs) * (i + 1) // count] for i in range(count)]
+    children: list[_Shard] = []
+    try:
+        with open_new(path) as out:
+            # a child must not write again what this process had buffered
+            sys.stdout.flush()
+            sys.stderr.flush()
+            for shard in shards[1:]:
+                children.append(_Shard(shard, augment))
+            for ref in shards[0]:
+                out.write(_report_line(augment, ref))
+            for number, child in enumerate(children, start=2):
+                child.append_to(out, f"report shard {number} of {count}")
+    except BaseException:
+        for child in children:
+            child.kill()
+        Path(path).unlink(missing_ok=True)
+        raise
+    finally:
+        for child in children:
+            child.reap()
 
 
 def generate_augmented_set(d_ori: Dataset, factor: int, sampler: NegativeSampler, seed: int) -> Dataset:

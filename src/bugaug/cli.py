@@ -24,7 +24,8 @@ from .builder import (
     ReportAugmenter,
     generate_augmented_set,
     generate_repeated_set,
-    referenced_reports,
+    referenced_refs,
+    write_reports,
 )
 from .code_ops import load_code_name_dicts, mine_code_names, substitute_cache_info
 from .corpus import ProjectCorpus, ingest_corpus, load_hunks_jsonl, load_links
@@ -41,7 +42,6 @@ from .metrics import (
 )
 from .model import (
     Dataset,
-    augmented_report_to_dict,
     bug_from_dict,
     bug_to_dict,
     changeset_from_dict,
@@ -195,13 +195,12 @@ def stage_extract(corpus_dir: CorpusDir, patterns_path: str | None, lib_prefixes
 
 def _write_reports(path: Path, dataset: Dataset, corpus_dir: CorpusDir, structured_path: Path,
                    args) -> None:
-    """Stream the augmented report behind each distinct augmented bug_ref of
+    """Write the augmented report behind each distinct augmented bug_ref of
     dataset; the augmenter is built only if there is one."""
     before = substitute_cache_info()
-    reports = ()
-    if any(s.bug_ref != s.origin_bug_id for s in dataset.samples):
-        reports = referenced_reports(dataset, _build_augmenter(corpus_dir, structured_path, args))
-    write_jsonl(path, (augmented_report_to_dict(r) for r in reports))
+    refs = referenced_refs(dataset)
+    augment = _build_augmenter(corpus_dir, structured_path, args).augment if refs else None
+    write_reports(path, refs, augment)
     after = substitute_cache_info()
     log.info("%s reports: substitute ranking %d cache hits, %d misses", dataset.name,
              after.hits - before.hits, after.misses - before.misses)

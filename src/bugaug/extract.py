@@ -117,7 +117,11 @@ class PatternDictionary:
             raise ValueError(f"'OB': expected an object of word lists, got {type(ob).__name__} {ob!r}")
 
         def words(section: dict, key: str) -> frozenset[str]:
-            return frozenset(w.lower() for w in word_list(section.get(key, []), key))
+            items = word_list(section.get(key, []), key)
+            for w in items:
+                if not isinstance(w, str):
+                    raise ValueError(f"{key!r}: expected words, got {type(w).__name__} {w!r}")
+            return frozenset(w.lower() for w in items)
 
         return cls(
             negative_verbs=words(ob, "negative_verbs"),

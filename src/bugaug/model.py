@@ -259,11 +259,16 @@ def open_new(path: str | Path, newline: str | None = None) -> TextIO:
     return open(path, "w", encoding="utf-8", newline=newline)
 
 
+def jsonl_line(record: dict) -> str:
+    """record as one JSON-lines line, newline included: the one format of
+    every .jsonl artifact."""
+    return json.dumps(record, ensure_ascii=False, sort_keys=True) + "\n"
+
+
 def write_jsonl(path: str | Path, records: Iterable[dict]) -> None:
     with open_new(path) as fh:
         for record in records:
-            fh.write(json.dumps(record, ensure_ascii=False, sort_keys=True))
-            fh.write("\n")
+            fh.write(jsonl_line(record))
 
 
 def bug_to_dict(bug: BugReport) -> dict:

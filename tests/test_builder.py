@@ -1,19 +1,26 @@
 from __future__ import annotations
 
+import os
 import random
+import signal
+import threading
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bugaug.builder import (
     ReportAugmenter,
     build_augmented_report,
     generate_augmented_set,
     generate_repeated_set,
+    referenced_refs,
     referenced_reports,
     replay_report,
+    write_reports,
 )
-from bugaug.code_ops import mine_code_names
+from bugaug.code_ops import mine_code_names, substitute_cache_info
 from bugaug.corpus import build_d_ori
 from bugaug.extract import structure_bug_report
 from bugaug.model import (
@@ -23,6 +30,7 @@ from bugaug.model import (
     Token,
     TrainingSample,
     augmented_report_to_dict,
+    jsonl_line,
 )
 from bugaug.nl_ops import AugConfig, QualityControl, identity_paraphraser
 
@@ -238,6 +246,7 @@ def test_referenced_reports_follow_first_reference_order(patterns, substitutes):
             for ref in ("b1", "b1#aug2", "b1#aug1", "b1#aug2", "b1")
         ],
     )
+    assert referenced_refs(dataset) == [("b1", 2), ("b1", 1)]
     reports = list(referenced_reports(dataset, augmenter))
     assert [r.id for r in reports] == ["b1#aug2", "b1#aug1"]
     assert [augmented_report_to_dict(r) for r in reports] == [
@@ -267,3 +276,97 @@ def test_generated_negatives_avoid_inducing_classes_and_keep_ratio():
         assert len(dataset.positives()) == len(dataset.negatives())
         for neg in dataset.negatives():
             assert neg.class_name not in corpus.inducing_classes(neg.origin_bug_id)
+
+
+def _cpus(monkeypatch, count: int) -> None:
+    """Make the report writer see count CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+def _no_child_left() -> bool:
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=30)
+@given(ordinals=st.lists(st.integers(1, 9), unique=True, max_size=8), shards=st.integers(1, 4))
+def test_sharded_reports_are_the_one_shard_bytes(tmp_path_factory, patterns, substitutes, ordinals,
+                                                  shards):
+    """Any ref list (empty, one ref, fewer refs than shards) on 1 to 4 CPUs:
+    the same bytes as one shard, and the children's ranking calls are
+    counted here."""
+    augment = _full_augmenter(patterns, substitutes).augment
+    refs = [("b1", n) for n in ordinals]
+    expected = "".join(jsonl_line(augmented_report_to_dict(augment(*ref))) for ref in refs)
+    path = tmp_path_factory.mktemp("reports") / "reports.jsonl"
+    calls = []
+    for count in (1, shards):
+        before = substitute_cache_info()
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            _cpus(monkeypatch, count)
+            write_reports(path, refs, augment)
+        after = substitute_cache_info()
+        assert path.read_text("utf-8") == expected
+        assert after.misses == before.misses  # the first build above ranked every key
+        calls.append(after.hits - before.hits)
+    assert calls[0] == calls[1]
+    assert _no_child_left()
+
+
+def test_a_shard_this_process_builds_fails_after_every_child_is_reaped(tmp_path, monkeypatch,
+                                                                       patterns, substitutes):
+    augment = _full_augmenter(patterns, substitutes).augment
+
+    def fails_first(origin, ordinal):
+        if ordinal == 1:
+            raise ValueError("first shard fails")
+        return augment(origin, ordinal)
+
+    _cpus(monkeypatch, 3)
+    path = tmp_path / "reports.jsonl"
+    with pytest.raises(ValueError, match="first shard fails"):
+        write_reports(path, [("b1", n) for n in range(1, 7)], fails_first)
+    assert _no_child_left()
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_child_killed_by_a_signal_fails_the_write(tmp_path, monkeypatch, patterns, substitutes):
+    augment = _full_augmenter(patterns, substitutes).augment
+    parent = os.getpid()
+
+    def dies_in_the_last_shard(origin, ordinal):
+        if ordinal == 6 and os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return augment(origin, ordinal)
+
+    _cpus(monkeypatch, 2)
+    path = tmp_path / "reports.jsonl"
+    with pytest.raises(RuntimeError, match=f"report shard 2 of 2 was killed by signal {int(signal.SIGKILL)}$"):
+        write_reports(path, [("b1", n) for n in range(1, 7)], dies_in_the_last_shard)
+    assert _no_child_left()
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_process_running_threads_forks_no_shard(tmp_path, monkeypatch, patterns, substitutes):
+    augment = _full_augmenter(patterns, substitutes).augment
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    refs = [("b1", n) for n in range(1, 7)]
+    _cpus(monkeypatch, 3)
+    write_reports(tmp_path / "alone.jsonl", refs, augment)
+    assert len(forks) == 2
+    stop = threading.Event()
+    waiter = threading.Thread(target=stop.wait, args=(10,))
+    waiter.start()
+    try:
+        write_reports(tmp_path / "threaded.jsonl", refs, augment)
+    finally:
+        stop.set()
+        waiter.join(10)
+    assert not waiter.is_alive()
+    assert len(forks) == 2
+    assert (tmp_path / "threaded.jsonl").read_bytes() == (tmp_path / "alone.jsonl").read_bytes()

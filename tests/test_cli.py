@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import os
 import re
 import shutil
 from functools import cache
@@ -10,10 +11,10 @@ from importlib import resources
 
 import pytest
 
-from bugaug import cli
+from bugaug import builder, cli
 from bugaug.cli import main
 from bugaug.fixtures import generate_corpus
-from bugaug.model import read_jsonl
+from bugaug.model import read_jsonl, write_jsonl
 
 
 @pytest.fixture(scope="module")
@@ -190,6 +191,19 @@ def test_a_malformed_dictionary_exits_2_before_any_stage_runs(tmp_path, capsys, 
         assert f"{flag}: {path}: " in err and fault in err, argv
     for name in ("run", "s.jsonl", "a.jsonl", "b.jsonl"):
         assert not (tmp_path / name).exists(), name
+
+
+def test_a_non_string_pattern_word_exits_2_naming_the_flag(tmp_path, capsys):
+    patterns = tmp_path / "patterns.json"
+    patterns.write_text('{"OB": {"negations": [1]}}', "utf-8")
+    with pytest.raises(SystemExit) as exc:
+        main(["extract", "--corpus", str(tmp_path), "--patterns", str(patterns),
+              "--out", str(tmp_path / "s.jsonl")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: bugaug extract ")
+    assert f"--patterns: {patterns}: 'negations': expected words, got int 1" in err
+    assert not (tmp_path / "s.jsonl").exists()
 
 
 def test_runtime_failure_exits_1(tmp_path, capsys):
@@ -504,6 +518,91 @@ def test_dataset_artifacts_match_pinned_digests(tmp_path):
     assert len(list(read_jsonl(out / "d_bl.jsonl"))) > len(list(read_jsonl(out / "d_ori.jsonl")))
     digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in _PINNED_DIGESTS}
     assert digests == _PINNED_DIGESTS
+
+
+def test_report_files_do_not_depend_on_the_shard_count(tmp_path, monkeypatch):
+    """The pinned run's report files, built in one shard, in one per CPU of
+    this machine and in three."""
+    corpus = tmp_path / "corpus"
+    generate_corpus(corpus, n_bugs=30, seed=7)
+    extra = ["--factor", "3", "--alpha", "2.0", "--omega", "4.0", "--paraphraser", "shuffle"]
+    names = ("augmented_reports.jsonl", "balance_reports.jsonl")
+    machine = len(os.sched_getaffinity(0))
+    runs = {}
+    for cpus in (1, machine, 3):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: set(range(cpus)))
+        out = tmp_path / f"run{cpus}"
+        assert main(_pipeline_args(corpus, out, extra=extra)) == 0
+        runs[cpus] = [(out / name).read_bytes() for name in names]
+    assert all(runs[1])
+    assert runs[machine] == runs[1]
+    assert runs[3] == runs[1]
+
+
+def _run_dir_files(out) -> set[str]:
+    return {p.name for p in out.iterdir()}
+
+
+def test_a_pipeline_run_leaves_only_its_artifacts_and_manifest(tmp_path, corpus_dir):
+    out = tmp_path / "run"
+    assert main(_pipeline_args(corpus_dir, out)) == 0
+    assert _run_dir_files(out) == {name for s in cli.STAGES for name in s.writes} | {"manifest.json"}
+
+
+def _last_train_bug(out) -> str:
+    return list(read_jsonl(out / "d_ori.jsonl"))[-1]["origin_bug_id"]
+
+
+def test_a_report_shard_missing_its_structured_report_fails_augment(tmp_path, corpus_dir, capsys,
+                                                                     monkeypatch):
+    """The last train bug's refs are the last ones, so its missing structured
+    report fails the forked second shard: exit 1 with the child's error, no
+    reports file and no child left running."""
+    out = tmp_path / "run"
+    assert main(_pipeline_args(corpus_dir, out)) == 0
+    last = _last_train_bug(out)
+    work = tmp_path / "work"
+    work.mkdir()
+    structured = [r for r in read_jsonl(out / "structured.jsonl") if r["bug_id"] != last]
+    write_jsonl(work / "structured.jsonl", structured)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    capsys.readouterr()
+    assert main(["augment", "--corpus", str(out), "--structured", str(work / "structured.jsonl"),
+                 "--factor", "2", "--out", str(work / "d_aug.jsonl"),
+                 "--reports-out", str(work / "reports.jsonl")]) == 1
+    err = capsys.readouterr().err
+    assert f"report shard 2 of 2 failed: KeyError: \"no structured report for bug '{last}'\"" in err
+    assert _run_dir_files(work) == {"structured.jsonl", "d_aug.jsonl"}
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_failed_report_shard_gets_no_manifest_entry(tmp_path, corpus_dir, capsys, caplog,
+                                                      monkeypatch):
+    caplog.set_level(logging.INFO, logger="bugaug")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    out = tmp_path / "run"
+    augment = builder.ReportAugmenter.augment
+    last = cache(lambda: _last_train_bug(out))  # d_ori.jsonl is there once ingest ran
+
+    def fails_for_the_last_bug(self, origin_bug_id, ordinal):
+        if origin_bug_id == last():
+            raise RuntimeError("shard sabotaged")
+        return augment(self, origin_bug_id, ordinal)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(builder.ReportAugmenter, "augment", fails_for_the_last_bug)
+        assert main(_pipeline_args(corpus_dir, out)) == 1
+    assert ("pipeline stage 'augment' failed: report shard 2 of 2 failed: "
+            "RuntimeError: shard sabotaged") in capsys.readouterr().err
+    ran = {name for s in cli.STAGES[:2] for name in s.writes}
+    assert _run_dir_files(out) == ran | {"d_aug.jsonl", "manifest.json"}
+    manifest = json.loads((out / "manifest.json").read_text("utf-8"))
+    assert sorted(manifest["stages"]) == ["extract", "ingest"]
+    caplog.clear()
+    assert main(_pipeline_args(corpus_dir, out)) == 0
+    assert _skipped_stages(caplog) == ["ingest", "extract"]
+    assert _run_dir_files(out) == {name for s in cli.STAGES for name in s.writes} | {"manifest.json"}
 
 
 def test_augment_writes_the_same_d_aug_without_reports_out(tmp_path, corpus_dir):

@@ -1,5 +1,5 @@
-"""Every module uses every name it imports, and importing the CLI loads no
-module only the service paraphraser needs."""
+"""Every module uses every name it imports, importing the CLI loads no
+module only the service paraphraser needs, and no run loads a process pool."""
 
 from __future__ import annotations
 
@@ -55,3 +55,25 @@ def test_importing_the_cli_loads_neither_urllib_request_nor_ssl():
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
                             check=True)
     assert result.stdout.strip() == "[]"
+
+
+def test_neither_the_cli_nor_a_pipeline_run_loads_a_process_pool(tmp_path):
+    """Report shards are forked directly: multiprocessing and
+    concurrent.futures would cost their import, their threads and memory."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    corpus, out = tmp_path / "corpus", tmp_path / "run"
+    code = (
+        "import sys, bugaug.cli as cli\n"
+        "pools = lambda: sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules))\n"
+        "print(pools())\n"
+        f"assert cli.main(['fixture', '--out', {str(corpus)!r}, '--bugs', '10']) == 0\n"
+        f"assert cli.main(['pipeline', '--bugs', {str(corpus / 'bugs.jsonl')!r}, "
+        f"'--diffs', {str(corpus / 'diffs')!r}, '--links', {str(corpus / 'links.jsonl')!r}, "
+        f"'--out', {str(out)!r}, '--factor', '2']) == 0\n"
+        "print(pools())\n"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                            check=True)
+    lines = result.stdout.splitlines()
+    assert f"pipeline complete; artifacts in {out}" in lines
+    assert lines[0] == lines[-1] == "[]"
