@@ -19,7 +19,7 @@ import threading
 from dataclasses import dataclass
 from itertools import starmap
 from pathlib import Path
-from typing import Callable, Iterator, NoReturn, TextIO
+from typing import Callable, Iterator, NoReturn, TextIO, TypeVar
 
 from .code_ops import (
     CodeNameDictionary,
@@ -162,12 +162,17 @@ class ReportAugmenter:
 def referenced_refs(dataset: Dataset) -> list[tuple[str, int]]:
     """(origin bug, ordinal) of each distinct augmented bug_ref of `dataset`,
     in first-reference order; original samples (bug_ref == origin_bug_id)
-    have none."""
+    have none. A bug_ref that is neither its origin bug nor
+    augmented_report_id(origin bug, ordinal) raises ValueError."""
     refs: dict[str, tuple[str, int]] = {}
     for sample in dataset.samples:
-        ref = sample.bug_ref
-        if ref != sample.origin_bug_id and ref not in refs:
-            refs[ref] = (sample.origin_bug_id, int(ref.rpartition("#aug")[2]))
+        ref, origin = sample.bug_ref, sample.origin_bug_id
+        if ref != origin and ref not in refs:
+            ordinal = ref.rpartition("#aug")[2]
+            if not (ordinal.isdecimal() and ref == augmented_report_id(origin, int(ordinal))):
+                raise ValueError(f"bug_ref {ref!r} of bug {origin!r} is neither the bug's id nor "
+                                 f"'{origin}#aug<n>'")
+            refs[ref] = (origin, int(ordinal))
     return list(refs.values())
 
 
@@ -178,34 +183,30 @@ def referenced_reports(
     return starmap(augmenter.augment, referenced_refs(dataset))
 
 
-Augment = Callable[[str, int], AugmentedBugReport]
-
-
-def _report_line(augment: Augment, ref: tuple[str, int]) -> str:
-    return jsonl_line(augmented_report_to_dict(augment(*ref)))
+Item = TypeVar("Item")
 
 
 class _Shard:
-    """A forked child that builds the reports of refs. It writes their lines
-    to one anonymous temporary file and then its substitute-cache delta, or
-    its error, to another, and leaves through os._exit: it runs none of the
-    parent's exit handlers and flushes none of its buffers."""
+    """A forked child that writes line(item) for each of items to one
+    anonymous temporary file and then what done() returns, or its error, to
+    another, and leaves through os._exit: it runs none of the parent's exit
+    handlers and flushes none of its buffers."""
 
-    def __init__(self, refs: list[tuple[str, int]], augment: Augment):
+    def __init__(self, items: list[Item], line: Callable[[Item], str], done: Callable[[], object]):
         self.lines = tempfile.TemporaryFile()
         self.result = tempfile.TemporaryFile()
         self.pid: int | None = os.fork()
         if self.pid == 0:
-            self._build(refs, augment)
+            self._write(items, line, done)
 
-    def _build(self, refs: list[tuple[str, int]], augment: Augment) -> NoReturn:
+    def _write(self, items: list[Item], line: Callable[[Item], str],
+               done: Callable[[], object]) -> NoReturn:
         code = 1
         try:
-            since = substitute_cache_info()
-            for ref in refs:
-                self.lines.write(_report_line(augment, ref).encode("utf-8"))
+            for item in items:
+                self.lines.write(line(item).encode("utf-8"))
             self.lines.flush()
-            marshal.dump(substitute_cache_delta(since), self.result)
+            marshal.dump(done(), self.result)
             code = 0
         except BaseException as exc:
             marshal.dump(f"{type(exc).__name__}: {exc}", self.result)
@@ -213,9 +214,9 @@ class _Shard:
             self.result.flush()
             os._exit(code)
 
-    def append_to(self, out: TextIO, name: str) -> None:
-        """Wait for the child, then append its lines to out and merge its
-        cache delta; a child that raised or was killed raises here."""
+    def append_to(self, out: TextIO, name: str) -> object:
+        """Wait for the child, then append its lines to out and return what
+        its done() returned; a child that raised or was killed raises here."""
         _, status = os.waitpid(self.pid, 0)
         self.pid = None
         code = os.waitstatus_to_exitcode(status)
@@ -228,7 +229,7 @@ class _Shard:
         out.flush()
         self.lines.seek(0)
         shutil.copyfileobj(self.lines, out.buffer)
-        merge_substitute_cache(payload)
+        return payload
 
     def kill(self) -> None:
         if self.pid is not None:
@@ -244,25 +245,29 @@ class _Shard:
         self.result.close()
 
 
-def write_reports(path: str | Path, refs: list[tuple[str, int]], augment: Augment | None) -> None:
-    """Write augment(*ref) for each ref to path as JSON lines, in refs' order.
+def write_sharded(path: str | Path, items: list[Item], line: Callable[[Item], str], name: str,
+                  done: Callable[[], object] = lambda: None) -> list:
+    """Write line(item) for each of items to path, in items' order, on every
+    CPU this process may run on, and return what done() returned in each
+    forked child, in shard order. line and done must return what marshal
+    can send.
 
-    Each report is a pure function of its ref, so the reports are built on
-    every CPU this process may run on: refs are split into contiguous, equal
-    shards, one per CPU, so a bug's adjacent refs share a process except at
-    a shard boundary. This process builds the first shard into path while a
-    forked child builds each other one (one CPU, or fewer than two refs,
-    forks nothing). The children's lines are appended in shard order and
-    their substitute-cache entries and counts merged here, so neither the
-    bytes nor the cache depend on the CPU count. A failed shard, here or in
-    a child, fails the call: every child is reaped and path is removed.
-    A process running other threads forks nothing: a child has only the
-    forking thread, so a lock another thread held would stay held in it.
+    Items are split into contiguous, equal shards, one per CPU, so adjacent
+    items share a process except at a shard boundary. This process writes
+    the first shard into path while a forked child writes each other one
+    (one CPU, or fewer than two items, forks nothing); the children's lines
+    are appended in shard order, so the bytes do not depend on the CPU count
+    as long as each line is a pure function of its item. A failed shard,
+    here or in a child, fails the call with the child's error, as
+    "<name> shard <i> of <n> failed: ...": every child is reaped and path is
+    removed. A process running other threads forks nothing: a child has
+    only the forking thread, so a lock another thread held would stay held
+    in it.
     """
     forkable = hasattr(os, "sched_getaffinity") and threading.active_count() == 1
     cpus = len(os.sched_getaffinity(0)) if forkable else 1
-    count = max(1, min(cpus, len(refs)))
-    shards = [refs[len(refs) * i // count:len(refs) * (i + 1) // count] for i in range(count)]
+    count = max(1, min(cpus, len(items)))
+    shards = [items[len(items) * i // count:len(items) * (i + 1) // count] for i in range(count)]
     children: list[_Shard] = []
     try:
         with open_new(path) as out:
@@ -270,11 +275,11 @@ def write_reports(path: str | Path, refs: list[tuple[str, int]], augment: Augmen
             sys.stdout.flush()
             sys.stderr.flush()
             for shard in shards[1:]:
-                children.append(_Shard(shard, augment))
-            for ref in shards[0]:
-                out.write(_report_line(augment, ref))
-            for number, child in enumerate(children, start=2):
-                child.append_to(out, f"report shard {number} of {count}")
+                children.append(_Shard(shard, line, done))
+            for item in shards[0]:
+                out.write(line(item))
+            return [child.append_to(out, f"{name} shard {number} of {count}")
+                    for number, child in enumerate(children, start=2)]
     except BaseException:
         for child in children:
             child.kill()
@@ -283,6 +288,19 @@ def write_reports(path: str | Path, refs: list[tuple[str, int]], augment: Augmen
     finally:
         for child in children:
             child.reap()
+
+
+def write_reports(path: str | Path, refs: list[tuple[str, int]],
+                  augment: Callable[[str, int], AugmentedBugReport] | None) -> None:
+    """Write augment(*ref) for each ref to path as JSON lines, in refs' order,
+    through write_sharded: each report is a pure function of its ref. Each
+    child's substitute-cache entries and counts are merged here, so neither
+    the bytes nor the cache depend on the CPU count."""
+    since = substitute_cache_info()
+    deltas = write_sharded(path, refs, lambda ref: jsonl_line(augmented_report_to_dict(augment(*ref))),
+                           "report", lambda: substitute_cache_delta(since))
+    for delta in deltas:
+        merge_substitute_cache(delta)
 
 
 def generate_augmented_set(d_ori: Dataset, factor: int, sampler: NegativeSampler, seed: int) -> Dataset:

@@ -26,6 +26,7 @@ from .builder import (
     generate_repeated_set,
     referenced_refs,
     write_reports,
+    write_sharded,
 )
 from .code_ops import load_code_name_dicts, mine_code_names, substitute_cache_info
 from .corpus import ProjectCorpus, ingest_corpus, load_hunks_jsonl, load_links
@@ -37,8 +38,8 @@ from .metrics import (
     per_bug_scores,
     read_qrels,
     read_run,
+    run_lines,
     write_qrels,
-    write_run,
 )
 from .model import (
     Dataset,
@@ -193,16 +194,15 @@ def stage_extract(corpus_dir: CorpusDir, patterns_path: str | None, lib_prefixes
     log.info("extracted structure for %d bug reports", len(records))
 
 
-def _write_reports(path: Path, dataset: Dataset, corpus_dir: CorpusDir, structured_path: Path,
-                   args) -> None:
-    """Write the augmented report behind each distinct augmented bug_ref of
-    dataset; the augmenter is built only if there is one."""
+def _write_reports(path: Path, name: str, refs: list[tuple[str, int]], corpus_dir: CorpusDir,
+                   structured_path: Path, args) -> None:
+    """Write the augmented report behind each of refs, the distinct augmented
+    bug_refs of dataset name; the augmenter is built only if there is one."""
     before = substitute_cache_info()
-    refs = referenced_refs(dataset)
     augment = _build_augmenter(corpus_dir, structured_path, args).augment if refs else None
     write_reports(path, refs, augment)
     after = substitute_cache_info()
-    log.info("%s reports: substitute ranking %d cache hits, %d misses", dataset.name,
+    log.info("%s reports: substitute ranking %d cache hits, %d misses", name,
              after.hits - before.hits, after.misses - before.misses)
 
 
@@ -211,10 +211,11 @@ def stage_augment(corpus_dir: CorpusDir, structured_path: Path, args, out_path: 
     d_ori = corpus_dir.d_ori()
     sampler = corpus_dir.corpus.negative_sampler()
     d_aug = generate_augmented_set(d_ori, args.factor, sampler, args.seed)
+    refs = referenced_refs(d_aug)  # refuses a malformed bug_ref before anything is written
     write_dataset(out_path, d_aug)
     log.info("|D_aug|=%d (factor %d over |D_ori|=%d)", len(d_aug), args.factor, len(d_ori))
     if reports_out is not None:
-        _write_reports(reports_out, d_aug, corpus_dir, structured_path, args)
+        _write_reports(reports_out, d_aug.name, refs, corpus_dir, structured_path, args)
     if rep_out is not None:
         d_rep = generate_repeated_set(d_ori, args.factor, sampler, args.seed)
         write_dataset(rep_out, d_rep)
@@ -226,10 +227,11 @@ def stage_balance(corpus_dir: CorpusDir, structured_path: Path, train_path: Path
     d_train = load_dataset(train_path, "D_train")
     sampler = corpus_dir.corpus.negative_sampler()
     d_bl = balance_dataset(d_train, args.alpha, args.omega, sampler, args.seed)
+    refs = referenced_refs(d_bl)  # refuses a malformed --train bug_ref before anything is written
     write_dataset(out_path, d_bl)
     log.info("|D_bl|=%d (alpha=%s omega=%s)", len(d_bl), args.alpha, args.omega)
     if reports_out is not None:
-        _write_reports(reports_out, d_bl, corpus_dir, structured_path, args)
+        _write_reports(reports_out, d_bl.name, refs, corpus_dir, structured_path, args)
 
 
 def stage_stats(dataset_paths: dict[str, Path], top_k: int, out_path: Path,
@@ -255,8 +257,10 @@ def stage_retrieve(corpus_dir: CorpusDir, bugs_path: Path, top_n: int, out_path:
     log_messages = {cs_id: cs.log_message for cs_id, cs in corpus_dir.changesets().items()}
     index = index_hunks(corpus_dir.hunks, log_messages)
     texts = {bug.id: bug.text for bug in map(bug_from_dict, read_jsonl(bugs_path))}
-    # one bug's ranking at a time, in id order
-    write_run(out_path, ((bug_id, rank(text, index, top_n)) for bug_id, text in sorted(texts.items())))
+    # bugs in id order, ranked on every CPU against the one index built here;
+    # rank is looked up when a shard calls it, so a wrapper over cli.rank runs
+    write_sharded(out_path, sorted(texts.items()),
+                  lambda bug: run_lines(bug[0], rank(bug[1], index, top_n)), "ranking")
     log.info("ranked %d hunks for %d bug reports", len(index), len(texts))
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import logging
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -150,6 +151,26 @@ def split_by_date(bugs: list[BugReport]) -> tuple[list[BugReport], list[BugRepor
     return ordered[:n_train], ordered[n_train:]
 
 
+class _HunksWithout:
+    """hunks without those at the ascending positions `skipped`, as a sequence
+    of indices 0 to len - 1, built without copying hunks."""
+
+    def __init__(self, hunks: list[Hunk], skipped: list[int]):
+        self._hunks = hunks
+        # _kept_before[j]: how many hunks are kept before skipped[j]
+        self._kept_before = [position - j for j, position in enumerate(skipped)]
+
+    def __len__(self) -> int:
+        return len(self._hunks) - len(self._kept_before)
+
+    def __getitem__(self, index: int) -> Hunk:
+        if not 0 <= index < len(self):
+            raise IndexError(f"index {index} out of range for {len(self)} hunks")
+        # the skipped positions before the index-th kept hunk are those with
+        # at most index kept hunks before them
+        return self._hunks[index + bisect_right(self._kept_before, index)]
+
+
 class NegativeSampler:
     """Draws negative hunks for a bug from classes outside its inducing set.
     excluded_classes(bug_id) is called once per bug the sampler is asked about."""
@@ -157,12 +178,17 @@ class NegativeSampler:
     def __init__(self, hunks: list[Hunk], excluded_classes: Callable[[str], frozenset[str]]):
         self._hunks = sorted(hunks, key=lambda h: h.id)
         self._excluded = excluded_classes
-        self._cache: dict[str, list[Hunk]] = {}
+        self._positions: dict[str, list[int]] = {}
+        for position, hunk in enumerate(self._hunks):
+            self._positions.setdefault(hunk.class_name, []).append(position)
+        self._cache: dict[str, _HunksWithout] = {}
 
-    def eligible(self, origin_bug_id: str) -> list[Hunk]:
+    def eligible(self, origin_bug_id: str) -> _HunksWithout:
+        """The id-ordered hunks whose class the bug does not exclude."""
         if origin_bug_id not in self._cache:
-            excluded = self._excluded(origin_bug_id)
-            self._cache[origin_bug_id] = [h for h in self._hunks if h.class_name not in excluded]
+            skipped = sorted(position for class_name in self._excluded(origin_bug_id)
+                             for position in self._positions.get(class_name, ()))
+            self._cache[origin_bug_id] = _HunksWithout(self._hunks, skipped)
         return self._cache[origin_bug_id]
 
     def draw(self, origin_bug_id: str, rng) -> Hunk:

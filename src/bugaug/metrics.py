@@ -140,12 +140,18 @@ def read_run(path: str | Path) -> dict[str, list[tuple[str, float]]]:
     return {bug: sort_ranking(entries) for bug, entries in raw.items()}
 
 
+def run_lines(bug_id: str, ranking: Ranking) -> str:
+    """bug_id's ranking as run-file lines, the last newline included: the
+    one format of a run file."""
+    return "".join(f"{bug_id} {hunk_id} {position} {score:.6f}\n"
+                   for position, (hunk_id, score) in enumerate(ranking, start=1))
+
+
 def write_run(path: str | Path, rankings: Iterable[tuple[str, Ranking]]) -> None:
     """Write (bug_id, ranking) pairs in the order given."""
     with open_new(path) as fh:
         for bug_id, ranking in rankings:
-            for position, (hunk_id, score) in enumerate(ranking, start=1):
-                fh.write(f"{bug_id} {hunk_id} {position} {score:.6f}\n")
+            fh.write(run_lines(bug_id, ranking))
 
 
 def parse_metric_names(names: Iterable[str]) -> list[str]:

@@ -39,16 +39,16 @@ class IndexedHunk:
 class HunkIndex:
     """Hunks in ascending id order. `postings` maps each term to the ascending
     positions in `hunks` of the hunks that contain it, so its document
-    frequency is the list's length, and `posting_tfs` to an array of the
-    term's frequency in each of them, in the same order.
-    `norms[position]` is that hunk's BM25 length normaliser,
-    K1 * (1 - B + B * length / average_length)."""
+    frequency is the list's length; `posting_tfs` maps it to an array of the
+    term's frequency in each of them, and `posting_denominators` to an array
+    of each one's BM25 denominator tf + norm, in the same order. A hunk's
+    norm is its length normaliser, K1 * (1 - B + B * length / average_length)."""
 
     hunks: list[IndexedHunk]
     average_length: float
     postings: dict[str, list[int]]
     posting_tfs: dict[str, array]
-    norms: list[float]
+    posting_denominators: dict[str, array]
 
     def __len__(self) -> int:
         return len(self.hunks)
@@ -85,21 +85,28 @@ def index_hunks(hunks: Sequence[Hunk], log_messages: Mapping[str, str] | None = 
     # average_length is 0 only when every length is 0; it must not divide then
     divisor = average_length or 1.0
     norms = [K1 * (1.0 - B + B * d.length / divisor) for d in indexed]
+    denominators = {
+        term: array("d", [tf + norms[position] for position, tf in zip(positions, posting_tfs[term])])
+        for term, positions in postings.items()
+    }
     return HunkIndex(
         hunks=indexed,
         average_length=average_length,
         postings=postings,
         posting_tfs=posting_tfs,
-        norms=norms,
+        posting_denominators=denominators,
     )
 
 
 def rank(bug_report_text: str, index: HunkIndex, top_n: int) -> list[tuple[str, float]]:
     """Top-n (hunk_id, score) pairs, score descending, ties by hunk id.
 
-    Only hunks that share a term with the query are scored; every such score
-    is positive, so hunks sharing none fill any remaining places at 0.0 in id
-    order."""
+    Scores accumulate term at a time into one flat list indexed by hunk
+    position, over only the postings of the query's terms, with each
+    posting's denominator read from the index. A hunk that shares no term
+    with the query keeps 0.0; every other score is positive. Positions
+    ascend with hunk id and the top-n selection is stable, so equal scores,
+    the 0.0 ones included, come in id order."""
     if top_n < 1:
         raise ValueError(f"top_n must be at least 1, got {top_n}")
     if not index.hunks:
@@ -110,8 +117,7 @@ def rank(bug_report_text: str, index: HunkIndex, top_n: int) -> list[tuple[str, 
         query_counts[token] = query_counts.get(token, 0) + 1
     n_docs = len(index)
     k1_plus_1 = K1 + 1.0
-    norms = index.norms
-    scores: dict[int, float] = {}
+    scores = [0.0] * n_docs
     for term, query_count in query_counts.items():
         positions = index.postings.get(term)
         if positions is None:
@@ -119,15 +125,8 @@ def rank(bug_report_text: str, index: HunkIndex, top_n: int) -> list[tuple[str, 
         df = len(positions)
         # query_count * idf * tf * (k1 + 1) / (tf + norm), multiplied left to right
         qi = query_count * math.log(1.0 + (n_docs - df + 0.5) / (df + 0.5))
-        for position, tf in zip(positions, index.posting_tfs[term]):
-            score = qi * tf * k1_plus_1 / (tf + norms[position])
-            scores[position] = scores.get(position, 0.0) + score
-    # positions ascend with hunk id, so (-score, position) orders as (-score, hunk id)
-    top = heapq.nsmallest(top_n, [(-score, position) for position, score in scores.items()])
-    ranking = [(index.hunks[position].hunk_id, -negated) for negated, position in top]
-    for position, doc in enumerate(index.hunks):
-        if len(ranking) == top_n:
-            break
-        if position not in scores:
-            ranking.append((doc.hunk_id, 0.0))
-    return ranking
+        for position, tf, denominator in zip(positions, index.posting_tfs[term],
+                                             index.posting_denominators[term]):
+            scores[position] += qi * tf * k1_plus_1 / denominator
+    top = heapq.nlargest(top_n, range(n_docs), key=scores.__getitem__)
+    return [(index.hunks[position].hunk_id, scores[position]) for position in top]

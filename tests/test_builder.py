@@ -254,6 +254,14 @@ def test_referenced_reports_follow_first_reference_order(patterns, substitutes):
     ]
 
 
+def test_referenced_refs_refuse_a_ref_that_is_no_augmented_report_id():
+    for ref in ("b1-copy", "b1#aug", "b1#augx", "b1#aug01", "b2#aug1", "7"):
+        sample = TrainingSample(bug_ref=ref, origin_bug_id="b1", hunk_id="h", class_name="C",
+                                label="positive")
+        with pytest.raises(ValueError, match=f"^bug_ref '{ref}' of bug 'b1' is neither"):
+            referenced_refs(Dataset(name="D", samples=[sample]))
+
+
 def test_report_augmenter_unknown_bug_raises(patterns, substitutes):
     with pytest.raises(KeyError):
         _full_augmenter(patterns, substitutes).augment("missing", 1)

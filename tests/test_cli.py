@@ -14,7 +14,7 @@ import pytest
 from bugaug import builder, cli
 from bugaug.cli import main
 from bugaug.fixtures import generate_corpus
-from bugaug.model import read_jsonl, write_jsonl
+from bugaug.model import bug_from_dict, read_jsonl, write_jsonl
 
 
 @pytest.fixture(scope="module")
@@ -539,6 +539,49 @@ def test_report_files_do_not_depend_on_the_shard_count(tmp_path, monkeypatch):
     assert runs[3] == runs[1]
 
 
+_PINNED_RUN_EXTRA = ["--factor", "3", "--alpha", "2.0", "--omega", "4.0", "--paraphraser", "shuffle"]
+_PINNED_RANKING_DIGESTS = {
+    "run.txt": "28591db2a312e47d44bec88474c31d29bfd6a50263184407f15faefa6280e0c4",
+    "metrics.json": "5a0e88be51a46acfb6ed67c009f052555e1f153d8a57b0a887e8ce0951fa0e37",
+}
+
+
+def _pinned_run(tmp_path):
+    """The run directory of the pipeline run whose datasets are pinned above."""
+    corpus = tmp_path / "corpus"
+    generate_corpus(corpus, n_bugs=30, seed=7)
+    out = tmp_path / "run"
+    assert main(_pipeline_args(corpus, out, extra=_PINNED_RUN_EXTRA)) == 0
+    return out
+
+
+def test_ranking_artifacts_match_pinned_digests(tmp_path):
+    """A changed BM25 score, tie order or run-line format shows here as a
+    changed digest."""
+    out = _pinned_run(tmp_path)
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+               for name in _PINNED_RANKING_DIGESTS}
+    assert digests == _PINNED_RANKING_DIGESTS
+
+
+def test_run_file_does_not_depend_on_the_shard_count(tmp_path, monkeypatch):
+    """The pinned run's run file, ranked in one shard, in one per CPU of
+    this machine and in three."""
+    out = _pinned_run(tmp_path)
+    assert len(list(read_jsonl(out / "test_bugs.jsonl"))) > 3
+    machine = len(os.sched_getaffinity(0))
+    runs = {}
+    for cpus in (1, machine, 3):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: set(range(cpus)))
+        path = tmp_path / f"run{cpus}.txt"
+        assert main(["retrieve", "--index", str(out), "--bugs", str(out / "test_bugs.jsonl"),
+                     "--out", str(path)]) == 0
+        runs[cpus] = path.read_bytes()
+    assert runs[1] == (out / "run.txt").read_bytes()
+    assert runs[machine] == runs[1]
+    assert runs[3] == runs[1]
+
+
 def _run_dir_files(out) -> set[str]:
     return {p.name for p in out.iterdir()}
 
@@ -577,32 +620,67 @@ def test_a_report_shard_missing_its_structured_report_fails_augment(tmp_path, co
         os.waitpid(-1, os.WNOHANG)
 
 
-def test_a_failed_report_shard_gets_no_manifest_entry(tmp_path, corpus_dir, capsys, caplog,
-                                                      monkeypatch):
+def _last_test_bug_text(out) -> str:
+    return max(map(bug_from_dict, read_jsonl(out / "test_bugs.jsonl")), key=lambda b: b.id).text
+
+
+# per stage that writes its file in shards: the call that builds one item,
+# as (owner, attribute, which argument names the item, the item the last
+# shard holds), the shard name in its error and what it writes before
+@pytest.mark.parametrize("stage, owner, call, argument, last, shard, partial", [
+    ("augment", builder.ReportAugmenter, "augment", 1, _last_train_bug, "report", {"d_aug.jsonl"}),
+    ("retrieve", cli, "rank", 0, _last_test_bug_text, "ranking", set()),
+], ids=["augment", "retrieve"])
+def test_a_failed_shard_gets_no_manifest_entry(tmp_path, corpus_dir, capsys, caplog, monkeypatch,
+                                               stage, owner, call, argument, last, shard, partial):
+    """The last item fails in the forked second shard: exit 1 with the
+    child's error, the sharded file removed, no child left running and no
+    manifest entry for the stage, so the next run reruns it."""
     caplog.set_level(logging.INFO, logger="bugaug")
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     out = tmp_path / "run"
-    augment = builder.ReportAugmenter.augment
-    last = cache(lambda: _last_train_bug(out))  # d_ori.jsonl is there once ingest ran
+    build = getattr(owner, call)
+    last_item = cache(lambda: last(out))  # ingest wrote what it reads before the stage runs
 
-    def fails_for_the_last_bug(self, origin_bug_id, ordinal):
-        if origin_bug_id == last():
+    def fails_for_the_last_item(*args):
+        if args[argument] == last_item():
             raise RuntimeError("shard sabotaged")
-        return augment(self, origin_bug_id, ordinal)
+        return build(*args)
 
     with monkeypatch.context() as patched:
-        patched.setattr(builder.ReportAugmenter, "augment", fails_for_the_last_bug)
+        patched.setattr(owner, call, fails_for_the_last_item)
         assert main(_pipeline_args(corpus_dir, out)) == 1
-    assert ("pipeline stage 'augment' failed: report shard 2 of 2 failed: "
+    assert (f"pipeline stage {stage!r} failed: {shard} shard 2 of 2 failed: "
             "RuntimeError: shard sabotaged") in capsys.readouterr().err
-    ran = {name for s in cli.STAGES[:2] for name in s.writes}
-    assert _run_dir_files(out) == ran | {"d_aug.jsonl", "manifest.json"}
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    before = cli.STAGES[:[s.name for s in cli.STAGES].index(stage)]
+    ran = {name for s in before for name in s.writes}
+    assert _run_dir_files(out) == ran | partial | {"manifest.json"}
     manifest = json.loads((out / "manifest.json").read_text("utf-8"))
-    assert sorted(manifest["stages"]) == ["extract", "ingest"]
+    assert sorted(manifest["stages"]) == sorted(s.name for s in before)
     caplog.clear()
     assert main(_pipeline_args(corpus_dir, out)) == 0
-    assert _skipped_stages(caplog) == ["ingest", "extract"]
+    assert _skipped_stages(caplog) == [s.name for s in before]
     assert _run_dir_files(out) == {name for s in cli.STAGES for name in s.writes} | {"manifest.json"}
+
+
+def test_a_malformed_train_bug_ref_fails_balance_before_it_writes(tmp_path, corpus_dir, capsys):
+    out = tmp_path / "run"
+    assert main(_pipeline_args(corpus_dir, out)) == 0
+    work = tmp_path / "work"
+    work.mkdir()
+    samples = list(read_jsonl(out / "d_ori.jsonl"))
+    origin = samples[0]["origin_bug_id"]
+    samples[0]["bug_ref"] = f"{origin}-copy"
+    write_jsonl(work / "train.jsonl", samples)
+    capsys.readouterr()
+    assert main(["balance", "--corpus", str(out), "--structured", str(out / "structured.jsonl"),
+                 "--train", str(work / "train.jsonl"), "--alpha", "2.0", "--omega", "4.0",
+                 "--out", str(work / "d_bl.jsonl"), "--reports-out", str(work / "reports.jsonl")]) == 1
+    assert (f"bugaug balance: bug_ref '{origin}-copy' of bug '{origin}' is neither the bug's id "
+            f"nor '{origin}#aug<n>'") in capsys.readouterr().err
+    assert _run_dir_files(work) == {"train.jsonl"}
 
 
 def test_augment_writes_the_same_d_aug_without_reports_out(tmp_path, corpus_dir):

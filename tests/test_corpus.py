@@ -1,10 +1,14 @@
 from __future__ import annotations
 
 import logging
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bugaug.corpus import (
+    NegativeSampler,
     build_d_ori,
     drop_unusable_bugs,
     ingest_corpus,
@@ -14,7 +18,7 @@ from bugaug.corpus import (
 from bugaug.fixtures import generate_corpus
 from bugaug.model import CorpusError, bug_from_dict, changeset_from_dict, link_from_dict
 
-from conftest import build_corpus, make_bug
+from conftest import build_corpus, make_bug, make_hunk
 
 
 def test_positive_filter_keeps_only_classes_touched_by_fix():
@@ -169,3 +173,31 @@ def test_link_refuses_a_string_changeset_list(key):
     record[key] = "cs1"
     with pytest.raises(ValueError, match=key):
         link_from_dict(record)
+
+
+_CLASSES = ["Alpha", "Beta", "Gamma", "Delta"]
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(classes=st.lists(st.sampled_from(_CLASSES), max_size=30),
+       excluded=st.frozensets(st.sampled_from([*_CLASSES, "Absent"])),
+       seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_the_negative_pool_is_the_filtered_hunk_list(classes, excluded, seed, data):
+    """The pool is a view over the id-sorted hunks: element by element the
+    list of the hunks outside the excluded classes, so a draw from an rng
+    state picks the hunk random.choice picks from that list."""
+    ids = data.draw(st.permutations([f"h{i:02d}" for i in range(len(classes))]))
+    hunks = [make_hunk(hunk_id, "cs", class_name) for hunk_id, class_name in zip(ids, classes)]
+    sampler = NegativeSampler(hunks, lambda bug: excluded)
+    expected = [h for h in sorted(hunks, key=lambda h: h.id) if h.class_name not in excluded]
+    pool = sampler.eligible("b1")
+    assert len(pool) == len(expected)
+    assert [pool[i] for i in range(len(pool))] == expected
+    for index in (-1, len(pool)):
+        with pytest.raises(IndexError):
+            pool[index]
+    if expected:
+        assert sampler.draw("b1", random.Random(seed)) is random.Random(seed).choice(expected)
+    else:
+        with pytest.raises(CorpusError, match="no eligible negative class for bug 'b1'"):
+            sampler.draw("b1", random.Random(seed))

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bugaug.retrieval import hunk_document, index_hunks, index_tokens, rank
+from bugaug.retrieval import B, K1, hunk_document, index_hunks, index_tokens, rank
 
 from conftest import make_hunk
 
@@ -202,6 +202,27 @@ def test_rank_equals_full_scan_reference(documents, query_terms, data):
     matched = sum(1 for _, tokens in documents if set(tokens) & set(query_terms))
     for top_n in sorted({1, max(1, matched - 1), max(1, matched), matched + 1, len(hunks) + 2}):
         assert rank(query, index, top_n) == _full_scan_rank(query, hunks, top_n)
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(documents=_CORPORA, data=st.data())
+def test_each_posting_stores_its_bm25_denominator(documents, data):
+    """A posting's stored denominator is exactly tf + norm, with the hunk's
+    norm K1 * (1 - B + B * length / average_length) from its own tokens."""
+    ids = data.draw(st.permutations([f"h{i:02d}" for i in range(len(documents))]))
+    hunks = [
+        make_hunk(hunk_id, "cs", "Cls", lines=(("added", " ".join(words)),) if words else ())
+        for hunk_id, words in zip(ids, documents)
+    ]
+    index = index_hunks(hunks)
+    lengths = [len(tokens) for _, tokens in _document_tokens(hunks)]
+    assert [h.length for h in index.hunks] == lengths
+    average_length = sum(lengths) / len(lengths)
+    assert index.posting_denominators.keys() == index.postings.keys()
+    for term, positions in index.postings.items():
+        norms = [K1 * (1.0 - B + B * lengths[p] / average_length) for p in positions]
+        expected = [tf + norm for tf, norm in zip(index.posting_tfs[term], norms)]
+        assert list(index.posting_denominators[term]) == expected
 
 
 def test_rank_rejects_top_n_below_one():
