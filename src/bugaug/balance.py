@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .builder import augmented_report_id
+from .builder import augmented_report_id, referenced_refs
 from .corpus import NegativeSampler
 from .model import Dataset, TrainingSample
 from .rng import derive_rng
@@ -33,7 +33,8 @@ def balance_dataset(
 ) -> Dataset:
     """Grow each bug toward the per-bug cap by adding (fresh augmented report,
     eligible hunk) positives, one fresh negative per addition; a hunk is
-    eligible while its class sits below the class cap."""
+    eligible while its class sits below the class cap. A bug's fresh reports
+    are numbered after the largest ordinal d_train references for it."""
     if alpha <= 0 or omega <= 0:
         raise ValueError("alpha and omega must be positive")
     positives = d_train.positives()
@@ -51,11 +52,14 @@ def balance_dataset(
             pairs.append((p.hunk_id, p.class_name))
     for pairs in hunks_by_bug.values():
         pairs.sort()
+    last_ordinal: dict[str, int] = {}
+    for bug, ordinal in referenced_refs(d_train):
+        last_ordinal[bug] = max(last_ordinal.get(bug, 0), ordinal)
 
     samples = list(d_train.samples)
     for bug in sorted(hunks_by_bug):
         rng = derive_rng(seed, "balance", bug)
-        ordinal = 0
+        ordinal = last_ordinal.get(bug, 0)
         while bug_counts[bug] < max_br:
             eligible = [(h, c) for h, c in hunks_by_bug[bug] if class_counts[c] < max_cl]
             if not eligible:

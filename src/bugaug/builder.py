@@ -17,9 +17,8 @@ import sys
 import tempfile
 import threading
 from dataclasses import dataclass
-from itertools import starmap
 from pathlib import Path
-from typing import Callable, Iterator, NoReturn, TextIO, TypeVar
+from typing import Callable, NoReturn, TextIO, TypeVar
 
 from .code_ops import (
     CodeNameDictionary,
@@ -174,13 +173,6 @@ def referenced_refs(dataset: Dataset) -> list[tuple[str, int]]:
                                  f"'{origin}#aug<n>'")
             refs[ref] = (origin, int(ordinal))
     return list(refs.values())
-
-
-def referenced_reports(
-    dataset: Dataset, augmenter: ReportAugmenter
-) -> Iterator[AugmentedBugReport]:
-    """The report behind each of referenced_refs(dataset), in its order."""
-    return starmap(augmenter.augment, referenced_refs(dataset))
 
 
 Item = TypeVar("Item")

@@ -227,7 +227,7 @@ def stage_balance(corpus_dir: CorpusDir, structured_path: Path, train_path: Path
     d_train = load_dataset(train_path, "D_train")
     sampler = corpus_dir.corpus.negative_sampler()
     d_bl = balance_dataset(d_train, args.alpha, args.omega, sampler, args.seed)
-    refs = referenced_refs(d_bl)  # refuses a malformed --train bug_ref before anything is written
+    refs = referenced_refs(d_bl)
     write_dataset(out_path, d_bl)
     log.info("|D_bl|=%d (alpha=%s omega=%s)", len(d_bl), args.alpha, args.omega)
     if reports_out is not None:
@@ -280,18 +280,22 @@ def stage_eval(run_path: Path, qrels_path: Path, metric_names: list[str], out_pa
 class Stage:
     """A stage, run alone by its subcommand or in order by `pipeline`.
 
-    Options go by their argparse dest: "code_dict" for --code-dict.
+    Options go by their argparse dest: "code_dict" for --code-dict. The
+    subcommand takes the options of `inputs`, `paths` and `config`, and
+    `summary` is its help line.
     `inputs`: the subcommand's options that name files the stage reads.
     `paths`: what each path option names in a pipeline run's directory (""
-    is the directory, a tuple several files); other options keep their value.
+    is the directory, a tuple several files, None no file: the option is
+    None); other options keep their value.
     `reads`: run-directory files and pipeline inputs (by option) that the
     outputs depend on; `writes`: the run-directory files it writes;
     `config`: the options its outputs depend on. `call` maps the options and
     a CorpusDir factory to the stage function's positional arguments."""
 
     name: str
+    summary: str
     inputs: tuple[str, ...]
-    paths: dict[str, str | tuple[str, ...]]
+    paths: dict[str, str | tuple[str, ...] | None]
     reads: tuple[str, ...]
     writes: tuple[str, ...]
     config: tuple[str, ...]
@@ -313,36 +317,41 @@ def _by_stem(paths: Path | list[Path]) -> dict[str, Path]:
 
 
 STAGES = (
-    Stage("ingest", ("bugs", "diffs", "links"), {"out": ""},
+    Stage("ingest", "parse inputs, build D_ori and the date split",
+          ("bugs", "diffs", "links"), {"out": ""},
           reads=("bugs", "diffs", "links"),
           writes=("train_bugs.jsonl", "test_bugs.jsonl", "hunks.jsonl", "links.jsonl",
                   "changesets.jsonl", "d_ori.jsonl", "qrels.txt"),
           config=("seed",), call=lambda a, corpus: (a.bugs, a.diffs, a.links, a.seed, a.out)),
-    Stage("extract", ("corpus", "patterns"), {"corpus": "", "out": "structured.jsonl"},
+    Stage("extract", "decompose train bug reports into structured samples",
+          ("corpus", "patterns"), {"corpus": "", "out": "structured.jsonl"},
           reads=("train_bugs.jsonl", "hunks.jsonl", "patterns"), writes=("structured.jsonl",),
           config=("lib_prefixes",),
           call=lambda a, corpus: (corpus(a.corpus), a.patterns,
                                   [p for p in a.lib_prefixes.split(",") if p], a.out)),
-    Stage("augment", ("corpus", "structured", *_OPTION_FILES),
+    Stage("augment", "generate D_aug (and optionally D_rep)",
+          ("corpus", "structured", *_OPTION_FILES),
           {"corpus": "", "structured": "structured.jsonl", "out": "d_aug.jsonl",
            "rep_out": "d_rep.jsonl", "reports_out": "augmented_reports.jsonl"},
           reads=_AUGMENT_READS, writes=("d_aug.jsonl", "d_rep.jsonl", "augmented_reports.jsonl"),
           config=("factor", *_AUGMENT_CONFIG),
           call=lambda a, corpus: (corpus(a.corpus), a.structured, a, a.out, a.rep_out, a.reports_out)),
-    Stage("balance", ("corpus", "structured", "train", *_OPTION_FILES),
+    Stage("balance", "build the balanced dataset D_bl",
+          ("corpus", "structured", "train", *_OPTION_FILES),
           {"corpus": "", "structured": "structured.jsonl", "train": "d_ori.jsonl",
            "out": "d_bl.jsonl", "reports_out": "balance_reports.jsonl"},
           reads=_AUGMENT_READS, writes=("d_bl.jsonl", "balance_reports.jsonl"),
           config=("alpha", "omega", *_AUGMENT_CONFIG),
           call=lambda a, corpus: (corpus(a.corpus), a.structured, a.train, a, a.out, a.reports_out)),
-    Stage("stats", ("dataset",), {"dataset": _DATASETS, "out": "stats.json"},
+    Stage("stats", "per-bug / per-class distribution report", ("dataset",),
+          {"dataset": _DATASETS, "out": "stats.json", "csv": None},
           reads=_DATASETS, writes=("stats.json",), config=("top_k",),
-          call=lambda a, corpus: (_by_stem(a.dataset), a.top_k, a.out, getattr(a, "csv", None))),
-    Stage("retrieve", ("index", "bugs"),
+          call=lambda a, corpus: (_by_stem(a.dataset), a.top_k, a.out, a.csv)),
+    Stage("retrieve", "rank hunks for bug reports with the lexical baseline", ("index", "bugs"),
           {"index": "", "bugs": "test_bugs.jsonl", "out": "run.txt"},
           reads=("changesets.jsonl", "hunks.jsonl", "test_bugs.jsonl"), writes=("run.txt",),
           config=("top_n",), call=lambda a, corpus: (corpus(a.index), a.bugs, a.top_n, a.out)),
-    Stage("eval", ("run", "qrels"),
+    Stage("eval", "score a run file against qrels", ("run", "qrels"),
           {"run": "run.txt", "qrels": "qrels.txt", "out": "metrics.json"},
           reads=("run.txt", "qrels.txt"), writes=("metrics.json",), config=("metrics",),
           call=lambda a, corpus: (a.run, a.qrels, parse_metric_names(a.metrics.split(",")), a.out)),
@@ -351,6 +360,7 @@ STAGES = (
 # a pipeline run's input options: the reads that no stage writes
 _PIPELINE_INPUTS = tuple(dict.fromkeys(
     name for stage in STAGES for name in stage.reads if all(name not in s.writes for s in STAGES)))
+_PIPELINE_CONFIG = tuple(dict.fromkeys(name for stage in STAGES for name in stage.config))
 
 
 def run_stage(stage: Stage, args, corpus: Callable[[Path], CorpusDir], run_dir: Path | None = None):
@@ -359,7 +369,8 @@ def run_stage(stage: Stage, args, corpus: Callable[[Path], CorpusDir], run_dir: 
     function (a test stub, a benchmark's tracing wrapper) is the one called."""
     if run_dir is not None:
         args = argparse.Namespace(**{**vars(args), **{
-            option: run_dir / name if isinstance(name, str) else [run_dir / n for n in name]
+            option: None if name is None else run_dir / name if isinstance(name, str)
+            else [run_dir / n for n in name]
             for option, name in stage.paths.items()}})
     globals()[f"stage_{stage.name}"](*stage.call(args, corpus))
 
@@ -373,7 +384,7 @@ def _check_usage(parser: argparse.ArgumentParser, args, options) -> None:
         path = getattr(args, option)
         if path is None:
             continue
-        flag = f"--{option.replace('_', '-')}"
+        flag = _flag(option)
         if not Path(path).exists():
             parser.error(f"{flag}: path does not exist: {path}")
         if option in _DICTIONARY_LOADERS:
@@ -416,7 +427,7 @@ def _pipeline_manifest(args) -> dict:
         "tool": "bugaug",
         "version": __version__,
         "seed": args.seed,
-        "config": {k: getattr(args, k) for stage in STAGES for k in stage.config if k != "seed"},
+        "config": {k: getattr(args, k) for k in _PIPELINE_CONFIG if k != "seed"},
         "inputs": {name: _digest_tree(Path(getattr(args, name)))
                    for name in _PIPELINE_INPUTS if getattr(args, name)},
         "stages": {},
@@ -490,44 +501,75 @@ def cmd_pipeline(args, parser) -> int:
 # --- parser -----------------------------------------------------------------
 
 
-def _at_least_one(text: str) -> int:
-    """argparse type for a count option: an integer >= 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _checked(convert: Callable[[str], float], accepts: Callable[[float], bool], expected: str):
+    """An argparse type: convert(text), refused unless convert succeeds and
+    accepts its value."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+            if accepts(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+    return parse
 
 
-def _positive(text: str) -> float:
-    """argparse type for a cap multiplier: a finite number > 0."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
-    if not 0 < value < math.inf:
-        raise argparse.ArgumentTypeError(f"must be a positive number, got {text}")
-    return value
+# a count; a cap multiplier; a probability (nan fails every comparison)
+_at_least_one = _checked(int, lambda value: value >= 1, "an integer of at least 1")
+_positive = _checked(float, lambda value: 0 < value < math.inf, "a finite number > 0")
+_probability = _checked(float, lambda value: 0 <= value <= 1, "a number in [0, 1]")
+
+# every stage and pipeline option, by dest: its argparse keywords; one with
+# no default is required
+_OPTIONS: dict[str, dict] = {
+    "bugs": dict(type=Path, help="bug reports JSON-lines"),
+    "diffs": dict(type=Path, help="directory of .diff files + changesets.jsonl"),
+    "links": dict(type=Path, help="bug/changeset link records JSON-lines"),
+    "corpus": dict(type=Path, help="ingest output directory"),
+    "structured": dict(type=Path),
+    "train": dict(type=Path, help="training dataset JSON-lines (e.g. d_ori.jsonl)"),
+    "dataset": dict(type=Path),
+    "index": dict(type=Path, help="corpus directory with hunks.jsonl"),
+    "run": dict(type=Path),
+    "qrels": dict(type=Path),
+    "patterns": dict(default=None, help="pattern dictionary JSON (default: bundled)"),
+    "substitutes": dict(default=None, help="substitute dictionary JSON (default: bundled)"),
+    "code_dict": dict(default=None, help="JSON map bug_id -> [code names], overrides mining"),
+    "out": dict(type=Path, help="output file (a directory for ingest and pipeline)"),
+    "rep_out": dict(type=Path, default=None),
+    "reports_out": dict(type=Path, default=None),
+    "csv": dict(type=Path, default=None),
+    "seed": dict(type=int, default=42),
+    "lib_prefixes": dict(default=",".join(DEFAULT_LIBRARY_PREFIXES)),
+    "factor": dict(type=_at_least_one, default=10),
+    "p_drop": dict(type=_probability, default=0.5),
+    "paraphraser": dict(choices=("identity", "shuffle", "service"), default="identity"),
+    "service_url": dict(default=None),
+    "alpha": dict(type=_positive, default=0.7),
+    "omega": dict(type=_positive, default=1.0),
+    "top_k": dict(type=_at_least_one, default=10),
+    "top_n": dict(type=_at_least_one, default=100),
+    "metrics": dict(default="mrr,map,p@1,p@3,p@5"),
+    "force": dict(action="store_true", default=False,
+                  help="recompute every stage, even one whose outputs match the manifest"),
+}
 
 
-def _add_command(subparsers, name: str, summary: str, handler=cmd_stage) -> argparse.ArgumentParser:
-    """A subcommand whose handler reports usage errors through its own parser."""
+def _flag(option: str) -> str:
+    return f"--{option.replace('_', '-')}"
+
+
+def _add_command(subparsers, name: str, summary: str, options,
+                 handler=cmd_stage) -> argparse.ArgumentParser:
+    """A subcommand taking options (dests, as declared in _OPTIONS), whose
+    handler reports usage errors through its own parser."""
     sub = subparsers.add_parser(name, help=summary)
+    for option in dict.fromkeys(options):
+        spec = _OPTIONS[option]
+        sub.add_argument(_flag(option), dest=option, required="default" not in spec, **spec)
     sub.set_defaults(func=lambda args: handler(args, sub))
     return sub
-
-
-def _add_augment_opts(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--seed", type=int, default=42)
-    sub.add_argument("--p-drop", dest="p_drop", type=float, default=0.5)
-    sub.add_argument("--paraphraser", choices=("identity", "shuffle", "service"), default="identity")
-    sub.add_argument("--service-url", dest="service_url", default=None)
-    sub.add_argument("--patterns", default=None, help="pattern dictionary JSON (default: bundled)")
-    sub.add_argument("--substitutes", default=None, help="substitute dictionary JSON (default: bundled)")
-    sub.add_argument("--code-dict", dest="code_dict", default=None,
-                     help="JSON map bug_id -> [code names], overrides mining")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -539,80 +581,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("-v", "--verbose", action="store_true", help="verbose logging")
     subparsers = parser.add_subparsers(dest="command", required=True)
 
-    sub = _add_command(subparsers, "fixture", "generate a synthetic demo corpus", cmd_fixture)
-    sub.add_argument("--out", type=Path, required=True)
+    sub = _add_command(subparsers, "fixture", "generate a synthetic demo corpus", ("out",), cmd_fixture)
     sub.add_argument("--bugs", type=int, default=50)
     sub.add_argument("--seed", type=int, default=7)
-
-    sub = _add_command(subparsers, "ingest", "parse inputs, build D_ori and the date split")
-    sub.add_argument("--bugs", type=Path, required=True, help="bug reports JSON-lines")
-    sub.add_argument("--diffs", type=Path, required=True, help="directory of .diff files + changesets.jsonl")
-    sub.add_argument("--links", type=Path, required=True, help="bug/changeset link records JSON-lines")
-    sub.add_argument("--seed", type=int, default=42)
-    sub.add_argument("--out", type=Path, required=True, help="output corpus directory")
-
-    sub = _add_command(subparsers, "extract",
-                       "decompose train bug reports into structured samples")
-    sub.add_argument("--corpus", type=Path, required=True, help="ingest output directory")
-    sub.add_argument("--patterns", default=None)
-    sub.add_argument("--lib-prefixes", dest="lib_prefixes", default=",".join(DEFAULT_LIBRARY_PREFIXES))
-    sub.add_argument("--out", type=Path, required=True)
-
-    sub = _add_command(subparsers, "augment", "generate D_aug (and optionally D_rep)")
-    sub.add_argument("--corpus", type=Path, required=True)
-    sub.add_argument("--structured", type=Path, required=True)
-    sub.add_argument("--factor", type=_at_least_one, default=10)
-    sub.add_argument("--out", type=Path, required=True)
-    sub.add_argument("--rep-out", dest="rep_out", type=Path, default=None)
-    sub.add_argument("--reports-out", dest="reports_out", type=Path, default=None)
-    _add_augment_opts(sub)
-
-    sub = _add_command(subparsers, "balance", "build the balanced dataset D_bl")
-    sub.add_argument("--corpus", type=Path, required=True)
-    sub.add_argument("--structured", type=Path, required=True)
-    sub.add_argument("--train", type=Path, required=True, help="training dataset JSON-lines (e.g. d_ori.jsonl)")
-    sub.add_argument("--alpha", type=_positive, required=True)
-    sub.add_argument("--omega", type=_positive, required=True)
-    sub.add_argument("--out", type=Path, required=True)
-    sub.add_argument("--reports-out", dest="reports_out", type=Path, default=None)
-    _add_augment_opts(sub)
-
-    sub = _add_command(subparsers, "stats", "per-bug / per-class distribution report")
-    sub.add_argument("--dataset", type=Path, required=True)
-    sub.add_argument("--top-k", dest="top_k", type=_at_least_one, default=10)
-    sub.add_argument("--out", type=Path, required=True)
-    sub.add_argument("--csv", type=Path, default=None)
-
-    sub = _add_command(subparsers, "retrieve",
-                       "rank hunks for bug reports with the lexical baseline")
-    sub.add_argument("--index", type=Path, required=True, help="corpus directory with hunks.jsonl")
-    sub.add_argument("--bugs", type=Path, required=True)
-    sub.add_argument("--top-n", dest="top_n", type=_at_least_one, default=100)
-    sub.add_argument("--out", type=Path, required=True)
-
-    sub = _add_command(subparsers, "eval", "score a run file against qrels")
-    sub.add_argument("--run", type=Path, required=True)
-    sub.add_argument("--qrels", type=Path, required=True)
-    sub.add_argument("--metrics", default="mrr,map,p@1,p@3,p@5")
-    sub.add_argument("--out", type=Path, required=True)
-
-    sub = _add_command(subparsers, "pipeline", "run every stage into one output directory",
-                       cmd_pipeline)
-    sub.add_argument("--bugs", type=Path, required=True)
-    sub.add_argument("--diffs", type=Path, required=True)
-    sub.add_argument("--links", type=Path, required=True)
-    sub.add_argument("--out", type=Path, required=True)
-    sub.add_argument("--factor", type=_at_least_one, default=10)
-    sub.add_argument("--alpha", type=_positive, default=0.7)
-    sub.add_argument("--omega", type=_positive, default=1.0)
-    sub.add_argument("--top-k", dest="top_k", type=_at_least_one, default=10)
-    sub.add_argument("--top-n", dest="top_n", type=_at_least_one, default=100)
-    sub.add_argument("--metrics", default="mrr,map,p@1,p@3,p@5")
-    sub.add_argument("--lib-prefixes", dest="lib_prefixes", default=",".join(DEFAULT_LIBRARY_PREFIXES))
-    sub.add_argument("--force", action="store_true",
-                     help="recompute every stage, even one whose outputs match the manifest")
-    _add_augment_opts(sub)
-
+    for stage in STAGES:
+        _add_command(subparsers, stage.name, stage.summary, (*stage.inputs, *stage.paths, *stage.config))
+    _add_command(subparsers, "pipeline", "run every stage into one output directory",
+                 (*_PIPELINE_INPUTS, "out", *_PIPELINE_CONFIG, "force"), cmd_pipeline)
     return parser
 
 

@@ -147,13 +147,6 @@ def run_lines(bug_id: str, ranking: Ranking) -> str:
                    for position, (hunk_id, score) in enumerate(ranking, start=1))
 
 
-def write_run(path: str | Path, rankings: Iterable[tuple[str, Ranking]]) -> None:
-    """Write (bug_id, ranking) pairs in the order given."""
-    with open_new(path) as fh:
-        for bug_id, ranking in rankings:
-            fh.write(run_lines(bug_id, ranking))
-
-
 def parse_metric_names(names: Iterable[str]) -> list[str]:
     """Normalize metric names (mrr, map, p@<k> with k >= 1) to lower case;
     raises ValueError naming the first one that is not a metric."""

@@ -177,6 +177,23 @@ def test_each_addition_consumes_a_fresh_report():
     assert len({s.bug_ref for s in added_positives}) == len(added_positives)
 
 
+def test_additions_are_numbered_after_the_refs_the_input_holds():
+    """Balancing an augmented set adds reports it does not reference yet."""
+    positives = [("A", "hA0", "X"), ("B", "hB0", "Y")]
+    augmented = [TrainingSample(bug_ref=augmented_report_id(bug, n), origin_bug_id=bug, hunk_id=hunk,
+                                class_name=cls, label="positive")
+                 for bug, hunk, cls, n in (("A", "hA0", "X", 3), ("A", "hA0", "X", 1),
+                                           ("B", "hB0", "Y", 2))]
+    d_train = Dataset("D_aug", [*_dataset(positives).samples, *augmented])
+    d_bl = balance_dataset(d_train, 3.0, 5.0, _sampler(positives), seed=7)
+    added_positives = [s for s in d_bl.samples[len(d_train.samples):] if s.label == "positive"]
+    for bug, last in (("A", 3), ("B", 2)):
+        refs = [s.bug_ref for s in added_positives if s.origin_bug_id == bug]
+        assert refs == [augmented_report_id(bug, n) for n in range(last + 1, last + 1 + len(refs))]
+        assert refs
+    assert not {s.bug_ref for s in added_positives} & {s.bug_ref for s in d_train.samples}
+
+
 def test_balance_rejects_bad_parameters():
     d_train = _dataset([("A", "h", "X")])
     with pytest.raises(ValueError):

@@ -16,7 +16,6 @@ from bugaug.builder import (
     generate_augmented_set,
     generate_repeated_set,
     referenced_refs,
-    referenced_reports,
     replay_report,
     write_reports,
 )
@@ -247,7 +246,7 @@ def test_referenced_reports_follow_first_reference_order(patterns, substitutes):
         ],
     )
     assert referenced_refs(dataset) == [("b1", 2), ("b1", 1)]
-    reports = list(referenced_reports(dataset, augmenter))
+    reports = [augmenter.augment(*ref) for ref in referenced_refs(dataset)]
     assert [r.id for r in reports] == ["b1#aug2", "b1#aug1"]
     assert [augmented_report_to_dict(r) for r in reports] == [
         augmented_report_to_dict(augmenter.augment("b1", n)) for n in (2, 1)

@@ -129,6 +129,10 @@ def test_missing_input_exits_2_and_names_the_flag(tmp_path, capsys, corpus_dir):
           for flag, bad in (("--top-n", "0"), ("--top-n", "-1"), ("--factor", "0"),
                             ("--alpha", "-1"), ("--alpha", "0"), ("--omega", "-1"),
                             ("--top-k", "0"))],
+        *[(argv + ["--p-drop", bad], "--p-drop") for bad in ("1.5", "-0.1", "nan")
+          for argv in (["augment", *stage_args, "--out", str(tmp_path / "a.jsonl")],
+                       ["balance", *stage_args, "--train", str(tmp_path), "--out", str(tmp_path / "b.jsonl")],
+                       _pipeline_args(corpus_dir, tmp_path / "run"))],
     ]
     for argv, flag in cases:
         with pytest.raises(SystemExit) as exc:
@@ -139,6 +143,58 @@ def test_missing_input_exits_2_and_names_the_flag(tmp_path, capsys, corpus_dir):
     assert not (tmp_path / "m.json").exists()
     assert not (tmp_path / "r.txt").exists()
     assert not (tmp_path / "s.json").exists()
+
+
+def _flags(parser, command: str, capsys) -> set[str]:
+    """The options `bugaug <command> --help` lists."""
+    with pytest.raises(SystemExit):
+        parser.parse_args([command, "--help"])
+    return set(re.findall(r"^  (--[\w-]+)", capsys.readouterr().out, re.M))
+
+
+def _required(parser, command: str, capsys) -> set[str]:
+    """The options `bugaug <command>` refuses to run without."""
+    with pytest.raises(SystemExit):
+        parser.parse_args([command])
+    match = re.search(r"required: (.*)$", capsys.readouterr().err, re.M)
+    return set(match.group(1).split(", ")) if match else set()
+
+
+# option values for the shared-option test, good for some options and bad for others
+_PROBES = ("x", "nan", "inf", "-1", "-0.1", "0", "0.5", "1", "1.5", "7", "identity", "shuffle",
+           "mrr,p@1", "http://localhost:9", "com.")
+
+
+def test_pipeline_and_the_stage_subcommands_share_each_option(capsys):
+    """An option that pipeline shares with a stage's subcommand is required in
+    both or in neither, has the same default and takes or refuses the same
+    values; pipeline takes its inputs, --out, --force and every stage's config."""
+    parser = cli.build_parser()
+    pipeline = _flags(parser, "pipeline", capsys)
+    names = {*cli._PIPELINE_INPUTS, "out", "force", *(k for stage in cli.STAGES for k in stage.config)}
+    assert pipeline == {f"--{name.replace('_', '-')}" for name in names}
+    required = {"pipeline": _required(parser, "pipeline", capsys)}
+
+    def outcome(command: str, dest: str, *extra: str) -> str:
+        """dest as parsed (its repr, so nan equals nan), or the error if
+        argparse refuses the command line."""
+        try:
+            args = parser.parse_args([command, *(a for flag in required[command] for a in (flag, "x")),
+                                      *extra])
+        except SystemExit:
+            return capsys.readouterr().err.splitlines()[-1].partition(": error: ")[2]
+        return repr(getattr(args, dest))
+
+    for stage in cli.STAGES:
+        required[stage.name] = _required(parser, stage.name, capsys)
+        shared = _flags(parser, stage.name, capsys) & pipeline
+        assert "--out" in shared, stage.name
+        for flag in sorted(shared):
+            assert (flag in required[stage.name]) == (flag in required["pipeline"]), (stage.name, flag)
+            dest = flag[2:].replace("-", "_")
+            for extra in ((), *((flag, value) for value in _PROBES)):
+                assert outcome(stage.name, dest, *extra) == outcome("pipeline", dest, *extra), \
+                    (stage.name, extra)
 
 
 def test_subcommand_usage_errors_print_the_subcommand_usage(tmp_path, capsys, corpus_dir):

@@ -15,9 +15,9 @@ from bugaug.metrics import (
     precision_at_k,
     read_qrels,
     read_run,
+    run_lines,
     sort_ranking,
     write_qrels,
-    write_run,
 )
 
 
@@ -177,7 +177,7 @@ def test_qrels_and_run_files_round_trip(tmp_path):
     qrels_path = tmp_path / "qrels.txt"
     run_path = tmp_path / "run.txt"
     write_qrels(qrels_path, qrels)
-    write_run(run_path, sorted(run.items()))
+    run_path.write_text("".join(run_lines(bug_id, ranking) for bug_id, ranking in sorted(run.items())))
     assert read_qrels(qrels_path) == qrels
     loaded = read_run(run_path)
     assert {b: [h for h, _ in entries] for b, entries in loaded.items()} == {
