@@ -1,6 +1,6 @@
 """bugaug: data augmentation and balancing for bug-localization training sets."""
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .balance import balance_dataset, distribution_report
 from .builder import build_augmented_report, generate_augmented_set, generate_repeated_set

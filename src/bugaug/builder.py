@@ -16,7 +16,7 @@ import shutil
 import sys
 import tempfile
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, NoReturn, TextIO, TypeVar
 
@@ -39,14 +39,17 @@ from .model import (
     augmented_report_to_dict,
     jsonl_line,
     open_new,
+    structured_from_dict,
 )
 from .nl_ops import (
     REJECTED,
     AugConfig,
+    ParagraphPlan,
     Paraphraser,
     QualityControl,
     SubstituteDictionary,
     augment_paragraph,
+    paragraph_plan,
 )
 from .rng import derive_rng
 
@@ -102,32 +105,82 @@ def replay_report(aug_samples: list[Sample], report: AugmentedBugReport) -> list
     return [aug_samples[i] for i in report.permutation if i not in dropped]
 
 
+# the sample kinds the code operators run on even without a code token
+_CODE_KINDS = ("StackTrace", "CodeSnippet")
+
+
+@dataclass(frozen=True)
+class SamplePlan:
+    """What every augmentation of one source sample shares: the sample, the
+    positions of its code tokens and, for an OB/EB/S2R paragraph, its
+    ParagraphPlan."""
+
+    sample: Sample
+    code: tuple[int, ...]
+    paragraph: ParagraphPlan | None
+
+
+@dataclass(frozen=True)
+class BugPlan:
+    """A bug's decoded structured report, its code names (None if it has
+    none) and one SamplePlan per sample, in the report's order."""
+
+    structured: StructuredBugReport
+    names: CodeNameDictionary | None
+    samples: tuple[SamplePlan, ...]
+
+
 @dataclass
 class ReportAugmenter:
     """Full per-report augmentation: NL operators with QC on OB/EB/S2R, code
-    operators on traces, snippets, and code-bearing prose, then assembly."""
+    operators on traces, snippets, and code-bearing prose, then assembly.
 
-    structured_by_bug: dict[str, StructuredBugReport]
-    code_names_by_bug: dict[str, CodeNameDictionary]
+    `records` holds each bug's structured.jsonl record, by bug id, and
+    `code_names` gives a bug's code names, or None. A bug's plan is built
+    the first time one of its reports is, in the process that builds it."""
+
+    records: dict[str, dict]
+    code_names: Callable[[str], CodeNameDictionary | None]
     dictionary: SubstituteDictionary
     qc: QualityControl
     aug_config: AugConfig
     paraphraser: Paraphraser
     p_drop: float = 0.5
+    _plans: dict[str, BugPlan] = field(default_factory=dict, init=False, repr=False)
+
+    def plan(self, bug_id: str) -> BugPlan:
+        plan = self._plans.get(bug_id)
+        if plan is None:
+            record = self.records.get(bug_id)
+            if record is None:
+                raise KeyError(f"no structured report for bug {bug_id!r}")
+            structured = structured_from_dict(record)
+            names = self.code_names(bug_id)
+            plan = self._plans[bug_id] = BugPlan(
+                structured=structured,
+                names=names if names and names.names else None,
+                samples=tuple(
+                    SamplePlan(
+                        sample=sample,
+                        code=tuple(i for i, t in enumerate(sample.tokens) if t.is_code),
+                        paragraph=(paragraph_plan(sample, self.dictionary, self.qc)
+                                   if sample.kind in NL_KINDS else None),
+                    )
+                    for sample in structured.samples
+                ),
+            )
+        return plan
 
     def augment(self, origin_bug_id: str, ordinal: int) -> AugmentedBugReport:
-        structured = self.structured_by_bug.get(origin_bug_id)
-        if structured is None:
-            raise KeyError(f"no structured report for bug {origin_bug_id!r}")
-        names = self.code_names_by_bug.get(origin_bug_id)
+        plan = self.plan(origin_bug_id)
         aug_samples: list[Sample] = []
         ops_log: list[list[str]] = []
-        for idx, sample in enumerate(structured.samples):
-            current = sample
+        for idx, sample_plan in enumerate(plan.samples):
+            current, code = sample_plan.sample, sample_plan.code
             ops: list[str] = []
-            if sample.kind in NL_KINDS:
+            if sample_plan.paragraph is not None:
                 result = augment_paragraph(
-                    sample,
+                    sample_plan.paragraph,
                     self.dictionary,
                     self.aug_config,
                     self.paraphraser,
@@ -138,18 +191,17 @@ class ReportAugmenter:
                     ops.append("nl:fallback")
                 else:
                     ops.append("nl")
-                    current = result
-            if names and names.names and (
-                sample.kind in ("StackTrace", "CodeSnippet") or any(t.is_code for t in current.tokens)
-            ):
+                    # QC kept the code-token count, so only the positions moved
+                    current, code = result, None
+            if plan.names is not None and (current.kind in _CODE_KINDS or sample_plan.code):
                 rng = derive_rng(self.aug_config.seed, "code", origin_bug_id, ordinal, idx)
-                current = augment_code_sample(current, names, rng)
+                current = augment_code_sample(current, plan.names, rng, code)
                 ops.append("code")
             aug_samples.append(current)
             ops_log.append(ops)
         rng = derive_rng(self.aug_config.seed, "assemble", origin_bug_id, ordinal)
         return build_augmented_report(
-            structured,
+            plan.structured,
             aug_samples,
             rng,
             p_drop=self.p_drop,

@@ -53,7 +53,6 @@ from .model import (
     read_jsonl,
     sample_from_dict,
     sample_to_dict,
-    structured_from_dict,
     structured_to_dict,
     write_jsonl,
 )
@@ -135,9 +134,6 @@ def _paraphraser(kind: str, service_url: str | None, dictionary: SubstituteDicti
 
 
 def _build_augmenter(corpus_dir: CorpusDir, structured_path: Path, args) -> ReportAugmenter:
-    structured = {
-        r["bug_id"]: structured_from_dict(r) for r in read_jsonl(structured_path)
-    }
     dictionary = (
         SubstituteDictionary.load(args.substitutes) if args.substitutes
         else SubstituteDictionary.default()
@@ -146,14 +142,19 @@ def _build_augmenter(corpus_dir: CorpusDir, structured_path: Path, args) -> Repo
     identifiers = corpus_dir.class_identifiers
     qc = QualityControl(patterns=patterns, identifiers=frozenset(identifiers))
     paraphraser = _paraphraser(args.paraphraser, args.service_url, dictionary, args.seed, identifiers)
-    corpus = corpus_dir.corpus
+    if args.code_dict:
+        code_names = load_code_name_dicts(args.code_dict).get
+    else:
+        corpus = corpus_dir.corpus  # built before the report shards fork
+
+        def code_names(bug_id: str):
+            if bug_id not in corpus.links:
+                return None
+            return mine_code_names(bug_id, corpus.inducing_hunks(bug_id))
+
     return ReportAugmenter(
-        structured_by_bug=structured,
-        code_names_by_bug=(
-            load_code_name_dicts(args.code_dict) if args.code_dict
-            else {bug_id: mine_code_names(bug_id, corpus.inducing_hunks(bug_id))
-                  for bug_id in structured if bug_id in corpus.links}
-        ),
+        records={r["bug_id"]: r for r in read_jsonl(structured_path)},
+        code_names=code_names,
         dictionary=dictionary,
         qc=qc,
         aug_config=AugConfig(seed=args.seed),

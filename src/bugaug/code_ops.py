@@ -174,17 +174,55 @@ def _code_indices(tokens: Sequence[Token]) -> list[int]:
     return [i for i, t in enumerate(tokens) if t.is_code]
 
 
+# Each operator below edits `out` at the code positions its caller found:
+# the public operators find them on every call, augment_code_sample takes
+# them from its caller or finds them once.
+
+
+def _replace_at(out: list[Token], code: Sequence[int], names: CodeNameDictionary, rng) -> None:
+    if not code:
+        return
+    i = rng.choice(code)
+    pool = _ranked_substitutes(out[i].text, names.names, TOP_K)
+    if pool:
+        out[i] = Token(text=rng.choice(pool), is_code=True)
+
+
+def _insert_at(out: list[Token], code: Sequence[int], names: CodeNameDictionary,
+               rng) -> tuple[int, int] | None:
+    """Insert a substitute near one of the code positions, in place; returns
+    (anchor, index) of the insertion, or None if there was none."""
+    if not code:
+        return None
+    i = rng.choice(code)
+    pool = _ranked_substitutes(out[i].text, names.names, TOP_K)
+    if not pool:
+        return None
+    insert_at = rng.randint(max(0, i - INSERT_RADIUS), min(len(out), i + INSERT_RADIUS))
+    out.insert(insert_at, Token(text=rng.choice(pool), is_code=True))
+    return i, insert_at
+
+
+def _swap_pair(code: Sequence[int], context: str, rng,
+               line_indices: Sequence[int] | None) -> tuple[int, int] | None:
+    """One legal pair of code positions under the context's constraint,
+    drawn uniformly, or None if there is none."""
+    pairs: list[tuple[int, int]] = []
+    for a in range(len(code)):
+        for b in range(a + 1, len(code)):
+            i, j = code[a], code[b]
+            if context == "stack_trace":
+                if abs(line_indices[i] - line_indices[j]) == 1:
+                    pairs.append((i, j))
+            elif j - i <= SWAP_RADIUS:
+                pairs.append((i, j))
+    return pairs[rng.randrange(len(pairs))] if pairs else None
+
+
 def code_token_replace(tokens, names: CodeNameDictionary, rng) -> list[Token]:
     """Replace one random code token with one of its TOP_K nearest names."""
     out = list(tokens)
-    code_idx = _code_indices(out)
-    if not code_idx:
-        return out
-    i = rng.choice(code_idx)
-    pool = _ranked_substitutes(out[i].text, names.names, TOP_K)
-    if not pool:
-        return out
-    out[i] = Token(text=rng.choice(pool), is_code=True)
+    _replace_at(out, _code_indices(out), names, rng)
     return out
 
 
@@ -192,18 +230,17 @@ def code_token_insert(tokens, names: CodeNameDictionary, rng, *, audit=None) -> 
     """Insert a substitute of one random code token at most INSERT_RADIUS
     positions away from it (clamped to the sequence bounds)."""
     out = list(tokens)
-    code_idx = _code_indices(out)
-    if not code_idx:
-        return out
-    i = rng.choice(code_idx)
-    pool = _ranked_substitutes(out[i].text, names.names, TOP_K)
-    if not pool:
-        return out
-    insert_at = rng.randint(max(0, i - INSERT_RADIUS), min(len(out), i + INSERT_RADIUS))
-    out.insert(insert_at, Token(text=rng.choice(pool), is_code=True))
-    if audit is not None:
-        audit.append({"op": "insert", "anchor": i, "index": insert_at})
+    inserted = _insert_at(out, _code_indices(out), names, rng)
+    if inserted is not None and audit is not None:
+        audit.append({"op": "insert", "anchor": inserted[0], "index": inserted[1]})
     return out
+
+
+def _check_swap_context(context: str, line_indices: Sequence[int] | None) -> None:
+    if context not in SWAP_CONTEXTS:
+        raise ValueError(f"unknown swap context {context!r}")
+    if context == "stack_trace" and line_indices is None:
+        raise ValueError("stack_trace context requires line_indices")
 
 
 def code_token_swap(
@@ -220,24 +257,12 @@ def code_token_swap(
     snippets and prose only within SWAP_RADIUS positions. With no legal pair
     the input is returned unchanged.
     """
-    if context not in SWAP_CONTEXTS:
-        raise ValueError(f"unknown swap context {context!r}")
-    if context == "stack_trace" and line_indices is None:
-        raise ValueError("stack_trace context requires line_indices")
+    _check_swap_context(context, line_indices)
     out = list(tokens)
-    code_idx = _code_indices(out)
-    pairs: list[tuple[int, int]] = []
-    for a in range(len(code_idx)):
-        for b in range(a + 1, len(code_idx)):
-            i, j = code_idx[a], code_idx[b]
-            if context == "stack_trace":
-                if abs(line_indices[i] - line_indices[j]) == 1:
-                    pairs.append((i, j))
-            elif j - i <= SWAP_RADIUS:
-                pairs.append((i, j))
-    if not pairs:
+    pair = _swap_pair(_code_indices(out), context, rng, line_indices)
+    if pair is None:
         return out
-    i, j = pairs[rng.randrange(len(pairs))]
+    i, j = pair
     out[i], out[j] = out[j], out[i]
     if audit is not None:
         entry = {"op": "swap", "context": context, "i": i, "j": j}
@@ -248,20 +273,30 @@ def code_token_swap(
     return out
 
 
-def augment_code_sample(sample: Sample, names: CodeNameDictionary, rng) -> Sample:
-    """Apply replace -> insert -> swap once each; operators with no legal move
-    are skipped and no token is ever deleted."""
+def augment_code_sample(sample: Sample, names: CodeNameDictionary, rng,
+                        code: Sequence[int] | None = None) -> Sample:
+    """Apply replace -> insert -> swap once each, with the public operators'
+    draws; operators with no legal move are skipped and no token is ever
+    deleted. code, if given, lists the positions of the sample's code
+    tokens. A replace keeps every token's code flag, so insert draws from the
+    same positions, and swap from those shifted past the inserted token."""
     context = {
         "StackTrace": "stack_trace",
         "CodeSnippet": "snippet",
     }.get(sample.kind, "prose")
     tokens = list(sample.tokens)
     lines = list(sample.line_indices) if sample.line_indices is not None else None
-    events: list[dict] = []
-    tokens = code_token_replace(tokens, names, rng)
-    tokens = code_token_insert(tokens, names, rng, audit=events)
-    if lines is not None:
-        for event in events:
-            lines.insert(event["index"], lines[event["anchor"]])
-    tokens = code_token_swap(tokens, context, rng, line_indices=lines)
+    _check_swap_context(context, lines)
+    code = _code_indices(tokens) if code is None else code
+    _replace_at(tokens, code, names, rng)
+    inserted = _insert_at(tokens, code, names, rng)
+    if inserted is not None:
+        anchor, at = inserted
+        if lines is not None:
+            lines.insert(at, lines[anchor])
+        code = [i for i in code if i < at] + [at] + [i + 1 for i in code if i >= at]
+    pair = _swap_pair(code, context, rng, lines)
+    if pair is not None:
+        i, j = pair
+        tokens[i], tokens[j] = tokens[j], tokens[i]
     return Sample(kind=sample.kind, tokens=tokens, source_span=sample.source_span, line_indices=lines)

@@ -12,7 +12,7 @@ import functools
 import json
 import re
 import string
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -100,15 +100,46 @@ def strip_punctuation(snippet_tokens: Sequence[Token]) -> list[Token]:
 
 # --- pattern dictionary -------------------------------------------------
 
+# a word's category bits: the keyword lists its keyword form is in, and
+# whether it is a numbered step ("1." or "2)"); _TWO_STEPS is set only by
+# classify_tokens, at a paragraph's second numbered step
+_S2R_WORD, _EB_WORD, _OB_WORD, _NUMBERED_STEP = 1, 2, 4, 8
+_TWO_STEPS = _NUMBERED_STEP << 1
+
+
+class _WordBits(dict):
+    """word -> its category bits, computed the first time the word is looked
+    up and kept."""
+
+    def __init__(self, s2r: frozenset[str], eb: frozenset[str], ob: frozenset[str]):
+        super().__init__()
+        self.lists = ((s2r, _S2R_WORD), (eb, _EB_WORD), (ob, _OB_WORD))
+
+    def __missing__(self, word: str) -> int:
+        core = keyword_form(word)
+        bits = _NUMBERED_STEP if _NUMBERED_STEP_RE.match(word) else 0
+        for words, bit in self.lists:
+            if core in words:
+                bits |= bit
+        self[word] = bits
+        return bits
+
 
 @dataclass(frozen=True)
 class PatternDictionary:
-    """Keyword lists that decide whether a paragraph reads as OB, EB, or S2R."""
+    """Keyword lists that decide whether a paragraph reads as OB, EB, or S2R.
+    `word_bits` maps a non-code word to its category bits, memoized per
+    instance."""
 
     negative_verbs: frozenset[str]
     negations: frozenset[str]
     eb: frozenset[str]
     s2r: frozenset[str]
+    word_bits: _WordBits = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "word_bits",
+                           _WordBits(self.s2r, self.eb, self.negations | self.negative_verbs))
 
     @classmethod
     def from_dict(cls, data: dict) -> "PatternDictionary":
@@ -142,15 +173,21 @@ class PatternDictionary:
 
 
 def classify_tokens(tokens: Sequence[Token], patterns: PatternDictionary) -> str:
-    """Label a token sequence OB/EB/S2R/Other; priority S2R > EB > OB."""
-    cores = [keyword_form(t.text) for t in tokens if not t.is_code]
-    raws = [t.text for t in tokens if not t.is_code]
-    numbered = sum(1 for r in raws if _NUMBERED_STEP_RE.match(r))
-    if numbered >= 2 or any(c in patterns.s2r for c in cores):
+    """Label a token sequence OB/EB/S2R/Other; priority S2R > EB > OB. Code
+    tokens are not read. S2R needs an S2R keyword or two numbered steps, EB
+    an EB keyword, OB a negation or a negative verb."""
+    word_bits = patterns.word_bits
+    found = 0
+    for t in tokens:
+        if not t.is_code:
+            bits = word_bits[t.text]
+            # a numbered step already found makes this one the second
+            found |= bits | (bits & found & _NUMBERED_STEP) << 1
+    if found & (_S2R_WORD | _TWO_STEPS):
         return "S2R"
-    if any(c in patterns.eb for c in cores):
+    if found & _EB_WORD:
         return "EB"
-    if any(c in patterns.negations or c in patterns.negative_verbs for c in cores):
+    if found & _OB_WORD:
         return "OB"
     return "Other"
 

@@ -128,6 +128,7 @@ def write_qrels(path: str | Path, qrels: Qrels) -> None:
 def read_run(path: str | Path) -> dict[str, list[tuple[str, float]]]:
     """Lines: bug_id hunk_id rank score; per-bug entries re-sorted on load."""
     raw: dict[str, list[tuple[str, float]]] = {}
+    hunk_ids: dict[str, str] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             parts = line.split()
@@ -136,6 +137,8 @@ def read_run(path: str | Path) -> dict[str, list[tuple[str, float]]]:
             if len(parts) != 4:
                 raise ValueError(f"{path}:{lineno}: expected 'bug_id hunk_id rank score'")
             bug_id, hunk_id, _, score = parts
+            # one string per distinct hunk id: a run repeats each one across rankings
+            hunk_id = hunk_ids.setdefault(hunk_id, hunk_id)
             raw.setdefault(bug_id, []).append((hunk_id, float(score)))
     return {bug: sort_ranking(entries) for bug, entries in raw.items()}
 

@@ -130,7 +130,7 @@ def is_word(text: str) -> bool:
     return text.split() == [text]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Token:
     text: str
     is_code: bool = False
@@ -156,9 +156,6 @@ class Sample:
 
     def text(self) -> str:
         return " ".join(t.text for t in self.tokens)
-
-    def code_token_count(self) -> int:
-        return sum(1 for t in self.tokens if t.is_code)
 
 
 @dataclass
@@ -385,50 +382,73 @@ def sample_from_dict(d: dict) -> TrainingSample:
     )
 
 
+def report_sample_to_dict(sample: Sample) -> dict:
+    """A sample in the compact layout of structured.jsonl and the report
+    files: its tokens as one space-joined text and the positions of its code
+    tokens. is_word holds for every token, so text.split() gives them back."""
+    return {
+        "kind": sample.kind,
+        "text": sample.text(),
+        "code": [i for i, t in enumerate(sample.tokens) if t.is_code],
+        "line_indices": sample.line_indices,
+    }
+
+
+def report_sample_from_dict(d: dict) -> Sample:
+    """The sample report_sample_to_dict wrote; a code position that names no
+    token, or a sample of the token-dict layout that bugaug 0.1.0 wrote,
+    raises ValueError. A report sample keeps no source span: it reads as
+    (0, 0)."""
+    if "tokens" in d:
+        raise ValueError("sample in the token-dict layout of bugaug 0.1.0; rerun its stage")
+    words = str(d["text"]).split()
+    code = set(d["code"])
+    if not code <= set(range(len(words))):
+        raise ValueError(f"code positions {sorted(code)} out of range for {len(words)} tokens")
+    return Sample(
+        kind=str(d["kind"]),
+        tokens=[Token(word, i in code) for i, word in enumerate(words)],
+        source_span=tuple(d.get("source_span", (0, 0))),
+        line_indices=list(d["line_indices"]) if d.get("line_indices") is not None else None,
+    )
+
+
 def structured_to_dict(report: StructuredBugReport) -> dict:
     return {
         "bug_id": report.bug_id,
-        "samples": [
-            {
-                "kind": s.kind,
-                "tokens": [{"text": t.text, "is_code": t.is_code} for t in s.tokens],
-                "source_span": list(s.source_span),
-                "line_indices": s.line_indices,
-            }
-            for s in report.samples
-        ],
+        "samples": [{**report_sample_to_dict(s), "source_span": list(s.source_span)}
+                    for s in report.samples],
     }
 
 
 def structured_from_dict(d: dict) -> StructuredBugReport:
-    samples = []
-    for s in d["samples"]:
-        samples.append(
-            Sample(
-                kind=str(s["kind"]),
-                tokens=[Token(str(t["text"]), bool(t["is_code"])) for t in s["tokens"]],
-                source_span=tuple(s.get("source_span", (0, 0))),
-                line_indices=list(s["line_indices"]) if s.get("line_indices") is not None else None,
-            )
-        )
-    return StructuredBugReport(bug_id=str(d["bug_id"]), samples=samples)
+    return StructuredBugReport(bug_id=str(d["bug_id"]),
+                               samples=[report_sample_from_dict(s) for s in d["samples"]])
 
 
 def augmented_report_to_dict(report: AugmentedBugReport) -> dict:
     return {
         "id": report.id,
         "origin_bug_id": report.origin_bug_id,
-        "samples": [
-            {
-                "kind": s.kind,
-                "tokens": [{"text": t.text, "is_code": t.is_code} for t in s.tokens],
-                "line_indices": s.line_indices,
-            }
-            for s in report.samples
-        ],
+        "samples": [report_sample_to_dict(s) for s in report.samples],
         "provenance": [
             {"sample_index": p.sample_index, "applied_ops": p.applied_ops, "dropped": p.dropped}
             for p in report.provenance
         ],
         "permutation": report.permutation,
     }
+
+
+def augmented_report_from_dict(d: dict) -> AugmentedBugReport:
+    return AugmentedBugReport(
+        id=str(d["id"]),
+        origin_bug_id=str(d["origin_bug_id"]),
+        samples=[report_sample_from_dict(s) for s in d["samples"]],
+        provenance=[
+            SampleProvenance(sample_index=int(p["sample_index"]),
+                             applied_ops=[str(op) for op in p["applied_ops"]],
+                             dropped=bool(p["dropped"]))
+            for p in d["provenance"]
+        ],
+        permutation=[int(i) for i in d["permutation"]],
+    )

@@ -135,54 +135,79 @@ def _keyword_indices(tokens: Sequence[Token], dictionary: SubstituteDictionary) 
     ]
 
 
+def _non_code_indices(tokens: Sequence[Token]) -> list[int]:
+    return [i for i, t in enumerate(tokens) if not t.is_code]
+
+
+# Each operator below edits `out` at positions its caller found: the
+# public operators find them on every call, augment_paragraph reads them
+# from a ParagraphPlan.
+
+
+def _replace_at(out: list[Token], candidates: Sequence[int], dictionary, n, rng) -> list[int]:
+    """Replace up to n of the keywords at candidates, in place; returns the
+    positions rewritten, ascending."""
+    if n <= 0 or not candidates:
+        return []
+    chosen = sorted(rng.sample(candidates, min(n, len(candidates))))
+    for i in chosen:
+        keyword = keyword_form(out[i].text)
+        substitute = rng.choice(dictionary.substitutes(keyword))
+        out[i] = Token(text=_replace_core(out[i].text, substitute), is_code=False)
+    return chosen
+
+
+def _insert_at(out: list[Token], candidates: Sequence[int], dictionary, n, rng) -> None:
+    if n <= 0 or not candidates:
+        return
+    # resolve keywords first: insertions below shift the candidate indices
+    chosen = sorted(rng.sample(candidates, min(n, len(candidates))))
+    for keyword in [keyword_form(out[i].text) for i in chosen]:
+        substitute = rng.choice(dictionary.substitutes(keyword))
+        out.insert(rng.randint(0, len(out)), Token(text=substitute, is_code=False))
+
+
+def _swap_at(out: list[Token], eligible: Sequence[int], n, rng) -> None:
+    if n <= 0 or len(eligible) < 2:
+        return
+    for _ in range(n):
+        i, j = rng.sample(eligible, 2)
+        out[i], out[j] = out[j], out[i]
+
+
+def _delete_at(tokens: Sequence[Token], eligible: Sequence[int], n, rng) -> list[Token]:
+    k = min(n, len(eligible))
+    if k <= 0:
+        return list(tokens)
+    doomed = set(rng.sample(eligible, k))
+    return [t for i, t in enumerate(tokens) if i not in doomed]
+
+
 def dictionary_replace(tokens, dictionary, n, rng) -> list[Token]:
     """Replace up to n dictionary keywords with substitutes, keeping the
     original capitalization and surrounding punctuation."""
     out = list(tokens)
-    candidates = _keyword_indices(out, dictionary)
-    if n <= 0 or not candidates:
-        return out
-    for i in sorted(rng.sample(candidates, min(n, len(candidates)))):
-        keyword = keyword_form(out[i].text)
-        substitute = rng.choice(dictionary.substitutes(keyword))
-        out[i] = Token(text=_replace_core(out[i].text, substitute), is_code=False)
+    _replace_at(out, _keyword_indices(out, dictionary), dictionary, n, rng)
     return out
 
 
 def dictionary_insert(tokens, dictionary, n, rng) -> list[Token]:
     """Insert substitutes of up to n present keywords at random positions."""
     out = list(tokens)
-    candidates = _keyword_indices(out, dictionary)
-    if n <= 0 or not candidates:
-        return out
-    # resolve keywords first: insertions below shift the candidate indices
-    chosen = sorted(rng.sample(candidates, min(n, len(candidates))))
-    for keyword in [keyword_form(out[i].text) for i in chosen]:
-        substitute = rng.choice(dictionary.substitutes(keyword))
-        out.insert(rng.randint(0, len(out)), Token(text=substitute, is_code=False))
+    _insert_at(out, _keyword_indices(out, dictionary), dictionary, n, rng)
     return out
 
 
 def random_swap(tokens, n, rng) -> list[Token]:
     """Swap n random pairs of non-code tokens."""
     out = list(tokens)
-    eligible = [i for i, t in enumerate(out) if not t.is_code]
-    if n <= 0 or len(eligible) < 2:
-        return out
-    for _ in range(n):
-        i, j = rng.sample(eligible, 2)
-        out[i], out[j] = out[j], out[i]
+    _swap_at(out, _non_code_indices(out), n, rng)
     return out
 
 
 def random_delete(tokens, n, rng) -> list[Token]:
     """Delete n random non-code tokens; code tokens are never removed."""
-    eligible = [i for i, t in enumerate(tokens) if not t.is_code]
-    k = min(n, len(eligible))
-    if k <= 0:
-        return list(tokens)
-    doomed = set(rng.sample(eligible, k))
-    return [t for i, t in enumerate(tokens) if i not in doomed]
+    return _delete_at(tokens, _non_code_indices(tokens), n, rng)
 
 
 # --- quality control -----------------------------------------------------
@@ -217,38 +242,73 @@ class QualityControl:
         return sum(1 for t in tokens if t.is_code)
 
 
+@dataclass(frozen=True)
+class ParagraphPlan:
+    """What every augmentation of one OB/EB/S2R paragraph shares: the
+    paragraph, its category and code-token count (what QC must keep), the
+    op_budget of each of OP_KINDS, in that order, and the replace
+    candidates, the positions of its non-code dictionary keywords."""
+
+    paragraph: Sample
+    category: str
+    code_count: int
+    budgets: tuple[int, int, int, int]
+    candidates: tuple[int, ...]
+
+
+def paragraph_plan(paragraph: Sample, dictionary: SubstituteDictionary,
+                   qc: QualityControl) -> ParagraphPlan:
+    if paragraph.kind not in NL_KINDS:
+        raise ValueError(f"augment_paragraph expects OB/EB/S2R, got {paragraph.kind!r}")
+    tokens = paragraph.tokens
+    return ParagraphPlan(
+        paragraph=paragraph,
+        category=qc.category(tokens),
+        code_count=qc.code_token_count(tokens),
+        budgets=tuple(op_budget(len(tokens), kind) for kind in OP_KINDS),
+        candidates=tuple(_keyword_indices(tokens, dictionary)),
+    )
+
+
 def augment_paragraph(
-    paragraph: Sample,
+    plan: ParagraphPlan,
     dictionary: SubstituteDictionary,
     config: AugConfig,
     paraphraser: Paraphraser,
     qc: QualityControl,
     stream_key: tuple = (),
 ):
-    """Run replace -> insert -> swap -> delete -> paraphrase on one paragraph.
+    """Run replace -> insert -> swap -> delete -> paraphrase on the planned
+    paragraph, with the public operators' draws.
 
     The result must keep the paragraph's category and its code-token count;
     otherwise the pipeline retries with fresh randomness up to
-    config.qc_max_retries times and finally returns REJECTED.
+    config.qc_max_retries times and finally returns REJECTED. Replace
+    rewrites only candidate positions and keeps the others, so insert's
+    candidates are the plan's, less the rewritten ones that are no keyword
+    now; a swap never moves a code token, so delete draws from swap's
+    non-code positions.
     """
-    if paragraph.kind not in NL_KINDS:
-        raise ValueError(f"augment_paragraph expects OB/EB/S2R, got {paragraph.kind!r}")
-    original = list(paragraph.tokens)
-    original_category = qc.category(original)
-    original_code_count = qc.code_token_count(original)
-    budgets = {kind: op_budget(len(original), kind) for kind in OP_KINDS}
+    paragraph = plan.paragraph
+    replace_n, insert_n, swap_n, delete_n = plan.budgets
     for attempt in range(config.qc_max_retries):
         rng = derive_rng(config.seed, "nl", *stream_key, attempt)
-        tokens = dictionary_replace(original, dictionary, budgets["replace"], rng)
-        tokens = dictionary_insert(tokens, dictionary, budgets["insert"], rng)
-        tokens = random_swap(tokens, budgets["swap"], rng)
-        tokens = random_delete(tokens, budgets["delete"], rng)
+        tokens = list(paragraph.tokens)
+        candidates = plan.candidates
+        rewritten = _replace_at(tokens, candidates, dictionary, replace_n, rng)
+        if rewritten:
+            candidates = [i for i in candidates
+                          if i not in rewritten or keyword_form(tokens[i].text) in dictionary]
+        _insert_at(tokens, candidates, dictionary, insert_n, rng)
+        eligible = _non_code_indices(tokens)
+        _swap_at(tokens, eligible, swap_n, rng)
+        tokens = _delete_at(tokens, eligible, delete_n, rng)
         paraphrased = paraphraser(" ".join(t.text for t in tokens))
         new_tokens = qc.retokenize(paraphrased)
         if (
             new_tokens
-            and qc.category(new_tokens) == original_category
-            and qc.code_token_count(new_tokens) == original_code_count
+            and qc.category(new_tokens) == plan.category
+            and qc.code_token_count(new_tokens) == plan.code_count
         ):
             return Sample(kind=paragraph.kind, tokens=new_tokens, source_span=paragraph.source_span)
     return REJECTED

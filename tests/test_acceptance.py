@@ -37,6 +37,7 @@ from bugaug.nl_ops import (
     dictionary_insert,
     dictionary_replace,
     identity_paraphraser,
+    paragraph_plan,
     random_delete,
     random_swap,
 )
@@ -328,7 +329,8 @@ def test_criterion_6_qc_invariance(patterns, substitutes):
         original_code_count = sum(t.is_code for t in paragraph.tokens)
         paraphraser = identity_paraphraser if i % 2 == 0 else chaos
         config = AugConfig(seed=i, qc_max_retries=3)
-        result = augment_paragraph(paragraph, substitutes, config, paraphraser, qc, ("qc", i))
+        plan = paragraph_plan(paragraph, substitutes, qc)
+        result = augment_paragraph(plan, substitutes, config, paraphraser, qc, ("qc", i))
         if result is REJECTED:
             rejected += 1
             continue
@@ -411,7 +413,8 @@ def test_criterion_9_worked_paper_examples(patterns, substitutes):
         return text.replace("Async", "TCP")
 
     result = augment_paragraph(
-        paragraph, substitutes, AugConfig(seed=9, qc_max_retries=4), replace_async, qc, ("t1",)
+        paragraph_plan(paragraph, substitutes, qc), substitutes, AugConfig(seed=9, qc_max_retries=4),
+        replace_async, qc, ("t1",)
     )
     assert result is REJECTED
     _report(9, "paper swap variant reachable by random_swap(n=1); QC rejects the lost code token")

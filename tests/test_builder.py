@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bugaug import builder
 from bugaug.builder import (
     ReportAugmenter,
     build_augmented_report,
@@ -30,6 +31,7 @@ from bugaug.model import (
     TrainingSample,
     augmented_report_to_dict,
     jsonl_line,
+    structured_to_dict,
 )
 from bugaug.nl_ops import AugConfig, QualityControl, identity_paraphraser
 
@@ -207,8 +209,8 @@ def _full_augmenter(patterns, substitutes) -> ReportAugmenter:
     structured = structure_bug_report(bug, patterns, identifiers=identifiers)
     names = mine_code_names("b1", corpus.inducing_hunks("b1"))
     return ReportAugmenter(
-        structured_by_bug={"b1": structured},
-        code_names_by_bug={"b1": names},
+        records={"b1": structured_to_dict(structured)},
+        code_names={"b1": names}.get,
         dictionary=substitutes,
         qc=QualityControl(patterns=patterns, identifiers=frozenset(identifiers)),
         aug_config=AugConfig(seed=77),
@@ -222,7 +224,7 @@ def test_report_augmenter_produces_replayable_reports(patterns, substitutes):
     report = augmenter.augment("b1", 1)
     assert report.id == "b1#aug1"
     assert report.origin_bug_id == "b1"
-    n_original = len(augmenter.structured_by_bug["b1"].samples)
+    n_original = len(augmenter.plan("b1").structured.samples)
     assert len(report.samples) in (n_original - 1, n_original)
     assert sorted(report.permutation) == list(range(n_original))
 
@@ -234,6 +236,27 @@ def test_report_augmenter_is_deterministic(patterns, substitutes):
     assert [[t.text for t in s.tokens] for s in first.samples] == [
         [t.text for t in s.tokens] for s in second.samples
     ]
+
+
+def test_report_augmenter_looks_up_the_sample_operators_when_called(patterns, substitutes,
+                                                                   monkeypatch):
+    """A wrapper installed over builder.augment_paragraph or
+    builder.augment_code_sample after the augmenter and its plans exist is
+    the one augment calls, and it sees every NL and code sample."""
+    augmenter = _full_augmenter(patterns, substitutes)
+    expected = augmented_report_to_dict(augmenter.augment("b1", 3))
+    calls = Counter()
+    for name in ("augment_paragraph", "augment_code_sample"):
+        def counted(*args, name=name, run=getattr(builder, name), **kwargs):
+            calls[name] += 1
+            return run(*args, **kwargs)
+
+        monkeypatch.setattr(builder, name, counted)
+    report = augmenter.augment("b1", 3)
+    assert augmented_report_to_dict(report) == expected
+    ops = [p.applied_ops for p in report.provenance]
+    assert calls["augment_paragraph"] == sum(op.startswith("nl") for o in ops for op in o) > 0
+    assert calls["augment_code_sample"] == sum(o.count("code") for o in ops) > 0
 
 
 def test_referenced_reports_follow_first_reference_order(patterns, substitutes):

@@ -14,7 +14,7 @@ import pytest
 from bugaug import builder, cli
 from bugaug.cli import main
 from bugaug.fixtures import generate_corpus
-from bugaug.model import bug_from_dict, read_jsonl, write_jsonl
+from bugaug.model import augmented_report_from_dict, bug_from_dict, read_jsonl, write_jsonl
 
 
 @pytest.fixture(scope="module")
@@ -442,6 +442,56 @@ def test_each_run_parses_hunks_jsonl_once(tmp_path, corpus_dir, monkeypatch, cap
     assert (out / "d_aug.jsonl").read_bytes() == (fresh / "d_aug.jsonl").read_bytes()
 
 
+def test_each_stage_mines_the_code_names_of_the_bugs_it_builds_reports_for(tmp_path, corpus_dir,
+                                                                          monkeypatch):
+    """A bug's code names are mined when its plan is built: once per stage,
+    for each bug the stage builds a report for, and for no other bug."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})  # every report in this process
+    mined: dict[str, list[str]] = {}
+    stage = None
+    mine = cli.mine_code_names
+
+    def recording_mine(bug_id, hunks):
+        mined.setdefault(stage, []).append(bug_id)
+        return mine(bug_id, hunks)
+
+    monkeypatch.setattr(cli, "mine_code_names", recording_mine)
+    for name in ("augment", "balance"):
+        def tagged(*args, name=name, run=getattr(cli, f"stage_{name}")):
+            nonlocal stage
+            stage = name
+            return run(*args)
+
+        monkeypatch.setattr(cli, f"stage_{name}", tagged)
+    out = tmp_path / "run"
+    assert main(_pipeline_args(corpus_dir, out)) == 0
+    structured = [r["bug_id"] for r in read_jsonl(out / "structured.jsonl")]
+    for name, reports in (("augment", "augmented_reports.jsonl"), ("balance", "balance_reports.jsonl")):
+        built = {r["origin_bug_id"] for r in read_jsonl(out / reports)}
+        assert built, reports
+        assert sorted(mined[name]) == sorted(built)
+    assert len(mined["balance"]) < len(structured)
+
+
+def test_a_manifest_of_another_version_reruns_every_stage(tmp_path, corpus_dir, monkeypatch, caplog):
+    """A file layout is in no stage's config or input digests: the version
+    in each stage's key is what tells a run directory of another version
+    apart, so a rerun by this version redoes every stage."""
+    caplog.set_level(logging.INFO, logger="bugaug")
+    out = tmp_path / "run"
+    with monkeypatch.context() as older:
+        older.setattr(cli, "__version__", "0.1.0")
+        assert main(_pipeline_args(corpus_dir, out)) == 0
+    assert json.loads((out / "manifest.json").read_text("utf-8"))["version"] == "0.1.0"
+    caplog.clear()
+    assert main(_pipeline_args(corpus_dir, out)) == 0
+    assert _skipped_stages(caplog) == []
+    assert json.loads((out / "manifest.json").read_text("utf-8"))["version"] == cli.__version__
+    caplog.clear()
+    assert main(_pipeline_args(corpus_dir, out)) == 0
+    assert _skipped_stages(caplog) == [s.name for s in cli.STAGES]
+
+
 def _substitute_cache_counts(caplog) -> dict[str, tuple[int, int]]:
     counts = {}
     for record in caplog.records:
@@ -557,8 +607,8 @@ _PINNED_DIGESTS = {
     "d_aug.jsonl": "c462976a09b93577fe7c0f1c4eedfec79b8906e78d00b3704124752b2efa656c",
     "d_rep.jsonl": "bb3473dc2a21ea36759f0936bd358325abb90bfced12b9fcb5669fad237e0e6c",
     "d_bl.jsonl": "3489af2aebb964abc52229bc821d6d776c63674b18be76bfd82c7f95df3abd71",
-    "augmented_reports.jsonl": "01f4c33fff5e2017b0403d6c0d97a1246fdc4957aebf5978331af7a87d60b497",
-    "balance_reports.jsonl": "a861fd10e1877854def4b1597ae7db815c9f16910e2895a431b11b8657b80692",
+    "augmented_reports.jsonl": "02c3cb613b9ef4fccb0d2dec6b64cc44e0cf719b7d9184175e907d931fd4a0c8",
+    "balance_reports.jsonl": "6c0c27d33ddbdde5c2aff308f6441279048fbdd8502bf58bb0fdf52892eeef24",
 }
 
 
@@ -609,6 +659,45 @@ def _pinned_run(tmp_path):
     out = tmp_path / "run"
     assert main(_pipeline_args(corpus, out, extra=_PINNED_RUN_EXTRA)) == 0
     return out
+
+
+# the pinned report files as the token-dict layout wrote them, one
+# {"is_code", "text"} dict per token, before the compact sample layout
+_TOKEN_DICT_DIGESTS = {
+    "augmented_reports.jsonl": "01f4c33fff5e2017b0403d6c0d97a1246fdc4957aebf5978331af7a87d60b497",
+    "balance_reports.jsonl": "a861fd10e1877854def4b1597ae7db815c9f16910e2895a431b11b8657b80692",
+}
+
+
+def _token_dict_line(report) -> str:
+    """report as a line of the token-dict layout."""
+    return json.dumps({
+        "id": report.id,
+        "origin_bug_id": report.origin_bug_id,
+        "samples": [
+            {"kind": s.kind, "tokens": [{"text": t.text, "is_code": t.is_code} for t in s.tokens],
+             "line_indices": s.line_indices}
+            for s in report.samples
+        ],
+        "provenance": [
+            {"sample_index": p.sample_index, "applied_ops": p.applied_ops, "dropped": p.dropped}
+            for p in report.provenance
+        ],
+        "permutation": report.permutation,
+    }, ensure_ascii=False, sort_keys=True) + "\n"
+
+
+def test_pinned_report_files_hold_the_reports_the_token_dict_layout_held(tmp_path):
+    """Only the layout of the report files changed: decoded and written in
+    the old layout, they are the old files byte for byte."""
+    out = _pinned_run(tmp_path)
+    digests = {
+        name: hashlib.sha256("".join(
+            _token_dict_line(augmented_report_from_dict(r)) for r in read_jsonl(out / name)
+        ).encode("utf-8")).hexdigest()
+        for name in _TOKEN_DICT_DIGESTS
+    }
+    assert digests == _TOKEN_DICT_DIGESTS
 
 
 def test_ranking_artifacts_match_pinned_digests(tmp_path):

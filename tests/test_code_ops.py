@@ -274,6 +274,43 @@ def test_augment_code_sample_keeps_line_indices_aligned():
         assert len(out.line_indices) == len(out.tokens)
 
 
+def _stacked_code_operators(sample: Sample, names, rng) -> Sample:
+    """augment_code_sample as the public operators stack, each finding the
+    code positions on every call: the reference the positional path must
+    equal."""
+    context = {"StackTrace": "stack_trace", "CodeSnippet": "snippet"}.get(sample.kind, "prose")
+    lines = list(sample.line_indices) if sample.line_indices is not None else None
+    tokens = code_token_replace(sample.tokens, names, rng)
+    events: list[dict] = []
+    tokens = code_token_insert(tokens, names, rng, audit=events)
+    if lines is not None:
+        for event in events:
+            lines.insert(event["index"], lines[event["anchor"]])
+    tokens = code_token_swap(tokens, context, rng, line_indices=lines)
+    return Sample(kind=sample.kind, tokens=tokens, source_span=sample.source_span, line_indices=lines)
+
+
+_CODE_SAMPLE_TOKENS = st.lists(
+    st.builds(Token, st.sampled_from(["AsyncChannel", "timesOut", "at", "the", "org.x.Pool.run"]),
+              st.booleans()),
+    max_size=14,
+)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(tokens=_CODE_SAMPLE_TOKENS, kind=st.sampled_from(["StackTrace", "CodeSnippet", "OB"]),
+       data=st.data(), seed=st.integers(0, 2**32 - 1), given_code=st.booleans())
+def test_augment_code_sample_equals_the_stacked_operators(tokens, kind, data, seed, given_code):
+    lines = None
+    if kind == "StackTrace":
+        lines = sorted(data.draw(st.lists(st.integers(0, 4), min_size=len(tokens),
+                                          max_size=len(tokens))))
+    sample = Sample(kind=kind, tokens=tokens, source_span=(1, 2), line_indices=lines)
+    code = tuple(i for i, t in enumerate(tokens) if t.is_code) if given_code else None
+    assert (augment_code_sample(sample, NAMES, random.Random(seed), code)
+            == _stacked_code_operators(sample, NAMES, random.Random(seed)))
+
+
 def test_mine_code_names_collects_classes_and_methods():
     hunks = [
         make_hunk(

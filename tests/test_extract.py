@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from bugaug.extract import (
     DEFAULT_LIBRARY_PREFIXES,
+    PUNCTUATION_CHARS,
     PatternDictionary,
     _find_traces,
     classify_tokens,
@@ -233,6 +235,46 @@ def test_classify_is_deterministic_and_idempotent(patterns):
     assert [(s.kind, s.source_span) for s in first] == [(s.kind, s.source_span) for s in second]
     for sample in first:
         assert classify_tokens(sample.tokens, patterns) == sample.kind
+
+
+def _brute_force_category(tokens, patterns) -> str:
+    """The S2R > EB > OB rule, stated over the non-code words directly."""
+    words = [t.text for t in tokens if not t.is_code]
+    cores = [w.strip(PUNCTUATION_CHARS).lower() for w in words]
+    steps = [w for w in words if re.fullmatch(r"\d+[.)]", w)]
+    if len(steps) >= 2 or set(cores) & patterns.s2r:
+        return "S2R"
+    if set(cores) & patterns.eb:
+        return "EB"
+    if set(cores) & (patterns.negations | patterns.negative_verbs):
+        return "OB"
+    return "Other"
+
+
+_DEFAULT_PATTERNS = PatternDictionary.default()
+_KEYWORDS = sorted(_DEFAULT_PATTERNS.s2r | _DEFAULT_PATTERNS.eb | _DEFAULT_PATTERNS.negations
+                   | _DEFAULT_PATTERNS.negative_verbs)
+# keywords and numbered steps, wrapped in punctuation or in upper case, and plain words
+_CATEGORY_WORDS = st.one_of(
+    st.builds(lambda pre, word, post: pre + word + post,
+              st.sampled_from(["", "(", "\"", "*"]),
+              st.one_of(st.sampled_from(_KEYWORDS), st.sampled_from(_KEYWORDS).map(str.upper),
+                        st.sampled_from(_KEYWORDS).map(str.title)),
+              st.sampled_from(["", ".", ",", ":", "!)", "'"])),
+    st.builds("{}{}".format, st.integers(0, 12), st.sampled_from([".", ")", "", ".)", ":"])),
+    st.sampled_from(["the", "request", "Steps", "1", "12.5", "AsyncContext"]),
+)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(words=st.lists(st.tuples(_CATEGORY_WORDS, st.booleans()), max_size=10))
+def test_classify_tokens_is_the_s2r_eb_ob_rule(words):
+    """The memoized per-word bits fold to the rule's label; a code token's
+    word counts for nothing, even if it is a keyword or a step."""
+    patterns = PatternDictionary.default()
+    tokens = [Token(word, is_code) for word, is_code in words]
+    assert classify_tokens(tokens, patterns) == _brute_force_category(tokens, patterns)
+    assert classify_tokens(tokens, _DEFAULT_PATTERNS) == _brute_force_category(tokens, patterns)
 
 
 def test_detect_code_tokens_rules():

@@ -1,0 +1,94 @@
+from __future__ import annotations
+
+import json
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from bugaug.model import (
+    SAMPLE_KINDS,
+    AugmentedBugReport,
+    Sample,
+    SampleProvenance,
+    StructuredBugReport,
+    Token,
+    augmented_report_from_dict,
+    augmented_report_to_dict,
+    is_word,
+    jsonl_line,
+    report_sample_from_dict,
+    structured_from_dict,
+    structured_to_dict,
+)
+
+# words of any characters, unicode whitespace excluded: what Token accepts
+_WORDS = st.one_of(
+    st.sampled_from(["fails", "getFoo()", "org.demo.Util", "1.", "\"quoted\"", "é", "\\", "{}"]),
+    st.text(st.characters(blacklist_categories=("Zs", "Zl", "Zp", "Cc")), min_size=1,
+            max_size=6).filter(is_word),
+)
+_TOKENS = st.lists(st.builds(Token, _WORDS, st.booleans()), max_size=8)
+
+
+@st.composite
+def _samples(draw, spans: bool) -> Sample:
+    tokens = draw(_TOKENS)
+    kind = draw(st.sampled_from(SAMPLE_KINDS))
+    lines = None
+    if kind == "StackTrace" or draw(st.booleans()):
+        lines = draw(st.lists(st.integers(0, 9), min_size=len(tokens), max_size=len(tokens)))
+    span = draw(st.tuples(st.integers(0, 10**6), st.integers(0, 10**6))) if spans else (0, 0)
+    return Sample(kind=kind, tokens=tokens, source_span=span, line_indices=lines)
+
+
+def _through_a_file(record: dict) -> dict:
+    return json.loads(jsonl_line(record))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(bug_id=_WORDS, samples=st.lists(_samples(spans=True), max_size=4))
+def test_structured_reports_round_trip(bug_id, samples):
+    report = StructuredBugReport(bug_id=bug_id, samples=samples)
+    record = structured_to_dict(report)
+    assert structured_from_dict(_through_a_file(record)) == report
+    for sample, written in zip(samples, record["samples"]):
+        assert written["text"].split() == [t.text for t in sample.tokens]
+        assert written["code"] == [i for i, t in enumerate(sample.tokens) if t.is_code]
+
+
+@st.composite
+def _augmented_reports(draw) -> AugmentedBugReport:
+    samples = draw(st.lists(_samples(spans=False), max_size=5))
+    n = len(samples) + draw(st.integers(0, 1))
+    dropped = draw(st.sampled_from([None, *range(n)]))
+    return AugmentedBugReport(
+        id=draw(_WORDS),
+        origin_bug_id=draw(_WORDS),
+        samples=samples,
+        provenance=[
+            SampleProvenance(sample_index=i,
+                             applied_ops=draw(st.lists(st.sampled_from(["nl", "nl:fallback", "code"]),
+                                                       max_size=2)),
+                             dropped=i == dropped)
+            for i in range(n)
+        ],
+        permutation=draw(st.permutations(range(n))),
+    )
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(report=_augmented_reports())
+def test_augmented_reports_round_trip(report):
+    assert augmented_report_from_dict(_through_a_file(augmented_report_to_dict(report))) == report
+
+
+def test_a_code_position_past_the_last_token_is_refused():
+    with pytest.raises(ValueError, match="out of range"):
+        report_sample_from_dict({"kind": "OB", "text": "a b", "code": [2], "line_indices": None})
+
+
+def test_a_sample_of_the_token_dict_layout_is_refused():
+    old = {"kind": "OB", "tokens": [{"text": "fails", "is_code": False}], "line_indices": None}
+    with pytest.raises(ValueError, match="token-dict layout"):
+        structured_from_dict({"bug_id": "b", "samples": [{**old, "source_span": [0, 5]}]})

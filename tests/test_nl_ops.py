@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from bugaug import nl_ops
 from bugaug.extract import classify_tokens, detect_code_tokens, is_code_token, tokenize
 from bugaug.model import Sample, Token
+from bugaug.rng import derive_rng
 from bugaug.nl_ops import (
     REJECTED,
     AugConfig,
@@ -22,6 +23,7 @@ from bugaug.nl_ops import (
     identity_paraphraser,
     make_shuffle_paraphraser,
     op_budget,
+    paragraph_plan,
     random_delete,
     random_swap,
 )
@@ -210,6 +212,48 @@ def test_nl_operators_never_drop_or_alter_a_code_token(operator, substitutes, to
     assert [t for t in out if t.is_code] == [t for t in tokens if t.is_code]
 
 
+# substitutes that are keywords again ("fails" <-> "crashes") and ones that are not
+_CHAINED = SubstituteDictionary({"fails": ("crashes", "breaks"), "crashes": ("fails",),
+                                 "timeout": ("hang",), "blocked": ("stuck",),
+                                 "close": ("shut", "fails")})
+
+
+def _stacked_operators(paragraph, dictionary, config, paraphraser, qc, key):
+    """augment_paragraph as the public operators stack, each finding its own
+    positions on every call: the reference the planned path must equal."""
+    original = paragraph.tokens
+    budgets = {kind: op_budget(len(original), kind) for kind in nl_ops.OP_KINDS}
+    category = classify_tokens(original, qc.patterns)
+    code_count = sum(t.is_code for t in original)
+    for attempt in range(config.qc_max_retries):
+        rng = derive_rng(config.seed, "nl", *key, attempt)
+        tokens = dictionary_replace(original, dictionary, budgets["replace"], rng)
+        tokens = dictionary_insert(tokens, dictionary, budgets["insert"], rng)
+        tokens = random_swap(tokens, budgets["swap"], rng)
+        tokens = random_delete(tokens, budgets["delete"], rng)
+        new = qc.retokenize(paraphraser(" ".join(t.text for t in tokens)))
+        if new and classify_tokens(new, qc.patterns) == category and (
+                sum(t.is_code for t in new) == code_count):
+            return Sample(kind=paragraph.kind, tokens=new, source_span=paragraph.source_span)
+    return REJECTED
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(tokens=_TOKENS.filter(bool), seed=st.integers(0, 2**32 - 1),
+       dictionary=st.sampled_from(["default", "chained"]), drop_first=st.booleans())
+def test_planned_augmentation_equals_the_stacked_operators(patterns, substitutes, tokens, seed,
+                                                            dictionary, drop_first):
+    dictionary = substitutes if dictionary == "default" else _CHAINED
+    qc = _qc(patterns, identifiers=("AsyncContext",))
+    paragraph = Sample(kind="OB", tokens=tokens, source_span=(3, 9))
+    config = AugConfig(seed=seed, qc_max_retries=3)
+    # dropping the first word makes QC reject some attempts
+    paraphraser = (lambda text: text.partition(" ")[2]) if drop_first else identity_paraphraser
+    plan = paragraph_plan(paragraph, dictionary, qc)
+    assert (augment_paragraph(plan, dictionary, config, paraphraser, qc, ("b", 1, 0))
+            == _stacked_operators(paragraph, dictionary, config, paraphraser, qc, ("b", 1, 0)))
+
+
 # --- dictionaries -------------------------------------------------------------
 
 
@@ -269,6 +313,11 @@ def _paragraph(text: str, patterns, identifiers=()) -> Sample:
     return Sample(kind=classify_tokens(tokens, patterns), tokens=tokens)
 
 
+def _augment(paragraph, substitutes, config, paraphraser, qc, key=()):
+    return augment_paragraph(paragraph_plan(paragraph, substitutes, qc), substitutes, config,
+                             paraphraser, qc, key)
+
+
 def test_augment_accepts_and_preserves_category_and_code_count(patterns, substitutes):
     qc = _qc(patterns, identifiers=("Async",))
     paragraph = _paragraph(
@@ -276,7 +325,7 @@ def test_augment_accepts_and_preserves_category_and_code_count(patterns, substit
     )
     assert paragraph.kind == "OB"
     config = AugConfig(seed=99, qc_max_retries=10)
-    result = augment_paragraph(paragraph, substitutes, config, identity_paraphraser, qc, ("b", 1, 0))
+    result = _augment(paragraph, substitutes, config, identity_paraphraser, qc, ("b", 1, 0))
     assert result is not REJECTED
     assert qc.category(result.tokens) == "OB"
     assert qc.code_token_count(result.tokens) == qc.code_token_count(paragraph.tokens)
@@ -294,7 +343,7 @@ def test_augment_rejects_when_paraphraser_destroys_code_token(patterns, substitu
         return text.replace("Async", "TCP")
 
     config = AugConfig(seed=4, qc_max_retries=5)
-    result = augment_paragraph(paragraph, substitutes, config, break_async, qc, ("b", 1, 0))
+    result = _augment(paragraph, substitutes, config, break_async, qc, ("b", 1, 0))
     assert result is REJECTED
 
 
@@ -307,7 +356,7 @@ def test_augment_rejects_when_category_is_lost(patterns, substitutes):
         return text.replace("should", "will").replace("ought", "will").replace("must", "will")
 
     config = AugConfig(seed=4, qc_max_retries=5)
-    result = augment_paragraph(paragraph, substitutes, config, drop_marker, qc, ("b", 1, 0))
+    result = _augment(paragraph, substitutes, config, drop_marker, qc, ("b", 1, 0))
     assert result is REJECTED
 
 
@@ -316,7 +365,7 @@ def test_augment_is_deterministic_under_seed(patterns, substitutes):
     paragraph = _paragraph("The SessionManager fails and the request hangs forever.", patterns)
     config = AugConfig(seed=1234)
     runs = [
-        augment_paragraph(paragraph, substitutes, config, identity_paraphraser, qc, ("bug", 2, 1))
+        _augment(paragraph, substitutes, config, identity_paraphraser, qc, ("bug", 2, 1))
         for _ in range(2)
     ]
     assert runs[0] is not REJECTED
@@ -326,7 +375,7 @@ def test_augment_is_deterministic_under_seed(patterns, substitutes):
 def test_augment_rejects_non_nl_kinds(patterns, substitutes):
     sample = Sample(kind="StackTrace", tokens=[Token("at")])
     with pytest.raises(ValueError):
-        augment_paragraph(sample, substitutes, AugConfig(), identity_paraphraser, _qc(patterns))
+        paragraph_plan(sample, substitutes, _qc(patterns))
 
 
 # --- paraphrasers ---------------------------------------------------------------
