@@ -10,12 +10,15 @@ constrained.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from pathlib import Path
+from typing import Iterable
 
 from .builder import augmented_report_id, referenced_refs
 from .corpus import NegativeSampler
-from .model import Dataset, TrainingSample
+from .model import Dataset, TrainingSample, positive_key, read_jsonl
 from .rng import derive_rng
 
 
@@ -110,10 +113,26 @@ class DistributionReport:
 
 
 def distribution_report(dataset: Dataset) -> DistributionReport:
-    bug_counts = dataset.positive_counts_by_bug()
+    return _count_positives(dataset.name, ((s.origin_bug_id, s.class_name) for s in dataset.positives()))
+
+
+def file_distribution_report(path: str | Path, name: str) -> DistributionReport:
+    """distribution_report of the dataset in the JSON-lines file path, counted
+    from its lines without building a TrainingSample for each."""
+    keys = map(positive_key, read_jsonl(path))
+    return _count_positives(name, (key for key in keys if key is not None))
+
+
+def _count_positives(name: str, positives: Iterable[tuple[str, str]]) -> DistributionReport:
+    """The report of a dataset whose positives have these (origin bug, class)
+    pairs."""
+    bug_counts: Counter[str] = Counter()
+    class_counts: Counter[str] = Counter()
+    for bug, class_name in positives:
+        bug_counts[bug] += 1
+        class_counts[class_name] += 1
     if not bug_counts:
-        raise ValueError(f"dataset {dataset.name!r} has no positive samples")
-    class_counts = dataset.positive_counts_by_class()
+        raise ValueError(f"dataset {name!r} has no positive samples")
     return DistributionReport(
         per_bug_counts=sorted(bug_counts.items(), key=lambda kv: (-kv[1], kv[0])),
         per_class_counts=sorted(class_counts.items(), key=lambda kv: (-kv[1], kv[0])),

@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Callable
 
 from . import __version__
-from .balance import balance_dataset, distribution_report
+from .balance import balance_dataset, file_distribution_report
 from .builder import (
     ReportAugmenter,
     generate_augmented_set,
@@ -76,9 +76,13 @@ class CorpusDir:
     """Reader for the artifact directory written by the ingest stage.
 
     Artifacts that several stages read, and views derived from them, are
-    cached properties: parsed when first asked for and kept, so a run parses
-    hunks.jsonl once. Ingest, the only writer, runs before any reader, so
-    nothing is invalidated. Each method's artifact has one reader per run.
+    cached properties: parsed when first asked for and kept. Ingest, the only
+    writer, runs before any reader, so nothing is invalidated; it sets
+    `hunks` to the hunks it has just written, so a pipeline run that ingests
+    parses no hunks.jsonl, and one that skips ingest parses it once. The
+    pipeline drops its CorpusDir after the last stage that reads hunks.jsonl
+    or links.jsonl, so later stages run without the parsed corpus. Each
+    method's artifact has one reader per run.
     """
 
     def __init__(self, path: str | Path):
@@ -166,7 +170,8 @@ def _build_augmenter(corpus_dir: CorpusDir, structured_path: Path, args) -> Repo
 # --- stages ---------------------------------------------------------------
 
 
-def stage_ingest(bugs: Path, diffs: Path, links: Path, seed: int, out_dir: Path) -> None:
+def stage_ingest(bugs: Path, diffs: Path, links: Path, seed: int, corpus_dir: CorpusDir) -> None:
+    out_dir = corpus_dir.path
     out_dir.mkdir(parents=True, exist_ok=True)
     result = ingest_corpus(bugs, diffs, links, seed)
     corpus = result.corpus
@@ -179,6 +184,7 @@ def stage_ingest(bugs: Path, diffs: Path, links: Path, seed: int, out_dir: Path)
                 (changeset_to_dict(result.changesets[k]) for k in sorted(result.changesets)))
     write_dataset(out_dir / "d_ori.jsonl", result.d_ori)
     write_qrels(out_dir / "qrels.txt", result.qrels)
+    corpus_dir.hunks = hunks  # equal to what parsing the hunks.jsonl written above gives
     log.info("ingested %d train / %d test bugs, %d hunks, |D_ori|=%d", len(result.train_bugs),
              len(result.test_bugs), len(hunks), len(result.d_ori))
 
@@ -239,8 +245,7 @@ def stage_stats(dataset_paths: dict[str, Path], top_k: int, out_path: Path,
                 csv_path: Path | None) -> None:
     payload = {}
     for name, path in sorted(dataset_paths.items()):
-        report = distribution_report(load_dataset(path, name))
-        payload[name] = report.to_dict(top_k)
+        payload[name] = file_distribution_report(path, name).to_dict(top_k)
     _write_json(out_path, payload)
     if csv_path is not None:
         with open_new(csv_path, newline="") as fh:
@@ -323,7 +328,7 @@ STAGES = (
           reads=("bugs", "diffs", "links"),
           writes=("train_bugs.jsonl", "test_bugs.jsonl", "hunks.jsonl", "links.jsonl",
                   "changesets.jsonl", "d_ori.jsonl", "qrels.txt"),
-          config=("seed",), call=lambda a, corpus: (a.bugs, a.diffs, a.links, a.seed, a.out)),
+          config=("seed",), call=lambda a, corpus: (a.bugs, a.diffs, a.links, a.seed, corpus(a.out))),
     Stage("extract", "decompose train bug reports into structured samples",
           ("corpus", "patterns"), {"corpus": "", "out": "structured.jsonl"},
           reads=("train_bugs.jsonl", "hunks.jsonl", "patterns"), writes=("structured.jsonl",),
@@ -362,6 +367,8 @@ STAGES = (
 _PIPELINE_INPUTS = tuple(dict.fromkeys(
     name for stage in STAGES for name in stage.reads if all(name not in s.writes for s in STAGES)))
 _PIPELINE_CONFIG = tuple(dict.fromkeys(name for stage in STAGES for name in stage.config))
+# the last stage that reads the parsed corpus: a pipeline run drops its CorpusDir after it
+_LAST_CORPUS_READER = [s.name for s in STAGES if {"hunks.jsonl", "links.jsonl"} & set(s.reads)][-1]
 
 
 def run_stage(stage: Stage, args, corpus: Callable[[Path], CorpusDir], run_dir: Path | None = None):
@@ -491,6 +498,8 @@ def cmd_pipeline(args, parser) -> int:
                 print(f"pipeline stage {stage.name!r} failed: {exc}", file=sys.stderr)
                 return 1
             written = _digest_files(outputs)
+        if stage.name == _LAST_CORPUS_READER:
+            corpus.cache_clear()
         digests.update(written)
         manifest["stages"][stage.name] = written
         manifest["keys"][stage.name] = key

@@ -98,8 +98,12 @@ class TrainingSample:
     label: str
 
     def __post_init__(self):
-        if self.label not in LABELS:
-            raise CorpusError(f"sample {self.bug_ref!r}: bad label {self.label!r}")
+        _check_label(self.bug_ref, self.label)
+
+
+def _check_label(bug_ref: str, label: str) -> None:
+    if label not in LABELS:
+        raise CorpusError(f"sample {bug_ref!r}: bad label {label!r}")
 
 
 @dataclass
@@ -324,7 +328,7 @@ def hunk_to_dict(hunk: Hunk) -> dict:
         "old_len": hunk.old_len,
         "new_start": hunk.new_start,
         "new_len": hunk.new_len,
-        "lines": [[marker, text] for marker, text in hunk.lines],
+        "lines": hunk.lines,  # json writes a tuple as a list
     }
 
 
@@ -380,6 +384,15 @@ def sample_from_dict(d: dict) -> TrainingSample:
         class_name=str(d["class_name"]),
         label=str(d["label"]),
     )
+
+
+def positive_key(d: dict) -> tuple[str, str] | None:
+    """(origin bug, class) of the sample sample_from_dict(d) builds if it is
+    a positive, None if a negative, without building it; a bad label raises
+    as it does."""
+    label = str(d["label"])
+    _check_label(str(d["bug_ref"]), label)
+    return (str(d["origin_bug_id"]), str(d["class_name"])) if label == "positive" else None
 
 
 def report_sample_to_dict(sample: Sample) -> dict:

@@ -1,20 +1,24 @@
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import logging
 import os
 import re
 import shutil
+import weakref
 from functools import cache
 from importlib import resources
 
 import pytest
 
 from bugaug import builder, cli
+from bugaug.balance import distribution_report, file_distribution_report
 from bugaug.cli import main
+from bugaug.corpus import load_hunks_jsonl
 from bugaug.fixtures import generate_corpus
-from bugaug.model import augmented_report_from_dict, bug_from_dict, read_jsonl, write_jsonl
+from bugaug.model import CorpusError, augmented_report_from_dict, bug_from_dict, read_jsonl, write_jsonl
 
 
 @pytest.fixture(scope="module")
@@ -407,7 +411,7 @@ def test_each_run_parses_hunks_jsonl_once(tmp_path, corpus_dir, monkeypatch, cap
     monkeypatch.setattr(cli, "load_hunks_jsonl", lambda path: loads.append(path) or load(path))
     out = tmp_path / "run"
     assert main(_pipeline_args(corpus_dir, out)) == 0
-    assert loads == [out / "hunks.jsonl"]
+    assert loads == []  # ingest hands over the hunks it wrote
 
     stage_args = ["--corpus", str(out), "--structured", str(out / "structured.jsonl"),
                   "--seed", "42"]
@@ -440,6 +444,37 @@ def test_each_run_parses_hunks_jsonl_once(tmp_path, corpus_dir, monkeypatch, cap
     fresh = tmp_path / "fresh"
     assert main(_pipeline_args(corpus_dir, fresh, extra=["--factor", "3"])) == 0
     assert (out / "d_aug.jsonl").read_bytes() == (fresh / "d_aug.jsonl").read_bytes()
+
+
+def test_ingest_hands_the_hunks_it_writes_to_the_corpus_dir(tmp_path, corpus_dir):
+    out = tmp_path / "run"
+    handed = cli.CorpusDir(out)
+    cli.stage_ingest(corpus_dir / "bugs.jsonl", corpus_dir / "diffs", corpus_dir / "links.jsonl", 42,
+                     handed)
+    assert "hunks" in vars(handed)  # set by ingest, not parsed from the file
+    assert handed.hunks == load_hunks_jsonl(out / "hunks.jsonl")
+
+
+def test_a_pipeline_run_releases_the_parsed_hunks_after_their_last_reader(tmp_path, corpus_dir,
+                                                                           monkeypatch):
+    """retrieve is the last stage that reads hunks.jsonl or links.jsonl, so
+    eval runs with no parsed hunk alive."""
+    hunk_refs = []
+    alive_in_eval = []
+
+    def watched_retrieve(corpus, *args, run=cli.stage_retrieve):
+        hunk_refs.append(weakref.ref(corpus.hunks[0]))
+        return run(corpus, *args)
+
+    def watched_eval(*args, run=cli.stage_eval):
+        gc.collect()
+        alive_in_eval.append(hunk_refs[0]() is not None)
+        return run(*args)
+
+    monkeypatch.setattr(cli, "stage_retrieve", watched_retrieve)
+    monkeypatch.setattr(cli, "stage_eval", watched_eval)
+    assert main(_pipeline_args(corpus_dir, tmp_path / "run")) == 0
+    assert len(hunk_refs) == 1 and alive_in_eval == [False]
 
 
 def test_each_stage_mines_the_code_names_of_the_bugs_it_builds_reports_for(tmp_path, corpus_dir,
@@ -540,6 +575,20 @@ def test_stats_and_eval_subcommands(tmp_path, corpus_dir):
     assert loaded["per_bug"]
 
 
+def test_stats_counts_from_the_dataset_lines_what_the_datasets_count(tmp_path, corpus_dir):
+    out = tmp_path / "run"
+    assert main(_pipeline_args(corpus_dir, out, extra=["--alpha", "2.0", "--omega", "4.0"])) == 0
+    for name in ("d_ori", "d_rep", "d_aug", "d_bl"):
+        path = out / f"{name}.jsonl"
+        assert file_distribution_report(path, name) == distribution_report(cli.load_dataset(path, name))
+
+    bad = tmp_path / "bad.jsonl"
+    write_jsonl(bad, [{"bug_ref": "B-1", "origin_bug_id": "B-1", "hunk_id": "cs#h1",
+                       "class_name": "Foo", "label": "maybe"}])
+    with pytest.raises(CorpusError, match="bad label 'maybe'"):
+        file_distribution_report(bad, "bad")
+
+
 def test_retrieve_subcommand(tmp_path, corpus_dir):
     out = tmp_path / "run"
     assert main(_pipeline_args(corpus_dir, out)) == 0
@@ -609,13 +658,15 @@ _PINNED_DIGESTS = {
     "d_bl.jsonl": "3489af2aebb964abc52229bc821d6d776c63674b18be76bfd82c7f95df3abd71",
     "augmented_reports.jsonl": "02c3cb613b9ef4fccb0d2dec6b64cc44e0cf719b7d9184175e907d931fd4a0c8",
     "balance_reports.jsonl": "6c0c27d33ddbdde5c2aff308f6441279048fbdd8502bf58bb0fdf52892eeef24",
+    "hunks.jsonl": "c50ea2df2a922e2a26e1ce401ed4e429394d686fee109e0a1f289d9dbe057181",
 }
 
 
 def test_dataset_artifacts_match_pinned_digests(tmp_path):
     """Every dataset and report file is a pure function of its inputs and
     seed: a changed random stream key (negative, augment or balance) shows
-    here as a changed digest. D_bl adds samples at these settings."""
+    here as a changed digest. D_bl adds samples at these settings.
+    hunks.jsonl pins how ingest parses and writes the hunks."""
     corpus = tmp_path / "corpus"
     generate_corpus(corpus, n_bugs=30, seed=7)
     out = tmp_path / "run"
