@@ -76,13 +76,11 @@ class CorpusDir:
     """Reader for the artifact directory written by the ingest stage.
 
     Artifacts that several stages read, and views derived from them, are
-    cached properties: parsed when first asked for and kept. Ingest, the only
-    writer, runs before any reader, so nothing is invalidated; it sets
-    `hunks` to the hunks it has just written, so a pipeline run that ingests
-    parses no hunks.jsonl, and one that skips ingest parses it once. The
-    pipeline drops its CorpusDir after the last stage that reads hunks.jsonl
-    or links.jsonl, so later stages run without the parsed corpus. Each
-    method's artifact has one reader per run.
+    cached properties: parsed when first asked for and kept, so a run parses
+    hunks.jsonl once. Ingest, the only writer, runs before any reader, so
+    nothing is invalidated. The pipeline drops its CorpusDir after the last
+    stage that reads hunks.jsonl or links.jsonl, so later stages run without
+    the parsed corpus. Each method's artifact has one reader per run.
     """
 
     def __init__(self, path: str | Path):
@@ -170,8 +168,7 @@ def _build_augmenter(corpus_dir: CorpusDir, structured_path: Path, args) -> Repo
 # --- stages ---------------------------------------------------------------
 
 
-def stage_ingest(bugs: Path, diffs: Path, links: Path, seed: int, corpus_dir: CorpusDir) -> None:
-    out_dir = corpus_dir.path
+def stage_ingest(bugs: Path, diffs: Path, links: Path, seed: int, out_dir: Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     result = ingest_corpus(bugs, diffs, links, seed)
     corpus = result.corpus
@@ -184,7 +181,6 @@ def stage_ingest(bugs: Path, diffs: Path, links: Path, seed: int, corpus_dir: Co
                 (changeset_to_dict(result.changesets[k]) for k in sorted(result.changesets)))
     write_dataset(out_dir / "d_ori.jsonl", result.d_ori)
     write_qrels(out_dir / "qrels.txt", result.qrels)
-    corpus_dir.hunks = hunks  # equal to what parsing the hunks.jsonl written above gives
     log.info("ingested %d train / %d test bugs, %d hunks, |D_ori|=%d", len(result.train_bugs),
              len(result.test_bugs), len(hunks), len(result.d_ori))
 
@@ -328,7 +324,7 @@ STAGES = (
           reads=("bugs", "diffs", "links"),
           writes=("train_bugs.jsonl", "test_bugs.jsonl", "hunks.jsonl", "links.jsonl",
                   "changesets.jsonl", "d_ori.jsonl", "qrels.txt"),
-          config=("seed",), call=lambda a, corpus: (a.bugs, a.diffs, a.links, a.seed, corpus(a.out))),
+          config=("seed",), call=lambda a, corpus: (a.bugs, a.diffs, a.links, a.seed, a.out)),
     Stage("extract", "decompose train bug reports into structured samples",
           ("corpus", "patterns"), {"corpus": "", "out": "structured.jsonl"},
           reads=("train_bugs.jsonl", "hunks.jsonl", "patterns"), writes=("structured.jsonl",),

@@ -7,6 +7,7 @@ must match the hunk body, and violations raise with the offending line number.
 from __future__ import annotations
 
 import re
+from pathlib import Path
 
 from .model import Hunk
 
@@ -40,14 +41,10 @@ class DiffParseError(ValueError):
 
 
 def derive_class_name(file_path: str) -> str:
-    """File stem without extension: ``a/b/Foo.java`` -> ``Foo``; the same
-    string as ``Path(file_path).stem``, computed without building a Path."""
+    """File stem without extension: ``a/b/Foo.java`` -> ``Foo``."""
     if not file_path:
         raise ValueError("file_path must be non-empty")
-    # the name is the last part that is neither empty nor ".", as Path parses it
-    name = next((part for part in reversed(file_path.split("/")) if part not in ("", ".")), "")
-    dot = name.rfind(".")
-    return name[:dot] if 0 < dot < len(name) - 1 else name
+    return Path(file_path).stem
 
 
 def _strip_git_prefix(path: str, prefix: str) -> str:

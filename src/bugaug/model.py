@@ -11,6 +11,7 @@ from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
+from sys import intern
 from typing import Iterable, Iterator, TextIO
 
 BUG_STATUSES = ("fixed", "wont_fix", "not_a_bug", "other")
@@ -333,16 +334,18 @@ def hunk_to_dict(hunk: Hunk) -> dict:
 
 
 def hunk_from_dict(d: dict) -> Hunk:
+    # markers, changeset ids, paths and class names repeat across a corpus's
+    # hunks; interned, each value is held once, as in the hunks ingest parses
     return Hunk(
         id=str(d["id"]),
-        changeset_id=str(d["changeset_id"]),
-        file_path=str(d["file_path"]),
-        class_name=str(d["class_name"]),
+        changeset_id=intern(str(d["changeset_id"])),
+        file_path=intern(str(d["file_path"])),
+        class_name=intern(str(d["class_name"])),
         old_start=int(d["old_start"]),
         old_len=int(d["old_len"]),
         new_start=int(d["new_start"]),
         new_len=int(d["new_len"]),
-        lines=tuple((str(m), str(t)) for m, t in d["lines"]),
+        lines=tuple((intern(str(m)), str(t)) for m, t in d["lines"]),
     )
 
 
@@ -388,11 +391,12 @@ def sample_from_dict(d: dict) -> TrainingSample:
 
 def positive_key(d: dict) -> tuple[str, str] | None:
     """(origin bug, class) of the sample sample_from_dict(d) builds if it is
-    a positive, None if a negative, without building it; a bad label raises
-    as it does."""
-    label = str(d["label"])
-    _check_label(str(d["bug_ref"]), label)
-    return (str(d["origin_bug_id"]), str(d["class_name"])) if label == "positive" else None
+    a positive, None if a negative, without building it; a line it refuses,
+    for a missing field or a bad label, raises as it does."""
+    bug_ref, origin_bug_id, _, class_name, label = (
+        str(d[field]) for field in ("bug_ref", "origin_bug_id", "hunk_id", "class_name", "label"))
+    _check_label(bug_ref, label)
+    return (origin_bug_id, class_name) if label == "positive" else None
 
 
 def report_sample_to_dict(sample: Sample) -> dict:

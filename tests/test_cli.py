@@ -411,7 +411,7 @@ def test_each_run_parses_hunks_jsonl_once(tmp_path, corpus_dir, monkeypatch, cap
     monkeypatch.setattr(cli, "load_hunks_jsonl", lambda path: loads.append(path) or load(path))
     out = tmp_path / "run"
     assert main(_pipeline_args(corpus_dir, out)) == 0
-    assert loads == []  # ingest hands over the hunks it wrote
+    assert loads == [out / "hunks.jsonl"]
 
     stage_args = ["--corpus", str(out), "--structured", str(out / "structured.jsonl"),
                   "--seed", "42"]
@@ -446,13 +446,17 @@ def test_each_run_parses_hunks_jsonl_once(tmp_path, corpus_dir, monkeypatch, cap
     assert (out / "d_aug.jsonl").read_bytes() == (fresh / "d_aug.jsonl").read_bytes()
 
 
-def test_ingest_hands_the_hunks_it_writes_to_the_corpus_dir(tmp_path, corpus_dir):
+def test_parsed_hunks_hold_each_repeated_string_once(tmp_path, corpus_dir):
+    """hunks.jsonl repeats line markers, changeset ids, paths and class
+    names; parsing it keeps one string for each distinct value."""
     out = tmp_path / "run"
-    handed = cli.CorpusDir(out)
     cli.stage_ingest(corpus_dir / "bugs.jsonl", corpus_dir / "diffs", corpus_dir / "links.jsonl", 42,
-                     handed)
-    assert "hunks" in vars(handed)  # set by ingest, not parsed from the file
-    assert handed.hunks == load_hunks_jsonl(out / "hunks.jsonl")
+                     out)
+    hunks = load_hunks_jsonl(out / "hunks.jsonl")
+    for values in ([h.changeset_id for h in hunks], [h.file_path for h in hunks],
+                   [h.class_name for h in hunks], [m for h in hunks for m, _ in h.lines]):
+        assert len(values) > len(set(values))
+        assert len({id(v) for v in values}) == len(set(values))
 
 
 def test_a_pipeline_run_releases_the_parsed_hunks_after_their_last_reader(tmp_path, corpus_dir,
@@ -587,6 +591,13 @@ def test_stats_counts_from_the_dataset_lines_what_the_datasets_count(tmp_path, c
                        "class_name": "Foo", "label": "maybe"}])
     with pytest.raises(CorpusError, match="bad label 'maybe'"):
         file_distribution_report(bad, "bad")
+    missing = tmp_path / "missing.jsonl"
+    write_jsonl(missing, [{"bug_ref": "B-1", "origin_bug_id": "B-1", "class_name": "Foo",
+                           "label": "positive"}])
+    with pytest.raises(KeyError, match="hunk_id"):
+        cli.load_dataset(missing, "missing")
+    with pytest.raises(KeyError, match="hunk_id"):
+        file_distribution_report(missing, "missing")
 
 
 def test_retrieve_subcommand(tmp_path, corpus_dir):

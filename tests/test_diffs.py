@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-from pathlib import Path
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -153,20 +151,6 @@ def test_parse_inverts_serialize_for_random_hunks(files):
 )
 def test_derive_class_name(path, expected):
     assert derive_class_name(path) == expected
-
-
-_PATH_PARTS = st.sampled_from(["", ".", "..", "...", "Foo", "Foo.java", ".hidden", "name.", "a.b.c",
-                                "x..y", ". .", "b"])
-
-
-@settings(derandomize=True, database=None, deadline=None, max_examples=300)
-@given(path=st.one_of(st.lists(_PATH_PARTS, min_size=1, max_size=5).map("/".join),
-                      st.text(alphabet="ab./ ", min_size=1, max_size=12)))
-def test_derive_class_name_is_the_path_stem(path):
-    """Empty and "." parts, "..", leading and trailing slashes, dotfiles and
-    names ending in "." all give what Path gives."""
-    if path:
-        assert derive_class_name(path) == Path(path).stem
 
 
 def test_derive_class_name_rejects_empty():
