@@ -18,7 +18,7 @@ from typing import Iterable
 
 from .builder import augmented_report_id, referenced_refs
 from .corpus import NegativeSampler
-from .model import Dataset, TrainingSample, positive_key, read_jsonl
+from .model import Dataset, TrainingSample, read_jsonl, sample_from_dict
 from .rng import derive_rng
 
 
@@ -118,9 +118,10 @@ def distribution_report(dataset: Dataset) -> DistributionReport:
 
 def file_distribution_report(path: str | Path, name: str) -> DistributionReport:
     """distribution_report of the dataset in the JSON-lines file path, counted
-    from its lines without building a TrainingSample for each."""
-    keys = map(positive_key, read_jsonl(path))
-    return _count_positives(name, (key for key in keys if key is not None))
+    as its lines are decoded: the dataset is never held as a list."""
+    samples = map(sample_from_dict, read_jsonl(path))
+    return _count_positives(name, ((s.origin_bug_id, s.class_name) for s in samples
+                                   if s.label == "positive"))
 
 
 def _count_positives(name: str, positives: Iterable[tuple[str, str]]) -> DistributionReport:

@@ -3,8 +3,8 @@
 An augmented report reuses the original report's structure: every sample is
 the augmented (or, after quality-control fallback, original) counterpart of
 exactly one source sample, the samples are randomly reordered, and at most
-one sample may be dropped. The permutation and drop are recorded so an output
-can be replayed bit-exactly.
+one sample may be dropped. The permutation and drop are recorded: they give
+the order of the report's samples.
 """
 
 from __future__ import annotations
@@ -64,9 +64,9 @@ def build_augmented_report(
     structured: StructuredBugReport,
     aug_samples: list[Sample],
     rng,
-    p_drop: float = 0.5,
-    report_id: str | None = None,
-    applied_ops: list[list[str]] | None = None,
+    p_drop: float,
+    report_id: str,
+    applied_ops: list[list[str]],
 ) -> AugmentedBugReport:
     """Permute the augmented samples and drop at most one.
 
@@ -86,23 +86,16 @@ def build_augmented_report(
         droppable = [i for i in range(n) if i != protected]
         if droppable:
             dropped_index = rng.choice(droppable)
-    ops = applied_ops if applied_ops is not None else [[] for _ in range(n)]
     return AugmentedBugReport(
-        id=report_id or augmented_report_id(structured.bug_id, 0),
+        id=report_id,
         origin_bug_id=structured.bug_id,
         samples=[aug_samples[i] for i in permutation if i != dropped_index],
         provenance=[
-            SampleProvenance(sample_index=i, applied_ops=ops[i], dropped=(i == dropped_index))
+            SampleProvenance(sample_index=i, applied_ops=applied_ops[i], dropped=(i == dropped_index))
             for i in range(n)
         ],
         permutation=permutation,
     )
-
-
-def replay_report(aug_samples: list[Sample], report: AugmentedBugReport) -> list[Sample]:
-    """Reconstruct the report's sample order from its recorded provenance."""
-    dropped = {p.sample_index for p in report.provenance if p.dropped}
-    return [aug_samples[i] for i in report.permutation if i not in dropped]
 
 
 # the sample kinds the code operators run on even without a code token
@@ -145,7 +138,7 @@ class ReportAugmenter:
     qc: QualityControl
     aug_config: AugConfig
     paraphraser: Paraphraser
-    p_drop: float = 0.5
+    p_drop: float
     _plans: dict[str, BugPlan] = field(default_factory=dict, init=False, repr=False)
 
     def plan(self, bug_id: str) -> BugPlan:
@@ -335,16 +328,19 @@ def write_sharded(path: str | Path, items: list[Item], line: Callable[[Item], st
 
 
 def write_reports(path: str | Path, refs: list[tuple[str, int]],
-                  augment: Callable[[str, int], AugmentedBugReport] | None) -> None:
+                  augment: Callable[[str, int], AugmentedBugReport] | None) -> tuple[int, int]:
     """Write augment(*ref) for each ref to path as JSON lines, in refs' order,
     through write_sharded: each report is a pure function of its ref. Each
     child's substitute-cache entries and counts are merged here, so neither
-    the bytes nor the cache depend on the CPU count."""
+    the bytes nor the cache depend on the CPU count. Returns the substitute
+    cache hits and misses the call added, over all shards."""
     since = substitute_cache_info()
     deltas = write_sharded(path, refs, lambda ref: jsonl_line(augmented_report_to_dict(augment(*ref))),
                            "report", lambda: substitute_cache_delta(since))
     for delta in deltas:
         merge_substitute_cache(delta)
+    now = substitute_cache_info()
+    return now.hits - since.hits, now.misses - since.misses
 
 
 def generate_augmented_set(d_ori: Dataset, factor: int, sampler: NegativeSampler, seed: int) -> Dataset:

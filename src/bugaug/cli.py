@@ -28,7 +28,7 @@ from .builder import (
     write_reports,
     write_sharded,
 )
-from .code_ops import load_code_name_dicts, mine_code_names, substitute_cache_info
+from .code_ops import load_code_name_dicts, mine_code_names
 from .corpus import ProjectCorpus, ingest_corpus, load_hunks_jsonl, load_links
 from .extract import DEFAULT_LIBRARY_PREFIXES, PatternDictionary, structure_bug_report
 from .fixtures import generate_corpus
@@ -92,8 +92,11 @@ class CorpusDir:
     def d_ori(self) -> Dataset:
         return load_dataset(self.path / "d_ori.jsonl", "D_ori")
 
-    def changesets(self):
-        return {r["id"]: changeset_from_dict(r) for r in read_jsonl(self.path / "changesets.jsonl")}
+    def log_messages(self) -> dict[str, str]:
+        """Each changeset's log message, by changeset id, as changeset_from_dict
+        reads it; only the messages are kept."""
+        return {cs.id: cs.log_message
+                for cs in map(changeset_from_dict, read_jsonl(self.path / "changesets.jsonl"))}
 
     @cached_property
     def hunks(self):
@@ -201,12 +204,9 @@ def _write_reports(path: Path, name: str, refs: list[tuple[str, int]], corpus_di
                    structured_path: Path, args) -> None:
     """Write the augmented report behind each of refs, the distinct augmented
     bug_refs of dataset name; the augmenter is built only if there is one."""
-    before = substitute_cache_info()
     augment = _build_augmenter(corpus_dir, structured_path, args).augment if refs else None
-    write_reports(path, refs, augment)
-    after = substitute_cache_info()
-    log.info("%s reports: substitute ranking %d cache hits, %d misses", name,
-             after.hits - before.hits, after.misses - before.misses)
+    hits, misses = write_reports(path, refs, augment)
+    log.info("%s reports: substitute ranking %d cache hits, %d misses", name, hits, misses)
 
 
 def stage_augment(corpus_dir: CorpusDir, structured_path: Path, args, out_path: Path,
@@ -256,8 +256,7 @@ def stage_stats(dataset_paths: dict[str, Path], top_k: int, out_path: Path,
 
 
 def stage_retrieve(corpus_dir: CorpusDir, bugs_path: Path, top_n: int, out_path: Path) -> None:
-    log_messages = {cs_id: cs.log_message for cs_id, cs in corpus_dir.changesets().items()}
-    index = index_hunks(corpus_dir.hunks, log_messages)
+    index = index_hunks(corpus_dir.hunks, corpus_dir.log_messages())
     texts = {bug.id: bug.text for bug in map(bug_from_dict, read_jsonl(bugs_path))}
     # bugs in id order, ranked on every CPU against the one index built here;
     # rank is looked up when a shard calls it, so a wrapper over cli.rank runs

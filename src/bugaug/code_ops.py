@@ -226,13 +226,11 @@ def code_token_replace(tokens, names: CodeNameDictionary, rng) -> list[Token]:
     return out
 
 
-def code_token_insert(tokens, names: CodeNameDictionary, rng, *, audit=None) -> list[Token]:
+def code_token_insert(tokens, names: CodeNameDictionary, rng) -> list[Token]:
     """Insert a substitute of one random code token at most INSERT_RADIUS
     positions away from it (clamped to the sequence bounds)."""
     out = list(tokens)
-    inserted = _insert_at(out, _code_indices(out), names, rng)
-    if inserted is not None and audit is not None:
-        audit.append({"op": "insert", "anchor": inserted[0], "index": inserted[1]})
+    _insert_at(out, _code_indices(out), names, rng)
     return out
 
 
@@ -249,7 +247,6 @@ def code_token_swap(
     rng,
     *,
     line_indices: Sequence[int] | None = None,
-    audit=None,
 ) -> list[Token]:
     """Swap two code tokens under the context's constraint.
 
@@ -264,12 +261,6 @@ def code_token_swap(
         return out
     i, j = pair
     out[i], out[j] = out[j], out[i]
-    if audit is not None:
-        entry = {"op": "swap", "context": context, "i": i, "j": j}
-        if line_indices is not None:
-            entry["line_i"] = line_indices[i]
-            entry["line_j"] = line_indices[j]
-        audit.append(entry)
     return out
 
 

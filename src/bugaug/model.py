@@ -99,12 +99,8 @@ class TrainingSample:
     label: str
 
     def __post_init__(self):
-        _check_label(self.bug_ref, self.label)
-
-
-def _check_label(bug_ref: str, label: str) -> None:
-    if label not in LABELS:
-        raise CorpusError(f"sample {bug_ref!r}: bad label {label!r}")
+        if self.label not in LABELS:
+            raise CorpusError(f"sample {self.bug_ref!r}: bad label {self.label!r}")
 
 
 @dataclass
@@ -114,9 +110,6 @@ class Dataset:
 
     def positives(self) -> list[TrainingSample]:
         return [s for s in self.samples if s.label == "positive"]
-
-    def negatives(self) -> list[TrainingSample]:
-        return [s for s in self.samples if s.label == "negative"]
 
     def positive_counts_by_bug(self) -> Counter[str]:
         return Counter(s.origin_bug_id for s in self.positives())
@@ -194,9 +187,6 @@ class AugmentedBugReport:
     samples: list[Sample]
     provenance: list[SampleProvenance]
     permutation: list[int]
-
-    def text(self) -> str:
-        return "\n\n".join(s.text() for s in self.samples)
 
 
 # --- user dictionaries and word lists ----------------------------------
@@ -389,16 +379,6 @@ def sample_from_dict(d: dict) -> TrainingSample:
     )
 
 
-def positive_key(d: dict) -> tuple[str, str] | None:
-    """(origin bug, class) of the sample sample_from_dict(d) builds if it is
-    a positive, None if a negative, without building it; a line it refuses,
-    for a missing field or a bad label, raises as it does."""
-    bug_ref, origin_bug_id, _, class_name, label = (
-        str(d[field]) for field in ("bug_ref", "origin_bug_id", "hunk_id", "class_name", "label"))
-    _check_label(bug_ref, label)
-    return (origin_bug_id, class_name) if label == "positive" else None
-
-
 def report_sample_to_dict(sample: Sample) -> dict:
     """A sample in the compact layout of structured.jsonl and the report
     files: its tokens as one space-joined text and the positions of its code
@@ -455,17 +435,3 @@ def augmented_report_to_dict(report: AugmentedBugReport) -> dict:
         "permutation": report.permutation,
     }
 
-
-def augmented_report_from_dict(d: dict) -> AugmentedBugReport:
-    return AugmentedBugReport(
-        id=str(d["id"]),
-        origin_bug_id=str(d["origin_bug_id"]),
-        samples=[report_sample_from_dict(s) for s in d["samples"]],
-        provenance=[
-            SampleProvenance(sample_index=int(p["sample_index"]),
-                             applied_ops=[str(op) for op in p["applied_ops"]],
-                             dropped=bool(p["dropped"]))
-            for p in d["provenance"]
-        ],
-        permutation=[int(i) for i in d["permutation"]],
-    )

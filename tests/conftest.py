@@ -7,9 +7,10 @@ from datetime import datetime, timedelta, timezone
 import pytest
 from hypothesis.configuration import set_hypothesis_home_dir
 
+from bugaug import code_ops
 from bugaug.corpus import ProjectCorpus
 from bugaug.extract import PatternDictionary
-from bugaug.model import BugReport, Hunk, LinkRecord, Token
+from bugaug.model import BugReport, Dataset, Hunk, LinkRecord, Token, TrainingSample
 from bugaug.nl_ops import SubstituteDictionary
 
 EPOCH = datetime(2021, 3, 1, tzinfo=timezone.utc)
@@ -107,6 +108,44 @@ def random_tokens(rng: random.Random, n: int, code_ratio: float = 0.25) -> list[
         else:
             out.append(Token(rng.choice(_WORDS), is_code=False))
     return out
+
+
+def negatives(dataset: Dataset) -> list[TrainingSample]:
+    return [s for s in dataset.samples if s.label == "negative"]
+
+
+def _replay(rng: random.Random) -> random.Random:
+    """A random.Random in rng's current state: it draws what rng draws next."""
+    replay = random.Random()
+    replay.setstate(rng.getstate())
+    return replay
+
+
+def traced_insert(tokens, names, rng: random.Random):
+    """code_token_insert(tokens, names, rng) and the (anchor, index) of its
+    insertion, or None: code_ops._insert_at run on a copy of the operator's
+    list with the operator's draws, which must give the operator's output."""
+    replay = _replay(rng)
+    out = code_ops.code_token_insert(tokens, names, rng)
+    replayed = list(tokens)
+    inserted = code_ops._insert_at(replayed, code_ops._code_indices(replayed), names, replay)
+    assert replayed == out
+    return out, inserted
+
+
+def traced_swap(tokens, context: str, rng: random.Random, line_indices=None):
+    """code_token_swap(tokens, context, rng, line_indices=line_indices) and
+    the (i, j) it swapped, or None: code_ops._swap_pair drawn from the
+    operator's rng state, which must give the operator's output."""
+    replay = _replay(rng)
+    out = code_ops.code_token_swap(tokens, context, rng, line_indices=line_indices)
+    pair = code_ops._swap_pair(code_ops._code_indices(tokens), context, replay, line_indices)
+    swapped = list(tokens)
+    if pair is not None:
+        i, j = pair
+        swapped[i], swapped[j] = swapped[j], swapped[i]
+    assert swapped == out
+    return out, pair
 
 
 @pytest.fixture(scope="session")

@@ -17,9 +17,7 @@ from bugaug.builder import generate_augmented_set, generate_repeated_set
 from bugaug.cli import main
 from bugaug.code_ops import (
     CodeNameDictionary,
-    code_token_insert,
     code_token_replace,
-    code_token_swap,
     levenshtein,
     top_k_substitutes,
 )
@@ -42,7 +40,7 @@ from bugaug.nl_ops import (
     random_swap,
 )
 
-from conftest import make_hunk, random_tokens
+from conftest import make_hunk, random_tokens, traced_insert, traced_swap
 from test_code_ops import oracle_levenshtein, oracle_top_k
 
 
@@ -259,15 +257,15 @@ def test_criterion_5_operator_constraint_suite():
         replaced = code_token_replace(tokens, names, rng)
         applications += 1
         assert len(replaced) == len(tokens)
-        audit: list[dict] = []
-        inserted = code_token_insert(tokens, names, rng, audit=audit)
+        inserted, event = traced_insert(tokens, names, rng)
         applications += 1
         assert len(inserted) >= len(tokens)
-        for event in audit:
-            assert abs(event["index"] - event["anchor"]) <= 3 or event["index"] in (0, len(tokens))
-            assert max(0, event["anchor"] - 3) <= event["index"] <= min(len(tokens), event["anchor"] + 3)
+        if event is not None:
+            anchor, index = event
+            assert abs(index - anchor) <= 3 or index in (0, len(tokens))
+            assert max(0, anchor - 3) <= index <= min(len(tokens), anchor + 3)
 
-    for _ in range(1000):  # code swap predicates, via the audit log
+    for _ in range(1000):  # code swap predicates, on the pair the operator swapped
         n = rng.randint(2, 18)
         tokens = [Token(f"Name{i}", is_code=rng.random() < 0.6) for i in range(n)]
         context = rng.choice(["snippet", "prose", "stack_trace"])
@@ -277,16 +275,16 @@ def test_criterion_5_operator_constraint_suite():
             for _ in range(n):
                 line += rng.random() < 0.4
                 lines.append(line)
-        audit = []
-        out = code_token_swap(tokens, context, rng, line_indices=lines, audit=audit)
+        out, pair = traced_swap(tokens, context, rng, lines)
         applications += 1
         assert len(out) == len(tokens)
         assert Counter(t.text for t in out) == Counter(t.text for t in tokens)
-        for event in audit:
+        if pair is not None:
+            i, j = pair
             if context == "stack_trace":
-                assert abs(event["line_i"] - event["line_j"]) == 1
+                assert abs(lines[i] - lines[j]) == 1
             else:
-                assert abs(event["i"] - event["j"]) <= 3
+                assert abs(i - j) <= 3
 
     assert applications >= 10000
     _report(5, f"0 violations across {applications} randomized operator applications")

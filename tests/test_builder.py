@@ -13,11 +13,11 @@ from hypothesis import strategies as st
 from bugaug import builder
 from bugaug.builder import (
     ReportAugmenter,
+    augmented_report_id,
     build_augmented_report,
     generate_augmented_set,
     generate_repeated_set,
     referenced_refs,
-    replay_report,
     write_reports,
 )
 from bugaug.code_ops import mine_code_names, substitute_cache_info
@@ -35,7 +35,7 @@ from bugaug.model import (
 )
 from bugaug.nl_ops import AugConfig, QualityControl, identity_paraphraser
 
-from conftest import build_corpus, make_bug
+from conftest import build_corpus, make_bug, negatives
 
 
 def _sample(kind: str, *texts: str) -> Sample:
@@ -50,9 +50,17 @@ def _structured(bug_id: str = "b1", n: int = 4) -> StructuredBugReport:
     )
 
 
+def _assemble(structured: StructuredBugReport, aug_samples: list[Sample], rng, p_drop: float):
+    """build_augmented_report as the augmenter calls it for the bug's first
+    report, with no operator applied to any sample."""
+    return build_augmented_report(structured, aug_samples, rng, p_drop,
+                                  augmented_report_id(structured.bug_id, 1),
+                                  [[] for _ in structured.samples])
+
+
 def test_single_sample_report_is_never_dropped_or_permuted():
     structured = _structured(n=1)
-    report = build_augmented_report(structured, list(structured.samples), random.Random(0), p_drop=1.0)
+    report = _assemble(structured, list(structured.samples), random.Random(0), p_drop=1.0)
     assert report.permutation == [0]
     assert len(report.samples) == 1
 
@@ -60,14 +68,14 @@ def test_single_sample_report_is_never_dropped_or_permuted():
 def test_p_drop_zero_preserves_length():
     structured = _structured(n=5)
     for seed in range(20):
-        report = build_augmented_report(structured, list(structured.samples), random.Random(seed), p_drop=0.0)
+        report = _assemble(structured, list(structured.samples), random.Random(seed), p_drop=0.0)
         assert len(report.samples) == 5
 
 
 def test_at_most_one_sample_dropped_and_first_ob_protected():
     structured = _structured(n=5)  # kinds: OB EB S2R Other OB -> index 0 protected
     for seed in range(200):
-        report = build_augmented_report(structured, list(structured.samples), random.Random(seed), p_drop=1.0)
+        report = _assemble(structured, list(structured.samples), random.Random(seed), p_drop=1.0)
         dropped = [p.sample_index for p in report.provenance if p.dropped]
         assert len(dropped) == 1
         assert dropped[0] != 0
@@ -81,7 +89,7 @@ def test_second_ob_may_be_dropped_but_not_the_first():
     )
     dropped_indices = set()
     for seed in range(300):
-        report = build_augmented_report(structured, list(structured.samples), random.Random(seed), p_drop=1.0)
+        report = _assemble(structured, list(structured.samples), random.Random(seed), p_drop=1.0)
         dropped_indices.update(p.sample_index for p in report.provenance if p.dropped)
     assert 0 not in dropped_indices
     assert dropped_indices == {1, 2}
@@ -91,20 +99,21 @@ def test_permutation_and_drop_replay_bit_exact():
     structured = _structured(n=6)
     aug_samples = list(structured.samples)
     for seed in range(50):
-        report = build_augmented_report(structured, aug_samples, random.Random(seed), p_drop=0.7)
-        assert replay_report(aug_samples, report) == report.samples
+        report = _assemble(structured, aug_samples, random.Random(seed), p_drop=0.7)
+        dropped = {p.sample_index for p in report.provenance if p.dropped}
+        assert [aug_samples[i] for i in report.permutation if i not in dropped] == report.samples
 
 
 def test_zero_samples_is_an_error():
     structured = StructuredBugReport(bug_id="b", samples=[])
     with pytest.raises(ValueError):
-        build_augmented_report(structured, [], random.Random(0))
+        _assemble(structured, [], random.Random(0), p_drop=0.5)
 
 
 def test_misaligned_samples_is_an_error():
     structured = _structured(n=3)
     with pytest.raises(ValueError):
-        build_augmented_report(structured, structured.samples[:2], random.Random(0))
+        _assemble(structured, structured.samples[:2], random.Random(0), p_drop=0.5)
 
 
 # --- dataset generators -----------------------------------------------------
@@ -135,8 +144,7 @@ def test_augmented_set_scales_as_one_plus_factor():
         d_aug = generate_augmented_set(d_ori, factor, sampler, seed=5)
         assert len(d_aug) == (1 + factor) * len(d_ori)
         positives = d_aug.positives()
-        negatives = d_aug.negatives()
-        assert len(positives) == len(negatives)
+        assert len(positives) == len(negatives(d_aug))
 
 
 def test_augmented_positives_keep_origin_hunk():
@@ -303,8 +311,8 @@ def test_generated_negatives_avoid_inducing_classes_and_keep_ratio():
         generate_augmented_set(d_ori, 5, sampler, seed=8),
         generate_repeated_set(d_ori, 5, sampler, seed=8),
     ):
-        assert len(dataset.positives()) == len(dataset.negatives())
-        for neg in dataset.negatives():
+        assert len(dataset.positives()) == len(negatives(dataset))
+        for neg in negatives(dataset):
             assert neg.class_name not in corpus.inducing_classes(neg.origin_bug_id)
 
 
@@ -337,9 +345,10 @@ def test_sharded_reports_are_the_one_shard_bytes(tmp_path_factory, patterns, sub
         before = substitute_cache_info()
         with pytest.MonkeyPatch.context() as monkeypatch:
             _cpus(monkeypatch, count)
-            write_reports(path, refs, augment)
+            counts = write_reports(path, refs, augment)
         after = substitute_cache_info()
         assert path.read_text("utf-8") == expected
+        assert counts == (after.hits - before.hits, after.misses - before.misses)
         assert after.misses == before.misses  # the first build above ranked every key
         calls.append(after.hits - before.hits)
     assert calls[0] == calls[1]

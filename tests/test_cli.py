@@ -18,7 +18,7 @@ from bugaug.balance import distribution_report, file_distribution_report
 from bugaug.cli import main
 from bugaug.corpus import load_hunks_jsonl
 from bugaug.fixtures import generate_corpus
-from bugaug.model import CorpusError, augmented_report_from_dict, bug_from_dict, read_jsonl, write_jsonl
+from bugaug.model import CorpusError, bug_from_dict, read_jsonl, report_sample_from_dict, write_jsonl
 
 
 @pytest.fixture(scope="module")
@@ -600,6 +600,17 @@ def test_stats_counts_from_the_dataset_lines_what_the_datasets_count(tmp_path, c
         file_distribution_report(missing, "missing")
 
 
+def test_log_messages_read_a_null_or_missing_message_as_empty_text(tmp_path):
+    committed = {"author": "dev", "committed_at": "2021-03-01T00:00:00Z"}
+    write_jsonl(tmp_path / "changesets.jsonl", [
+        {"id": "cs1", **committed, "log_message": "rework header parsing"},
+        {"id": "cs2", **committed, "log_message": None},
+        {"id": "cs3", **committed},
+    ])
+    assert cli.CorpusDir(tmp_path).log_messages() == {"cs1": "rework header parsing", "cs2": "",
+                                                      "cs3": ""}
+
+
 def test_retrieve_subcommand(tmp_path, corpus_dir):
     out = tmp_path / "run"
     assert main(_pipeline_args(corpus_dir, out)) == 0
@@ -731,21 +742,17 @@ _TOKEN_DICT_DIGESTS = {
 }
 
 
-def _token_dict_line(report) -> str:
-    """report as a line of the token-dict layout."""
+def _token_dict_line(record: dict) -> str:
+    """A report-file record as a line of the token-dict layout: its samples
+    decoded, each token written as a dict."""
+    samples = map(report_sample_from_dict, record["samples"])
     return json.dumps({
-        "id": report.id,
-        "origin_bug_id": report.origin_bug_id,
+        **record,
         "samples": [
             {"kind": s.kind, "tokens": [{"text": t.text, "is_code": t.is_code} for t in s.tokens],
              "line_indices": s.line_indices}
-            for s in report.samples
+            for s in samples
         ],
-        "provenance": [
-            {"sample_index": p.sample_index, "applied_ops": p.applied_ops, "dropped": p.dropped}
-            for p in report.provenance
-        ],
-        "permutation": report.permutation,
     }, ensure_ascii=False, sort_keys=True) + "\n"
 
 
@@ -755,7 +762,7 @@ def test_pinned_report_files_hold_the_reports_the_token_dict_layout_held(tmp_pat
     out = _pinned_run(tmp_path)
     digests = {
         name: hashlib.sha256("".join(
-            _token_dict_line(augmented_report_from_dict(r)) for r in read_jsonl(out / name)
+            _token_dict_line(r) for r in read_jsonl(out / name)
         ).encode("utf-8")).hexdigest()
         for name in _TOKEN_DICT_DIGESTS
     }

@@ -20,7 +20,7 @@ from bugaug.code_ops import (
 )
 from bugaug.model import Sample, Token
 
-from conftest import make_hunk
+from conftest import make_hunk, traced_insert, traced_swap
 
 
 def oracle_levenshtein(a: str, b: str) -> int:
@@ -190,12 +190,10 @@ def test_insert_index_stays_within_radius():
         tokens = [Token(f"w{i}") for i in range(n)]
         code_at = rng.randrange(n)
         tokens[code_at] = Token("someCodeName", is_code=True)
-        audit: list[dict] = []
-        out = code_token_insert(tokens, NAMES, rng, audit=audit)
+        out, (anchor, index) = traced_insert(tokens, NAMES, rng)
         assert len(out) == n + 1
-        (event,) = audit
-        assert event["anchor"] == code_at
-        assert max(0, code_at - 3) <= event["index"] <= min(n, code_at + 3)
+        assert anchor == code_at
+        assert max(0, code_at - 3) <= index <= min(n, code_at + 3)
 
 
 def test_insert_with_empty_pool_is_identity():
@@ -215,18 +213,14 @@ def test_swap_stack_trace_only_between_consecutive_lines():
     tokens = [Token(f"Cls{i}", is_code=True) for i in range(6)]
     lines = [0, 0, 1, 2, 4, 4]
     for _ in range(200):
-        audit: list[dict] = []
-        code_token_swap(tokens, "stack_trace", rng, line_indices=lines, audit=audit)
-        for event in audit:
-            assert abs(event["line_i"] - event["line_j"]) == 1
+        _, (i, j) = traced_swap(tokens, "stack_trace", rng, lines)
+        assert abs(lines[i] - lines[j]) == 1
 
 
 def test_swap_snippet_radius_three():
     tokens = [Token(f"c{i}", is_code=(i in (2, 5))) for i in range(8)]
-    audit: list[dict] = []
-    out = code_token_swap(tokens, "snippet", random.Random(0), audit=audit)
-    (event,) = audit
-    assert (event["i"], event["j"]) == (2, 5)
+    out, pair = traced_swap(tokens, "snippet", random.Random(0))
+    assert pair == (2, 5)
     assert out[2].text == "c5" and out[5].text == "c2"
 
 
@@ -281,11 +275,10 @@ def _stacked_code_operators(sample: Sample, names, rng) -> Sample:
     context = {"StackTrace": "stack_trace", "CodeSnippet": "snippet"}.get(sample.kind, "prose")
     lines = list(sample.line_indices) if sample.line_indices is not None else None
     tokens = code_token_replace(sample.tokens, names, rng)
-    events: list[dict] = []
-    tokens = code_token_insert(tokens, names, rng, audit=events)
-    if lines is not None:
-        for event in events:
-            lines.insert(event["index"], lines[event["anchor"]])
+    tokens, inserted = traced_insert(tokens, names, rng)
+    if lines is not None and inserted is not None:
+        anchor, index = inserted
+        lines.insert(index, lines[anchor])
     tokens = code_token_swap(tokens, context, rng, line_indices=lines)
     return Sample(kind=sample.kind, tokens=tokens, source_span=sample.source_span, line_indices=lines)
 

@@ -18,7 +18,7 @@ from bugaug.corpus import (
 from bugaug.fixtures import generate_corpus
 from bugaug.model import CorpusError, bug_from_dict, changeset_from_dict, link_from_dict
 
-from conftest import build_corpus, make_bug, make_hunk
+from conftest import build_corpus, make_bug, make_hunk, negatives
 
 
 def test_positive_filter_keeps_only_classes_touched_by_fix():
@@ -45,8 +45,8 @@ def test_positive_negative_counts_match_and_exclusion_holds():
         }
     )
     dataset = build_d_ori(list(bugs.values()), corpus, rng_seed=9)
-    assert len(dataset.positives()) == len(dataset.negatives())
-    for neg in dataset.negatives():
+    assert len(dataset.positives()) == len(negatives(dataset))
+    for neg in negatives(dataset):
         assert neg.class_name not in corpus.inducing_classes(neg.origin_bug_id)
 
 
@@ -60,7 +60,7 @@ def test_negatives_are_deterministic_under_seed():
     first = build_d_ori(list(bugs.values()), corpus, rng_seed=7)
     second = build_d_ori(list(bugs.values()), corpus, rng_seed=7)
     assert first.samples == second.samples
-    assert first.negatives()
+    assert negatives(first)
 
 
 def test_bug_with_no_surviving_hunks_is_excluded_and_logged(caplog):
@@ -138,7 +138,7 @@ def test_ingest_on_generated_fixture(tmp_path):
         corpus_dir / "bugs.jsonl", corpus_dir / "diffs", corpus_dir / "links.jsonl", seed=5
     )
     assert len(result.train_bugs) == 4 and len(result.test_bugs) == 4
-    assert len(result.d_ori.positives()) == len(result.d_ori.negatives()) > 0
+    assert len(result.d_ori.positives()) == len(negatives(result.d_ori)) > 0
     assert result.qrels  # test bugs have relevance judgments
     # dropped statuses never reach the split
     assert all(b.status == "fixed" for b in result.train_bugs + result.test_bugs)

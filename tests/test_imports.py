@@ -1,4 +1,5 @@
-"""Every module uses every name it imports, importing the CLI loads no
+"""Every module uses every name it imports, every function, class and method
+of the package has a caller outside the tests, importing the CLI loads no
 module only the service paraphraser needs, and no run loads a process pool."""
 
 from __future__ import annotations
@@ -11,15 +12,14 @@ from pathlib import Path
 
 import pytest
 
-import bugaug
-
 ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = sorted(ROOT.joinpath("src", "bugaug").rglob("*.py"))
 MODULES = sorted([*ROOT.joinpath("src").rglob("*.py"), *ROOT.joinpath("tests").rglob("*.py")])
 
 
-def unused_imports(source: str, exported: frozenset[str] = frozenset()) -> list[str]:
-    """Names source imports and never references, save those in exported;
-    `from __future__` imports are directives, not names."""
+def unused_imports(source: str) -> list[str]:
+    """Names source imports and never references; `from __future__` imports
+    are directives, not names."""
     tree = ast.parse(source)
     imported: dict[str, int] = {}
     for node in ast.walk(tree):
@@ -31,20 +31,88 @@ def unused_imports(source: str, exported: frozenset[str] = frozenset()) -> list[
                 imported[alias.asname or alias.name] = node.lineno
     referenced = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     return [f"line {line}: {name}" for name, line in sorted(imported.items(), key=lambda kv: kv[1])
-            if name not in referenced and name not in exported]
+            if name not in referenced]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_module_uses_every_name_it_imports(path):
-    exported = frozenset(bugaug.__all__) if path == Path(bugaug.__file__) else frozenset()
-    assert unused_imports(path.read_text("utf-8"), exported) == []
+    assert unused_imports(path.read_text("utf-8")) == []
 
 
 def test_unused_import_scan_sees_plain_from_and_dotted_imports():
     source = ("from __future__ import annotations\nimport json\nimport os.path\n"
               "from typing import Any, Sequence as Seq\nimport re\nre.compile('x')\n")
     assert unused_imports(source) == ["line 2: json", "line 3: os", "line 4: Any", "line 4: Seq"]
-    assert unused_imports("from .model import Token\n", frozenset({"Token"})) == []
+
+
+def definitions(source: str) -> list[str]:
+    """The top-level functions and classes of source, and the methods of its
+    classes that are no dunders, as name or Class.method."""
+    names = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        if isinstance(node, ast.ClassDef):
+            names += [f"{node.name}.{item.name}" for item in node.body
+                      if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                      and not (item.name.startswith("__") and item.name.endswith("__"))]
+    return names
+
+
+def references(source: str) -> set[str]:
+    """Every name source may reach a definition by: a name, an attribute, an
+    imported name or alias, or a string that is an identifier (a getattr or
+    globals() lookup)."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.update(node.name.split("."))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.isidentifier():
+            found.add(node.value)
+    return found
+
+
+# Reference implementations no production path calls: tests compare the
+# production paths against them.
+_TEST_REFERENCES = {
+    # augment_paragraph's planned operators: test_planned_augmentation_equals_the_stacked_operators,
+    # test_criterion_5_operator_constraint_suite
+    "dictionary_insert", "random_swap", "random_delete",
+    # augment_code_sample's operators: test_augment_code_sample_equals_the_stacked_operators,
+    # test_criterion_5_operator_constraint_suite
+    "code_token_replace", "code_token_insert", "code_token_swap",
+    # stats from the dataset lines: test_stats_counts_from_the_dataset_lines_what_the_datasets_count,
+    # test_criterion_3_balancing_smooths_the_skew
+    "distribution_report",
+}
+
+
+def uncalled(definitions_by_module: dict[str, list[str]], referenced: set[str]) -> list[str]:
+    """The definitions no reference reaches, as module:name; the stage
+    functions are looked up by the name of their cli.STAGES row."""
+    reached = referenced | _TEST_REFERENCES
+    return [f"{module}:{name}" for module, names in definitions_by_module.items() for name in names
+            if name.rpartition(".")[2] not in reached and not name.startswith("stage_")]
+
+
+def test_every_definition_of_the_package_has_a_caller_outside_the_tests():
+    callers = [*PACKAGE, *sorted(ROOT.joinpath("perfbench").rglob("*.py"))]
+    referenced = set().union(*(references(path.read_text("utf-8")) for path in callers))
+    found = {path.stem: definitions(path.read_text("utf-8")) for path in PACKAGE}
+    assert uncalled(found, referenced) == []
+
+
+def test_caller_scan_sees_functions_classes_methods_and_string_lookups():
+    source = ("class Box:\n    def __init__(self): pass\n    def put(self): pass\n"
+              "    def take(self): pass\n\ndef helper(): pass\ndef lookup(): pass\n")
+    assert definitions(source) == ["Box", "Box.put", "Box.take", "helper", "lookup"]
+    callers = "from m import Box as B\nB().take()\ngetattr(m, 'lookup')\nprint('not an id')\n"
+    found = {"m": definitions(source)}
+    assert uncalled(found, references(callers)) == ["m:Box.put", "m:helper"]
 
 
 def test_importing_the_cli_loads_neither_urllib_request_nor_ssl():

@@ -13,7 +13,6 @@ from bugaug.model import (
     SampleProvenance,
     StructuredBugReport,
     Token,
-    augmented_report_from_dict,
     augmented_report_to_dict,
     is_word,
     jsonl_line,
@@ -80,7 +79,15 @@ def _augmented_reports(draw) -> AugmentedBugReport:
 @settings(derandomize=True, database=None, deadline=None, max_examples=100)
 @given(report=_augmented_reports())
 def test_augmented_reports_round_trip(report):
-    assert augmented_report_from_dict(_through_a_file(augmented_report_to_dict(report))) == report
+    record = _through_a_file(augmented_report_to_dict(report))
+    assert record["id"] == report.id
+    assert record["origin_bug_id"] == report.origin_bug_id
+    assert [report_sample_from_dict(s) for s in record["samples"]] == report.samples
+    assert record["provenance"] == [
+        {"sample_index": p.sample_index, "applied_ops": p.applied_ops, "dropped": p.dropped}
+        for p in report.provenance
+    ]
+    assert record["permutation"] == report.permutation
 
 
 def test_a_code_position_past_the_last_token_is_refused():
