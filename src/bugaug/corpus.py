@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import logging
 import math
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
@@ -157,8 +158,9 @@ class _HunksWithout:
 
     def __init__(self, hunks: list[Hunk], skipped: list[int]):
         self._hunks = hunks
-        # _kept_before[j]: how many hunks are kept before skipped[j]
-        self._kept_before = [position - j for j, position in enumerate(skipped)]
+        # _kept_before[j]: how many hunks are kept before skipped[j], as
+        # machine ints: a bug skips thousands of positions
+        self._kept_before = array("I", [position - j for j, position in enumerate(skipped)])
 
     def __len__(self) -> int:
         return len(self._hunks) - len(self._kept_before)

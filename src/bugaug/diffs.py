@@ -9,13 +9,13 @@ from __future__ import annotations
 import re
 from pathlib import Path
 
-from .model import Hunk
+from .model import MARKER_CODES, Hunk
 
 _HUNK_HEADER = re.compile(
     r"^@@ -(?P<old_start>\d+)(?:,(?P<old_len>\d+))? \+(?P<new_start>\d+)(?:,(?P<new_len>\d+))? @@"
 )
-_MARKER_BY_PREFIX = {" ": "context", "+": "added", "-": "removed"}
-_PREFIX_BY_MARKER = {v: k for k, v in _MARKER_BY_PREFIX.items()}
+# a body line's prefix is its marker's code in Hunk.markers
+_LINE_PREFIXES = frozenset(MARKER_CODES.values())
 
 # non-hunk lines emitted by git and friends; skipped during parsing
 _NOISE_PREFIXES = (
@@ -90,7 +90,7 @@ def parse_unified_diff(diff_text: str, changeset_id: str = "") -> list[Hunk]:
             old_len = int(match.group("old_len") or "1")
             new_start = int(match.group("new_start"))
             new_len = int(match.group("new_len") or "1")
-            body, i = _read_hunk_body(lines, i + 1, old_len, new_len)
+            markers, text, i = _read_hunk_body(lines, i + 1, old_len, new_len)
             hunks.append(
                 Hunk(
                     id=f"{changeset_id}#h{len(hunks) + 1}",
@@ -101,7 +101,8 @@ def parse_unified_diff(diff_text: str, changeset_id: str = "") -> list[Hunk]:
                     old_len=old_len,
                     new_start=new_start,
                     new_len=new_len,
-                    lines=tuple(body),
+                    markers=markers,
+                    text=text,
                 )
             )
             continue
@@ -112,10 +113,10 @@ def parse_unified_diff(diff_text: str, changeset_id: str = "") -> list[Hunk]:
     return hunks
 
 
-def _read_hunk_body(
-    lines: list[str], start: int, old_len: int, new_len: int
-) -> tuple[list[tuple[str, str]], int]:
-    body: list[tuple[str, str]] = []
+def _read_hunk_body(lines: list[str], start: int, old_len: int, new_len: int) -> tuple[str, str, int]:
+    """The body's markers and text (see Hunk) and the index of the line after it."""
+    prefixes: list[str] = []
+    texts: list[str] = []
     remaining_old = old_len
     remaining_new = new_len
     i = start
@@ -127,18 +128,18 @@ def _read_hunk_body(
             i += 1
             continue
         prefix = line[:1] if line else " "  # empty line == empty context line
-        marker = _MARKER_BY_PREFIX.get(prefix)
-        if marker is None:
+        if prefix not in _LINE_PREFIXES:
             raise DiffParseError(f"invalid hunk body line {line!r}", i + 1)
-        if marker in ("context", "removed"):
+        if prefix != "+":
             remaining_old -= 1
-        if marker in ("context", "added"):
+        if prefix != "-":
             remaining_new -= 1
         if remaining_old < 0 or remaining_new < 0:
             raise DiffParseError("hunk body exceeds header counts", i + 1)
-        body.append((marker, line[1:]))
+        prefixes.append(prefix)
+        texts.append(line[1:])
         i += 1
-    return body, i
+    return "".join(prefixes), "\n".join(texts), i
 
 
 def serialize_hunks(hunks: list[Hunk]) -> str:
@@ -152,5 +153,5 @@ def serialize_hunks(hunks: list[Hunk]) -> str:
             current_path = hunk.file_path
         out.append(f"@@ -{hunk.old_start},{hunk.old_len} +{hunk.new_start},{hunk.new_len} @@")
         for marker, text in hunk.lines:
-            out.append(_PREFIX_BY_MARKER[marker] + text)
+            out.append(MARKER_CODES[marker] + text)
     return "\n".join(out) + ("\n" if out else "")

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 from sys import intern
-from typing import Iterable, Iterator, TextIO
+from typing import Iterable, Iterator, Sequence, TextIO
 
 BUG_STATUSES = ("fixed", "wont_fix", "not_a_bug", "other")
 LINE_MARKERS = ("context", "added", "removed")
@@ -55,8 +55,27 @@ class Changeset:
     log_message: str
 
 
-@dataclass(frozen=True)
-class Hunk:
+# each line marker's code in Hunk.markers: the line's unified-diff prefix
+MARKER_CODES = {"context": " ", "added": "+", "removed": "-"}
+_MARKER_BY_CODE = {code: marker for marker, code in MARKER_CODES.items()}
+_CODES = "".join(_MARKER_BY_CODE)
+_set_field = object.__setattr__  # what a frozen dataclass's __init__ sets fields with
+_FROM_MARKERS = object()  # Hunk's `lines` when it is built from `markers` and `text`
+
+
+class _WeakReferable:
+    # a slotted class takes weak references only through a __weakref__ slot
+    __slots__ = ("__weakref__",)
+
+
+@dataclass(frozen=True, slots=True, init=False)
+class Hunk(_WeakReferable):
+    """One ``@@`` section of a diff. Its lines are two strings: `markers`,
+    one MARKER_CODES character per line, and `text`, the line texts joined
+    by "\n", so no line text holds a "\n". Build it from `lines`, (marker,
+    text) pairs with markers from LINE_MARKERS, or from `markers` and `text`;
+    `lines` reads the pairs back."""
+
     id: str
     changeset_id: str
     file_path: str
@@ -65,18 +84,65 @@ class Hunk:
     old_len: int
     new_start: int
     new_len: int
-    lines: tuple[tuple[str, str], ...]
+    markers: str
+    text: str
 
-    def __post_init__(self):
-        for marker, _ in self.lines:
-            if marker not in LINE_MARKERS:
-                raise CorpusError(f"hunk {self.id!r}: bad line marker {marker!r}")
+    def __init__(self, id: str, changeset_id: str, file_path: str, class_name: str,
+                 old_start: int, old_len: int, new_start: int, new_len: int,
+                 lines: Sequence[Sequence[str]] = _FROM_MARKERS, *, markers: str = "", text: str = ""):
+        if lines is not _FROM_MARKERS:
+            markers, text = _pack_lines(id, lines)
+        elif markers.strip(_CODES) or not _one_code_per_line(markers, text):
+            raise CorpusError(f"hunk {id!r}: markers {markers!r} do not code one line each")
+        _set_field(self, "id", id)
+        _set_field(self, "changeset_id", changeset_id)
+        _set_field(self, "file_path", file_path)
+        _set_field(self, "class_name", class_name)
+        _set_field(self, "old_start", old_start)
+        _set_field(self, "old_len", old_len)
+        _set_field(self, "new_start", new_start)
+        _set_field(self, "new_len", new_len)
+        _set_field(self, "markers", intern(markers))
+        _set_field(self, "text", text)
+
+    @property
+    def lines(self) -> tuple[tuple[str, str], ...]:
+        return tuple(zip(map(_MARKER_BY_CODE.__getitem__, self.markers), self.text.split("\n")))
 
     def changed_texts(self) -> list[str]:
-        return [text for marker, text in self.lines if marker != "context"]
+        return [text for code, text in zip(self.markers, self.text.split("\n")) if code != " "]
 
-    def all_texts(self) -> list[str]:
-        return [text for _, text in self.lines]
+
+def _one_code_per_line(markers: str, text: str) -> bool:
+    """Whether markers holds one code per line of text; with no markers
+    there is no line, so text must be empty."""
+    return len(markers) == text.count("\n") + 1 if markers else not text
+
+
+def _pack_lines(hunk_id: str, lines) -> tuple[str, str]:
+    """The markers and text of a list or tuple of [marker, text] pairs, each
+    of a LINE_MARKERS marker and a text without "\n"; anything else raises
+    CorpusError naming the hunk and the line."""
+    if not isinstance(lines, (list, tuple)):
+        raise CorpusError(f"hunk {hunk_id!r}: lines must be a list of [marker, text] pairs, "
+                          f"got {type(lines).__name__}")
+    codes: list[str] = []
+    texts: list[str] = []
+    for index, entry in enumerate(lines):
+        if not isinstance(entry, (list, tuple)) or len(entry) != 2:
+            problem = f"expected a [marker, text] pair, got {entry!r}"
+        elif entry[0] not in LINE_MARKERS:
+            problem = f"bad line marker {entry[0]!r}"
+        elif not isinstance(entry[1], str):
+            problem = f"line text must be a string, got {entry[1]!r}"
+        elif "\n" in entry[1]:
+            problem = f"line text holds a newline: {entry[1]!r}"
+        else:
+            codes.append(MARKER_CODES[entry[0]])
+            texts.append(entry[1])
+            continue
+        raise CorpusError(f"hunk {hunk_id!r} line {index}: {problem}")
+    return "".join(codes), "\n".join(texts)
 
 
 @dataclass(frozen=True)
@@ -90,7 +156,7 @@ class LinkRecord:
         return bool(self.inducing_changeset_ids) and bool(self.fixing_changeset_ids)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrainingSample:
     bug_ref: str
     origin_bug_id: str
@@ -324,8 +390,9 @@ def hunk_to_dict(hunk: Hunk) -> dict:
 
 
 def hunk_from_dict(d: dict) -> Hunk:
-    # markers, changeset ids, paths and class names repeat across a corpus's
-    # hunks; interned, each value is held once, as in the hunks ingest parses
+    # changeset ids, paths, class names and Hunk's markers repeat across a
+    # corpus's hunks; interned, each value is held once, as in the hunks
+    # ingest parses
     return Hunk(
         id=str(d["id"]),
         changeset_id=intern(str(d["changeset_id"])),
@@ -335,7 +402,7 @@ def hunk_from_dict(d: dict) -> Hunk:
         old_len=int(d["old_len"]),
         new_start=int(d["new_start"]),
         new_len=int(d["new_len"]),
-        lines=tuple((intern(str(m)), str(t)) for m, t in d["lines"]),
+        lines=d["lines"],
     )
 
 

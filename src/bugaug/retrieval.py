@@ -29,7 +29,7 @@ def index_tokens(text: str) -> list[str]:
     return _TOKEN_RE.findall(text.lower())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IndexedHunk:
     hunk_id: str
     length: int
@@ -55,7 +55,7 @@ class HunkIndex:
 
 
 def hunk_document(hunk: Hunk, log_message: str = "") -> str:
-    return "\n".join([log_message] + hunk.all_texts()) if log_message else "\n".join(hunk.all_texts())
+    return f"{log_message}\n{hunk.text}" if log_message else hunk.text
 
 
 def index_hunks(hunks: Sequence[Hunk], log_messages: Mapping[str, str] | None = None) -> HunkIndex:
