@@ -30,20 +30,17 @@ from .code_ops import (
 from .corpus import NegativeSampler
 from .model import (
     NL_KINDS,
-    AugmentedBugReport,
     Dataset,
     Sample,
-    SampleProvenance,
     StructuredBugReport,
     TrainingSample,
-    augmented_report_to_dict,
     jsonl_line,
     open_new,
+    report_sample_to_dict,
     structured_from_dict,
 )
 from .nl_ops import (
     REJECTED,
-    AugConfig,
     ParagraphPlan,
     Paraphraser,
     QualityControl,
@@ -67,8 +64,9 @@ def build_augmented_report(
     p_drop: float,
     report_id: str,
     applied_ops: list[list[str]],
-) -> AugmentedBugReport:
-    """Permute the augmented samples and drop at most one.
+) -> dict:
+    """Permute the augmented samples, drop at most one, and return the
+    report's record, one line of a report file.
 
     The first OB sample (the summary-equivalent) and the sole sample of a
     one-sample report are never dropped.
@@ -86,16 +84,16 @@ def build_augmented_report(
         droppable = [i for i in range(n) if i != protected]
         if droppable:
             dropped_index = rng.choice(droppable)
-    return AugmentedBugReport(
-        id=report_id,
-        origin_bug_id=structured.bug_id,
-        samples=[aug_samples[i] for i in permutation if i != dropped_index],
-        provenance=[
-            SampleProvenance(sample_index=i, applied_ops=applied_ops[i], dropped=(i == dropped_index))
+    return {
+        "id": report_id,
+        "origin_bug_id": structured.bug_id,
+        "samples": [report_sample_to_dict(aug_samples[i]) for i in permutation if i != dropped_index],
+        "provenance": [
+            {"sample_index": i, "applied_ops": applied_ops[i], "dropped": i == dropped_index}
             for i in range(n)
         ],
-        permutation=permutation,
-    )
+        "permutation": permutation,
+    }
 
 
 # the sample kinds the code operators run on even without a code token
@@ -136,7 +134,7 @@ class ReportAugmenter:
     code_names: Callable[[str], CodeNameDictionary | None]
     dictionary: SubstituteDictionary
     qc: QualityControl
-    aug_config: AugConfig
+    seed: int
     paraphraser: Paraphraser
     p_drop: float
     _plans: dict[str, BugPlan] = field(default_factory=dict, init=False, repr=False)
@@ -164,7 +162,7 @@ class ReportAugmenter:
             )
         return plan
 
-    def augment(self, origin_bug_id: str, ordinal: int) -> AugmentedBugReport:
+    def augment(self, origin_bug_id: str, ordinal: int) -> dict:
         plan = self.plan(origin_bug_id)
         aug_samples: list[Sample] = []
         ops_log: list[list[str]] = []
@@ -175,7 +173,7 @@ class ReportAugmenter:
                 result = augment_paragraph(
                     sample_plan.paragraph,
                     self.dictionary,
-                    self.aug_config,
+                    self.seed,
                     self.paraphraser,
                     self.qc,
                     stream_key=(origin_bug_id, ordinal, idx),
@@ -187,12 +185,12 @@ class ReportAugmenter:
                     # QC kept the code-token count, so only the positions moved
                     current, code = result, None
             if plan.names is not None and (current.kind in _CODE_KINDS or sample_plan.code):
-                rng = derive_rng(self.aug_config.seed, "code", origin_bug_id, ordinal, idx)
+                rng = derive_rng(self.seed, "code", origin_bug_id, ordinal, idx)
                 current = augment_code_sample(current, plan.names, rng, code)
                 ops.append("code")
             aug_samples.append(current)
             ops_log.append(ops)
-        rng = derive_rng(self.aug_config.seed, "assemble", origin_bug_id, ordinal)
+        rng = derive_rng(self.seed, "assemble", origin_bug_id, ordinal)
         return build_augmented_report(
             plan.structured,
             aug_samples,
@@ -328,15 +326,15 @@ def write_sharded(path: str | Path, items: list[Item], line: Callable[[Item], st
 
 
 def write_reports(path: str | Path, refs: list[tuple[str, int]],
-                  augment: Callable[[str, int], AugmentedBugReport] | None) -> tuple[int, int]:
-    """Write augment(*ref) for each ref to path as JSON lines, in refs' order,
-    through write_sharded: each report is a pure function of its ref. Each
-    child's substitute-cache entries and counts are merged here, so neither
-    the bytes nor the cache depend on the CPU count. Returns the substitute
-    cache hits and misses the call added, over all shards."""
+                  augment: Callable[[str, int], dict] | None) -> tuple[int, int]:
+    """Write the record augment(*ref) for each ref to path as JSON lines, in
+    refs' order, through write_sharded: each report is a pure function of its
+    ref. Each child's substitute-cache entries and counts are merged here, so
+    neither the bytes nor the cache depend on the CPU count. Returns the
+    substitute cache hits and misses the call added, over all shards."""
     since = substitute_cache_info()
-    deltas = write_sharded(path, refs, lambda ref: jsonl_line(augmented_report_to_dict(augment(*ref))),
-                           "report", lambda: substitute_cache_delta(since))
+    deltas = write_sharded(path, refs, lambda ref: jsonl_line(augment(*ref)), "report",
+                           lambda: substitute_cache_delta(since))
     for delta in deltas:
         merge_substitute_cache(delta)
     now = substitute_cache_info()

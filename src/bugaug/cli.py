@@ -57,7 +57,6 @@ from .model import (
     write_jsonl,
 )
 from .nl_ops import (
-    AugConfig,
     QualityControl,
     SubstituteDictionary,
     identity_paraphraser,
@@ -162,7 +161,7 @@ def _build_augmenter(corpus_dir: CorpusDir, structured_path: Path, args) -> Repo
         code_names=code_names,
         dictionary=dictionary,
         qc=qc,
-        aug_config=AugConfig(seed=args.seed),
+        seed=args.seed,
         paraphraser=paraphraser,
         p_drop=args.p_drop,
     )

@@ -45,10 +45,13 @@ class CodeNameDictionary:
 
 def mine_code_names(bug_id: str, inducing_hunks: Sequence[Hunk]) -> CodeNameDictionary:
     """Collect class names (from file paths) and method names (identifiers
-    followed by '(' on changed lines) out of a bug's inducing hunks."""
+    followed by '(' on changed lines) out of a bug's inducing hunks. A class
+    name that is not one word, a file name with whitespace, is left out: no
+    token holds whitespace, so it could never be substituted."""
     names: set[str] = set()
     for hunk in inducing_hunks:
-        names.add(hunk.class_name)
+        if is_word(hunk.class_name):
+            names.add(hunk.class_name)
         for text in hunk.changed_texts():
             for match in _METHOD_CALL_RE.finditer(text):
                 if match.group(1) not in _CALL_KEYWORDS:

@@ -206,19 +206,18 @@ def _lines_with_offsets(text: str) -> list[tuple[int, int, str]]:
 
 
 def _frame_from_line(line: str, is_last: bool, library_prefixes: Sequence[str]) -> StackFrame | None:
-    caused = _CAUSED_BY_RE.match(line)
-    if caused:
-        return StackFrame(raw=line, kind="caused_by", class_ref=caused.group("cls"))
+    if _CAUSED_BY_RE.match(line):
+        return StackFrame(raw=line, kind="caused_by")
     at = _AT_FRAME_RE.match(line)
     if at:
-        loc = at.group("loc").rsplit("/", 1)[-1]  # drop Java 9+ module prefix
-        class_ref = loc.rsplit(".", 1)[0] if "." in loc else loc
         if is_last:
-            return StackFrame(raw=line, kind="bottom", class_ref=class_ref)
-        kind = "library" if class_ref.startswith(tuple(library_prefixes)) else "app"
-        return StackFrame(raw=line, kind=kind, class_ref=class_ref)
+            return StackFrame(raw=line, kind="bottom")
+        loc = at.group("loc").rsplit("/", 1)[-1]  # drop Java 9+ module prefix
+        class_name = loc.rsplit(".", 1)[0] if "." in loc else loc
+        kind = "library" if class_name.startswith(tuple(library_prefixes)) else "app"
+        return StackFrame(raw=line, kind=kind)
     if _ELLIPSIS_RE.match(line):
-        return StackFrame(raw=line, kind="bottom" if is_last else "library", class_ref=None)
+        return StackFrame(raw=line, kind="bottom" if is_last else "library")
     return None
 
 
@@ -253,13 +252,7 @@ def _find_traces(
                 j += 1
             else:
                 break
-        frames = [
-            StackFrame(
-                raw=lines[start],
-                kind="exception_header",
-                class_ref=_HEADER_RE.match(lines[start]).group("cls"),
-            )
-        ]
+        frames = [StackFrame(raw=lines[start], kind="exception_header")]
         for k in range(start + 1, j):
             frame = _frame_from_line(lines[k], is_last=(k == j - 1), library_prefixes=library_prefixes)
             assert frame is not None

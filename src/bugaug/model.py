@@ -63,13 +63,8 @@ _set_field = object.__setattr__  # what a frozen dataclass's __init__ sets field
 _FROM_MARKERS = object()  # Hunk's `lines` when it is built from `markers` and `text`
 
 
-class _WeakReferable:
-    # a slotted class takes weak references only through a __weakref__ slot
-    __slots__ = ("__weakref__",)
-
-
 @dataclass(frozen=True, slots=True, init=False)
-class Hunk(_WeakReferable):
+class Hunk:
     """One ``@@`` section of a diff. Its lines are two strings: `markers`,
     one MARKER_CODES character per line, and `text`, the line texts joined
     by "\n", so no line text holds a "\n". Build it from `lines`, (marker,
@@ -232,27 +227,10 @@ class StructuredBugReport:
 class StackFrame:
     raw: str
     kind: str
-    class_ref: str | None = None
 
     def __post_init__(self):
         if self.kind not in FRAME_KINDS:
             raise ValueError(f"unknown frame kind {self.kind!r}")
-
-
-@dataclass
-class SampleProvenance:
-    sample_index: int
-    applied_ops: list[str]
-    dropped: bool
-
-
-@dataclass
-class AugmentedBugReport:
-    id: str
-    origin_bug_id: str
-    samples: list[Sample]
-    provenance: list[SampleProvenance]
-    permutation: list[int]
 
 
 # --- user dictionaries and word lists ----------------------------------
@@ -488,17 +466,4 @@ def structured_to_dict(report: StructuredBugReport) -> dict:
 def structured_from_dict(d: dict) -> StructuredBugReport:
     return StructuredBugReport(bug_id=str(d["bug_id"]),
                                samples=[report_sample_from_dict(s) for s in d["samples"]])
-
-
-def augmented_report_to_dict(report: AugmentedBugReport) -> dict:
-    return {
-        "id": report.id,
-        "origin_bug_id": report.origin_bug_id,
-        "samples": [report_sample_to_dict(s) for s in report.samples],
-        "provenance": [
-            {"sample_index": p.sample_index, "applied_ops": p.applied_ops, "dropped": p.dropped}
-            for p in report.provenance
-        ],
-        "permutation": report.permutation,
-    }
 

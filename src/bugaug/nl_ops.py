@@ -34,6 +34,9 @@ SERVICE_TIMEOUT_S = 10.0
 # consecutive failures after which the service paraphraser stops calling out
 SERVICE_FAILURE_BUDGET = 3
 
+# attempts augment_paragraph makes at a paragraph before it returns REJECTED
+QC_MAX_RETRIES = 10
+
 
 class _RejectedType:
     """Sentinel: augmentation failed quality control on every retry."""
@@ -46,16 +49,6 @@ class _RejectedType:
 
 
 REJECTED = _RejectedType()
-
-
-@dataclass(frozen=True)
-class AugConfig:
-    qc_max_retries: int = 10
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.qc_max_retries < 1:
-            raise ValueError("qc_max_retries must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -229,7 +222,7 @@ class QualityControl:
     One instance serves one stage and memoizes the words it classifies."""
 
     patterns: PatternDictionary
-    identifiers: frozenset[str] = field(default_factory=frozenset)
+    identifiers: frozenset[str]
     _tokens: dict[str, Token] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def retokenize(self, text: str) -> list[Token]:
@@ -273,26 +266,26 @@ def paragraph_plan(paragraph: Sample, dictionary: SubstituteDictionary,
 def augment_paragraph(
     plan: ParagraphPlan,
     dictionary: SubstituteDictionary,
-    config: AugConfig,
+    seed: int,
     paraphraser: Paraphraser,
     qc: QualityControl,
-    stream_key: tuple = (),
+    stream_key: tuple,
 ):
     """Run replace -> insert -> swap -> delete -> paraphrase on the planned
     paragraph, with the public operators' draws.
 
     The result must keep the paragraph's category and its code-token count;
-    otherwise the pipeline retries with fresh randomness up to
-    config.qc_max_retries times and finally returns REJECTED. Replace
-    rewrites only candidate positions and keeps the others, so insert's
+    otherwise the pipeline retries with fresh randomness, drawn from seed and
+    stream_key, up to QC_MAX_RETRIES times and finally returns REJECTED.
+    Replace rewrites only candidate positions and keeps the others, so insert's
     candidates are the plan's, less the rewritten ones that are no keyword
     now; a swap never moves a code token, so delete draws from swap's
     non-code positions.
     """
     paragraph = plan.paragraph
     replace_n, insert_n, swap_n, delete_n = plan.budgets
-    for attempt in range(config.qc_max_retries):
-        rng = derive_rng(config.seed, "nl", *stream_key, attempt)
+    for attempt in range(QC_MAX_RETRIES):
+        rng = derive_rng(seed, "nl", *stream_key, attempt)
         tokens = list(paragraph.tokens)
         candidates = plan.candidates
         rewritten = _replace_at(tokens, candidates, dictionary, replace_n, rng)
@@ -324,7 +317,7 @@ def identity_paraphraser(text: str) -> str:
 def make_shuffle_paraphraser(
     dictionary: SubstituteDictionary,
     seed: int,
-    identifiers: Sequence[str] = (),
+    identifiers: Sequence[str],
 ) -> Paraphraser:
     """Offline paraphrase stand-in: one dictionary-replace pass plus a rotation
     of clause order; code tokens are preserved by construction."""

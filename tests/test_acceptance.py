@@ -12,6 +12,7 @@ import time
 from collections import Counter
 from fractions import Fraction
 
+from bugaug import nl_ops
 from bugaug.balance import balance_dataset, distribution_report, scaled_cap
 from bugaug.builder import generate_augmented_set, generate_repeated_set
 from bugaug.cli import main
@@ -28,7 +29,6 @@ from bugaug.metrics import mean_average_precision, mean_reciprocal_rank, precisi
 from bugaug.model import Dataset, Sample, Token, TrainingSample
 from bugaug.nl_ops import (
     REJECTED,
-    AugConfig,
     QualityControl,
     SubstituteDictionary,
     augment_paragraph,
@@ -297,7 +297,8 @@ _CATEGORY_SENTENCES = {
 }
 
 
-def test_criterion_6_qc_invariance(patterns, substitutes):
+def test_criterion_6_qc_invariance(patterns, substitutes, monkeypatch):
+    monkeypatch.setattr(nl_ops, "QC_MAX_RETRIES", 3)
     rng = random.Random(66)
     identifiers = ("AsyncContext", "NioChannel", "HttpParser")
     qc = QualityControl(patterns=patterns, identifiers=frozenset(identifiers))
@@ -326,9 +327,8 @@ def test_criterion_6_qc_invariance(patterns, substitutes):
         original_category = classify_tokens(paragraph.tokens, patterns)
         original_code_count = sum(t.is_code for t in paragraph.tokens)
         paraphraser = identity_paraphraser if i % 2 == 0 else chaos
-        config = AugConfig(seed=i, qc_max_retries=3)
         plan = paragraph_plan(paragraph, substitutes, qc)
-        result = augment_paragraph(plan, substitutes, config, paraphraser, qc, ("qc", i))
+        result = augment_paragraph(plan, substitutes, i, paraphraser, qc, ("qc", i))
         if result is REJECTED:
             rejected += 1
             continue
@@ -383,7 +383,7 @@ def test_criterion_8_pipeline_determinism(tmp_path):
     _report(8, f"two 50-bug pipeline runs (seed 42) produced byte-identical manifests ({elapsed:.1f}s)")
 
 
-def test_criterion_9_worked_paper_examples(patterns, substitutes):
+def test_criterion_9_worked_paper_examples(patterns, substitutes, monkeypatch):
     # (a) the "does not" <-> "timeout" swap is a reachable random_swap output
     identifiers = ("Async",)
     tokens = detect_code_tokens(
@@ -410,9 +410,8 @@ def test_criterion_9_worked_paper_examples(patterns, substitutes):
     def replace_async(text: str) -> str:
         return text.replace("Async", "TCP")
 
-    result = augment_paragraph(
-        paragraph_plan(paragraph, substitutes, qc), substitutes, AugConfig(seed=9, qc_max_retries=4),
-        replace_async, qc, ("t1",)
-    )
+    monkeypatch.setattr(nl_ops, "QC_MAX_RETRIES", 4)
+    result = augment_paragraph(paragraph_plan(paragraph, substitutes, qc), substitutes, 9,
+                               replace_async, qc, ("t1",))
     assert result is REJECTED
     _report(9, "paper swap variant reachable by random_swap(n=1); QC rejects the lost code token")

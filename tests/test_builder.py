@@ -29,11 +29,11 @@ from bugaug.model import (
     StructuredBugReport,
     Token,
     TrainingSample,
-    augmented_report_to_dict,
     jsonl_line,
+    report_sample_to_dict,
     structured_to_dict,
 )
-from bugaug.nl_ops import AugConfig, QualityControl, identity_paraphraser
+from bugaug.nl_ops import QualityControl, identity_paraphraser
 
 from conftest import build_corpus, make_bug, negatives
 
@@ -61,25 +61,25 @@ def _assemble(structured: StructuredBugReport, aug_samples: list[Sample], rng, p
 def test_single_sample_report_is_never_dropped_or_permuted():
     structured = _structured(n=1)
     report = _assemble(structured, list(structured.samples), random.Random(0), p_drop=1.0)
-    assert report.permutation == [0]
-    assert len(report.samples) == 1
+    assert report["permutation"] == [0]
+    assert len(report["samples"]) == 1
 
 
 def test_p_drop_zero_preserves_length():
     structured = _structured(n=5)
     for seed in range(20):
         report = _assemble(structured, list(structured.samples), random.Random(seed), p_drop=0.0)
-        assert len(report.samples) == 5
+        assert len(report["samples"]) == 5
 
 
 def test_at_most_one_sample_dropped_and_first_ob_protected():
     structured = _structured(n=5)  # kinds: OB EB S2R Other OB -> index 0 protected
     for seed in range(200):
         report = _assemble(structured, list(structured.samples), random.Random(seed), p_drop=1.0)
-        dropped = [p.sample_index for p in report.provenance if p.dropped]
+        dropped = [p["sample_index"] for p in report["provenance"] if p["dropped"]]
         assert len(dropped) == 1
         assert dropped[0] != 0
-        assert len(report.samples) == 4
+        assert len(report["samples"]) == 4
 
 
 def test_second_ob_may_be_dropped_but_not_the_first():
@@ -90,7 +90,7 @@ def test_second_ob_may_be_dropped_but_not_the_first():
     dropped_indices = set()
     for seed in range(300):
         report = _assemble(structured, list(structured.samples), random.Random(seed), p_drop=1.0)
-        dropped_indices.update(p.sample_index for p in report.provenance if p.dropped)
+        dropped_indices.update(p["sample_index"] for p in report["provenance"] if p["dropped"])
     assert 0 not in dropped_indices
     assert dropped_indices == {1, 2}
 
@@ -100,8 +100,9 @@ def test_permutation_and_drop_replay_bit_exact():
     aug_samples = list(structured.samples)
     for seed in range(50):
         report = _assemble(structured, aug_samples, random.Random(seed), p_drop=0.7)
-        dropped = {p.sample_index for p in report.provenance if p.dropped}
-        assert [aug_samples[i] for i in report.permutation if i not in dropped] == report.samples
+        dropped = {p["sample_index"] for p in report["provenance"] if p["dropped"]}
+        assert report["samples"] == [report_sample_to_dict(aug_samples[i])
+                                     for i in report["permutation"] if i not in dropped]
 
 
 def test_zero_samples_is_an_error():
@@ -221,7 +222,7 @@ def _full_augmenter(patterns, substitutes) -> ReportAugmenter:
         code_names={"b1": names}.get,
         dictionary=substitutes,
         qc=QualityControl(patterns=patterns, identifiers=frozenset(identifiers)),
-        aug_config=AugConfig(seed=77),
+        seed=77,
         paraphraser=identity_paraphraser,
         p_drop=0.5,
     )
@@ -230,20 +231,18 @@ def _full_augmenter(patterns, substitutes) -> ReportAugmenter:
 def test_report_augmenter_produces_replayable_reports(patterns, substitutes):
     augmenter = _full_augmenter(patterns, substitutes)
     report = augmenter.augment("b1", 1)
-    assert report.id == "b1#aug1"
-    assert report.origin_bug_id == "b1"
+    assert report["id"] == "b1#aug1"
+    assert report["origin_bug_id"] == "b1"
     n_original = len(augmenter.plan("b1").structured.samples)
-    assert len(report.samples) in (n_original - 1, n_original)
-    assert sorted(report.permutation) == list(range(n_original))
+    assert len(report["samples"]) in (n_original - 1, n_original)
+    assert sorted(report["permutation"]) == list(range(n_original))
 
 
 def test_report_augmenter_is_deterministic(patterns, substitutes):
     first = _full_augmenter(patterns, substitutes).augment("b1", 2)
     second = _full_augmenter(patterns, substitutes).augment("b1", 2)
-    assert first.permutation == second.permutation
-    assert [[t.text for t in s.tokens] for s in first.samples] == [
-        [t.text for t in s.tokens] for s in second.samples
-    ]
+    assert first["permutation"] == second["permutation"]
+    assert [s["text"] for s in first["samples"]] == [s["text"] for s in second["samples"]]
 
 
 def test_report_augmenter_looks_up_the_sample_operators_when_called(patterns, substitutes,
@@ -252,7 +251,7 @@ def test_report_augmenter_looks_up_the_sample_operators_when_called(patterns, su
     builder.augment_code_sample after the augmenter and its plans exist is
     the one augment calls, and it sees every NL and code sample."""
     augmenter = _full_augmenter(patterns, substitutes)
-    expected = augmented_report_to_dict(augmenter.augment("b1", 3))
+    expected = augmenter.augment("b1", 3)
     calls = Counter()
     for name in ("augment_paragraph", "augment_code_sample"):
         def counted(*args, name=name, run=getattr(builder, name), **kwargs):
@@ -261,8 +260,8 @@ def test_report_augmenter_looks_up_the_sample_operators_when_called(patterns, su
 
         monkeypatch.setattr(builder, name, counted)
     report = augmenter.augment("b1", 3)
-    assert augmented_report_to_dict(report) == expected
-    ops = [p.applied_ops for p in report.provenance]
+    assert report == expected
+    ops = [p["applied_ops"] for p in report["provenance"]]
     assert calls["augment_paragraph"] == sum(op.startswith("nl") for o in ops for op in o) > 0
     assert calls["augment_code_sample"] == sum(o.count("code") for o in ops) > 0
 
@@ -278,10 +277,8 @@ def test_referenced_reports_follow_first_reference_order(patterns, substitutes):
     )
     assert referenced_refs(dataset) == [("b1", 2), ("b1", 1)]
     reports = [augmenter.augment(*ref) for ref in referenced_refs(dataset)]
-    assert [r.id for r in reports] == ["b1#aug2", "b1#aug1"]
-    assert [augmented_report_to_dict(r) for r in reports] == [
-        augmented_report_to_dict(augmenter.augment("b1", n)) for n in (2, 1)
-    ]
+    assert [r["id"] for r in reports] == ["b1#aug2", "b1#aug1"]
+    assert reports == [augmenter.augment("b1", n) for n in (2, 1)]
 
 
 def test_referenced_refs_refuse_a_ref_that_is_no_augmented_report_id():
@@ -338,7 +335,7 @@ def test_sharded_reports_are_the_one_shard_bytes(tmp_path_factory, patterns, sub
     counted here."""
     augment = _full_augmenter(patterns, substitutes).augment
     refs = [("b1", n) for n in ordinals]
-    expected = "".join(jsonl_line(augmented_report_to_dict(augment(*ref))) for ref in refs)
+    expected = "".join(jsonl_line(augment(*ref)) for ref in refs)
     path = tmp_path_factory.mktemp("reports") / "reports.jsonl"
     calls = []
     for count in (1, shards):

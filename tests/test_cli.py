@@ -7,7 +7,6 @@ import logging
 import os
 import re
 import shutil
-import weakref
 from functools import cache
 from importlib import resources
 
@@ -18,7 +17,8 @@ from bugaug.balance import distribution_report, file_distribution_report
 from bugaug.cli import main
 from bugaug.corpus import load_hunks_jsonl
 from bugaug.fixtures import generate_corpus
-from bugaug.model import CorpusError, bug_from_dict, read_jsonl, report_sample_from_dict, write_jsonl
+from bugaug.model import (CorpusError, Hunk, bug_from_dict, read_jsonl, report_sample_from_dict,
+                          write_jsonl)
 
 
 @pytest.fixture(scope="module")
@@ -462,23 +462,25 @@ def test_parsed_hunks_hold_each_repeated_string_once(tmp_path, corpus_dir):
 def test_a_pipeline_run_releases_the_parsed_hunks_after_their_last_reader(tmp_path, corpus_dir,
                                                                            monkeypatch):
     """retrieve is the last stage that reads hunks.jsonl or links.jsonl, so
-    eval runs with no parsed hunk alive."""
-    hunk_refs = []
+    eval runs with none of the hunks retrieve received alive. A hunk is
+    tracked by the garbage collector, so gc.get_objects finds every live
+    one; the hunks are known by their ids, which hold no reference."""
+    hunk_ids: set[int] = set()
     alive_in_eval = []
 
     def watched_retrieve(corpus, *args, run=cli.stage_retrieve):
-        hunk_refs.append(weakref.ref(corpus.hunks[0]))
+        hunk_ids.update(map(id, corpus.hunks))
         return run(corpus, *args)
 
     def watched_eval(*args, run=cli.stage_eval):
         gc.collect()
-        alive_in_eval.append(hunk_refs[0]() is not None)
+        alive_in_eval.append(sum(isinstance(o, Hunk) and id(o) in hunk_ids for o in gc.get_objects()))
         return run(*args)
 
     monkeypatch.setattr(cli, "stage_retrieve", watched_retrieve)
     monkeypatch.setattr(cli, "stage_eval", watched_eval)
     assert main(_pipeline_args(corpus_dir, tmp_path / "run")) == 0
-    assert len(hunk_refs) == 1 and alive_in_eval == [False]
+    assert hunk_ids and alive_in_eval == [0]
 
 
 def test_each_stage_mines_the_code_names_of_the_bugs_it_builds_reports_for(tmp_path, corpus_dir,

@@ -325,6 +325,14 @@ def test_mine_code_names_collects_classes_and_methods():
     assert "contextOnly" not in names.names  # context lines are not mined
 
 
+def test_mine_code_names_leaves_out_a_class_name_with_whitespace():
+    hunks = [make_hunk("h1", "cs1", "ByteBufferPool Copy",
+                       lines=(("added", "    pool.release(buffer);"),)),
+             make_hunk("h2", "cs1", "SessionManager")]
+    names = mine_code_names("b1", hunks)
+    assert names.names == ("SessionManager", "release")
+
+
 def test_load_code_name_dicts_round_trip(tmp_path):
     import json
 

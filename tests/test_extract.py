@@ -111,8 +111,8 @@ def test_reduce_twenty_frame_trace():
 
 def test_reduce_two_frame_trace_keeps_both():
     trace = [
-        StackFrame(raw="org.X.BoomError: x", kind="exception_header", class_ref="org.X.BoomError"),
-        StackFrame(raw="    at org.X.A.m(A.java:1)", kind="bottom", class_ref="org.X.A"),
+        StackFrame(raw="org.X.BoomError: x", kind="exception_header"),
+        StackFrame(raw="    at org.X.A.m(A.java:1)", kind="bottom"),
     ]
     reduced = reduce_stack_trace(trace)
     assert [f.raw for f in reduced] == [trace[0].raw, trace[1].raw]

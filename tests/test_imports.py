@@ -1,20 +1,25 @@
-"""Every module uses every name it imports, every function, class and method
-of the package has a caller outside the tests, importing the CLI loads no
-module only the service paraphraser needs, and no run loads a process pool."""
+"""Every module uses every name it imports and parses as Python 3.10, every
+function, class and method of the package has a caller outside the tests,
+the package's version is pyproject.toml's, importing the CLI loads no module
+only the service paraphraser needs, and no run loads a process pool."""
 
 from __future__ import annotations
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from bugaug import __version__
+
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = sorted(ROOT.joinpath("src", "bugaug").rglob("*.py"))
 MODULES = sorted([*ROOT.joinpath("src").rglob("*.py"), *ROOT.joinpath("tests").rglob("*.py")])
+PERFBENCH = sorted(ROOT.joinpath("perfbench").rglob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -43,6 +48,33 @@ def test_unused_import_scan_sees_plain_from_and_dotted_imports():
     source = ("from __future__ import annotations\nimport json\nimport os.path\n"
               "from typing import Any, Sequence as Seq\nimport re\nre.compile('x')\n")
     assert unused_imports(source) == ["line 2: json", "line 3: os", "line 4: Any", "line 4: Seq"]
+
+
+def parse_as_3_10(source: str) -> ast.Module:
+    """source parsed with Python 3.10's grammar, the oldest pyproject.toml's
+    requires-python admits: syntax new in 3.11, such as `except*`, raises
+    SyntaxError. Only syntax is checked: a library call new in 3.11, such
+    as `import tomllib`, parses."""
+    return ast.parse(source, feature_version=(3, 10))
+
+
+@pytest.mark.parametrize("path", [*MODULES, *PERFBENCH], ids=lambda p: str(p.relative_to(ROOT)))
+def test_module_parses_as_python_3_10(path):
+    parse_as_3_10(path.read_text("utf-8"))
+
+
+def test_the_3_10_parse_refuses_an_exception_group_handler():
+    with pytest.raises(SyntaxError, match="only supported in Python 3.11 and greater"):
+        parse_as_3_10("try:\n    pass\nexcept* ValueError:\n    pass\n")
+
+
+def test_the_package_version_is_the_one_in_pyproject():
+    """Every stage's resume key holds bugaug.__version__, so it must be the
+    [project] version pyproject.toml declares. A regex reads the table:
+    tomllib is new in 3.11."""
+    text = ROOT.joinpath("pyproject.toml").read_text("utf-8")
+    project = re.search(r"^\[project\]$(.*?)(?=^\[|\Z)", text, re.M | re.S).group(1)
+    assert re.findall(r'^version\s*=\s*"([^"]*)"$', project, re.M) == [__version__]
 
 
 def definitions(source: str) -> list[str]:

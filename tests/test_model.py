@@ -9,14 +9,11 @@ from hypothesis import strategies as st
 from bugaug.model import (
     LINE_MARKERS,
     SAMPLE_KINDS,
-    AugmentedBugReport,
     CorpusError,
     Hunk,
     Sample,
-    SampleProvenance,
     StructuredBugReport,
     Token,
-    augmented_report_to_dict,
     hunk_from_dict,
     hunk_to_dict,
     is_word,
@@ -38,13 +35,13 @@ _TOKENS = st.lists(st.builds(Token, _WORDS, st.booleans()), max_size=8)
 
 
 @st.composite
-def _samples(draw, spans: bool) -> Sample:
+def _samples(draw) -> Sample:
     tokens = draw(_TOKENS)
     kind = draw(st.sampled_from(SAMPLE_KINDS))
     lines = None
     if kind == "StackTrace" or draw(st.booleans()):
         lines = draw(st.lists(st.integers(0, 9), min_size=len(tokens), max_size=len(tokens)))
-    span = draw(st.tuples(st.integers(0, 10**6), st.integers(0, 10**6))) if spans else (0, 0)
+    span = draw(st.tuples(st.integers(0, 10**6), st.integers(0, 10**6)))
     return Sample(kind=kind, tokens=tokens, source_span=span, line_indices=lines)
 
 
@@ -53,7 +50,7 @@ def _through_a_file(record: dict) -> dict:
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=100)
-@given(bug_id=_WORDS, samples=st.lists(_samples(spans=True), max_size=4))
+@given(bug_id=_WORDS, samples=st.lists(_samples(), max_size=4))
 def test_structured_reports_round_trip(bug_id, samples):
     report = StructuredBugReport(bug_id=bug_id, samples=samples)
     record = structured_to_dict(report)
@@ -61,40 +58,6 @@ def test_structured_reports_round_trip(bug_id, samples):
     for sample, written in zip(samples, record["samples"]):
         assert written["text"].split() == [t.text for t in sample.tokens]
         assert written["code"] == [i for i, t in enumerate(sample.tokens) if t.is_code]
-
-
-@st.composite
-def _augmented_reports(draw) -> AugmentedBugReport:
-    samples = draw(st.lists(_samples(spans=False), max_size=5))
-    n = len(samples) + draw(st.integers(0, 1))
-    dropped = draw(st.sampled_from([None, *range(n)]))
-    return AugmentedBugReport(
-        id=draw(_WORDS),
-        origin_bug_id=draw(_WORDS),
-        samples=samples,
-        provenance=[
-            SampleProvenance(sample_index=i,
-                             applied_ops=draw(st.lists(st.sampled_from(["nl", "nl:fallback", "code"]),
-                                                       max_size=2)),
-                             dropped=i == dropped)
-            for i in range(n)
-        ],
-        permutation=draw(st.permutations(range(n))),
-    )
-
-
-@settings(derandomize=True, database=None, deadline=None, max_examples=100)
-@given(report=_augmented_reports())
-def test_augmented_reports_round_trip(report):
-    record = _through_a_file(augmented_report_to_dict(report))
-    assert record["id"] == report.id
-    assert record["origin_bug_id"] == report.origin_bug_id
-    assert [report_sample_from_dict(s) for s in record["samples"]] == report.samples
-    assert record["provenance"] == [
-        {"sample_index": p.sample_index, "applied_ops": p.applied_ops, "dropped": p.dropped}
-        for p in report.provenance
-    ]
-    assert record["permutation"] == report.permutation
 
 
 def test_a_code_position_past_the_last_token_is_refused():

@@ -14,7 +14,6 @@ from bugaug.model import Sample, Token
 from bugaug.rng import derive_rng
 from bugaug.nl_ops import (
     REJECTED,
-    AugConfig,
     QualityControl,
     SubstituteDictionary,
     augment_paragraph,
@@ -218,15 +217,15 @@ _CHAINED = SubstituteDictionary({"fails": ("crashes", "breaks"), "crashes": ("fa
                                  "close": ("shut", "fails")})
 
 
-def _stacked_operators(paragraph, dictionary, config, paraphraser, qc, key):
+def _stacked_operators(paragraph, dictionary, seed, paraphraser, qc, key):
     """augment_paragraph as the public operators stack, each finding its own
     positions on every call: the reference the planned path must equal."""
     original = paragraph.tokens
     budgets = {kind: op_budget(len(original), kind) for kind in nl_ops.OP_KINDS}
     category = classify_tokens(original, qc.patterns)
     code_count = sum(t.is_code for t in original)
-    for attempt in range(config.qc_max_retries):
-        rng = derive_rng(config.seed, "nl", *key, attempt)
+    for attempt in range(nl_ops.QC_MAX_RETRIES):
+        rng = derive_rng(seed, "nl", *key, attempt)
         tokens = dictionary_replace(original, dictionary, budgets["replace"], rng)
         tokens = dictionary_insert(tokens, dictionary, budgets["insert"], rng)
         tokens = random_swap(tokens, budgets["swap"], rng)
@@ -246,12 +245,13 @@ def test_planned_augmentation_equals_the_stacked_operators(patterns, substitutes
     dictionary = substitutes if dictionary == "default" else _CHAINED
     qc = _qc(patterns, identifiers=("AsyncContext",))
     paragraph = Sample(kind="OB", tokens=tokens, source_span=(3, 9))
-    config = AugConfig(seed=seed, qc_max_retries=3)
     # dropping the first word makes QC reject some attempts
     paraphraser = (lambda text: text.partition(" ")[2]) if drop_first else identity_paraphraser
     plan = paragraph_plan(paragraph, dictionary, qc)
-    assert (augment_paragraph(plan, dictionary, config, paraphraser, qc, ("b", 1, 0))
-            == _stacked_operators(paragraph, dictionary, config, paraphraser, qc, ("b", 1, 0)))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(nl_ops, "QC_MAX_RETRIES", 3)
+        assert (augment_paragraph(plan, dictionary, seed, paraphraser, qc, ("b", 1, 0))
+                == _stacked_operators(paragraph, dictionary, seed, paraphraser, qc, ("b", 1, 0)))
 
 
 # --- dictionaries -------------------------------------------------------------
@@ -313,8 +313,8 @@ def _paragraph(text: str, patterns, identifiers=()) -> Sample:
     return Sample(kind=classify_tokens(tokens, patterns), tokens=tokens)
 
 
-def _augment(paragraph, substitutes, config, paraphraser, qc, key=()):
-    return augment_paragraph(paragraph_plan(paragraph, substitutes, qc), substitutes, config,
+def _augment(paragraph, substitutes, seed, paraphraser, qc, key):
+    return augment_paragraph(paragraph_plan(paragraph, substitutes, qc), substitutes, seed,
                              paraphraser, qc, key)
 
 
@@ -324,14 +324,13 @@ def test_augment_accepts_and_preserves_category_and_code_count(patterns, substit
         "Async connector does not timeout with HTTP NIO context.", patterns, identifiers=("Async",)
     )
     assert paragraph.kind == "OB"
-    config = AugConfig(seed=99, qc_max_retries=10)
-    result = _augment(paragraph, substitutes, config, identity_paraphraser, qc, ("b", 1, 0))
+    result = _augment(paragraph, substitutes, 99, identity_paraphraser, qc, ("b", 1, 0))
     assert result is not REJECTED
     assert qc.category(result.tokens) == "OB"
     assert qc.code_token_count(result.tokens) == qc.code_token_count(paragraph.tokens)
 
 
-def test_augment_rejects_when_paraphraser_destroys_code_token(patterns, substitutes):
+def test_augment_rejects_when_paraphraser_destroys_code_token(patterns, substitutes, monkeypatch):
     # the paraphraser rewrites the code word into a plain one; the count check
     # must catch it no matter how the change slipped past the operators
     qc = _qc(patterns, identifiers=("Async",))
@@ -342,12 +341,12 @@ def test_augment_rejects_when_paraphraser_destroys_code_token(patterns, substitu
     def break_async(text: str) -> str:
         return text.replace("Async", "TCP")
 
-    config = AugConfig(seed=4, qc_max_retries=5)
-    result = _augment(paragraph, substitutes, config, break_async, qc, ("b", 1, 0))
+    monkeypatch.setattr(nl_ops, "QC_MAX_RETRIES", 5)
+    result = _augment(paragraph, substitutes, 4, break_async, qc, ("b", 1, 0))
     assert result is REJECTED
 
 
-def test_augment_rejects_when_category_is_lost(patterns, substitutes):
+def test_augment_rejects_when_category_is_lost(patterns, substitutes, monkeypatch):
     qc = _qc(patterns)
     paragraph = _paragraph("The request should return 200.", patterns)
     assert paragraph.kind == "EB"
@@ -355,17 +354,16 @@ def test_augment_rejects_when_category_is_lost(patterns, substitutes):
     def drop_marker(text: str) -> str:
         return text.replace("should", "will").replace("ought", "will").replace("must", "will")
 
-    config = AugConfig(seed=4, qc_max_retries=5)
-    result = _augment(paragraph, substitutes, config, drop_marker, qc, ("b", 1, 0))
+    monkeypatch.setattr(nl_ops, "QC_MAX_RETRIES", 5)
+    result = _augment(paragraph, substitutes, 4, drop_marker, qc, ("b", 1, 0))
     assert result is REJECTED
 
 
 def test_augment_is_deterministic_under_seed(patterns, substitutes):
     qc = _qc(patterns)
     paragraph = _paragraph("The SessionManager fails and the request hangs forever.", patterns)
-    config = AugConfig(seed=1234)
     runs = [
-        _augment(paragraph, substitutes, config, identity_paraphraser, qc, ("bug", 2, 1))
+        _augment(paragraph, substitutes, 1234, identity_paraphraser, qc, ("bug", 2, 1))
         for _ in range(2)
     ]
     assert runs[0] is not REJECTED
@@ -435,15 +433,10 @@ def test_shuffle_paraphraser_tokenizes_like_detect_code_tokens(substitutes, text
 
 
 def test_shuffle_paraphraser_with_empty_dict_rotates_only():
-    paraphrase = make_shuffle_paraphraser(SubstituteDictionary({}), seed=5)
+    paraphrase = make_shuffle_paraphraser(SubstituteDictionary({}), seed=5, identifiers=())
     out = paraphrase("first clause, second clause")
     assert Counter(out.split()) == Counter("first clause, second clause".split())
     assert out == "second clause first clause,"
-
-
-def test_aug_config_validation():
-    with pytest.raises(ValueError):
-        AugConfig(qc_max_retries=0)
 
 
 def test_service_paraphraser_round_trip_and_fallbacks(monkeypatch, caplog):
