@@ -1,11 +1,13 @@
 """Ranking metrics (MRR, MAP, P@K) plus qrels/run file formats.
 
-Conventions: a bug whose relevant items are absent from the ranking
-contributes 0, and score ties are broken by hunk id ascending.
+Each metric is the mean over the qrels' bugs of one per-bug score,
+bug_score. A bug whose relevant items are absent from the ranking scores 0,
+and score ties are broken by hunk id ascending.
 """
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -15,8 +17,9 @@ Qrels = Mapping[str, set]
 Ranking = Sequence[tuple[str, float]]
 RankingRun = Mapping[str, Ranking]
 
-# the cutoffs k of the P@k scores per_bug_scores exports
-PER_BUG_KS = (1, 3, 5)
+# the per-bug scores metrics.json writes, by key, each with the metric behind it
+PER_BUG_METRICS = {"reciprocal_rank": "mrr", "average_precision": "map",
+                   "p@1": "p@1", "p@3": "p@3", "p@5": "p@5"}
 
 
 def sort_ranking(entries: Iterable[tuple[str, float]]) -> list[tuple[str, float]]:
@@ -45,11 +48,6 @@ def reciprocal_rank(ranking: Sequence[tuple[str, float]], relevant: set) -> floa
     return 0.0
 
 
-def mean_reciprocal_rank(run: RankingRun, qrels: Qrels) -> float:
-    _check_run(run, qrels)
-    return sum(reciprocal_rank(run[bug], relevant) for bug, relevant in qrels.items()) / len(qrels)
-
-
 def average_precision(ranking: Sequence[tuple[str, float]], relevant_set: set) -> float:
     """Mean of precision@rank over the ranks where relevant items appear;
     unretrieved relevant items contribute 0."""
@@ -64,39 +62,23 @@ def average_precision(ranking: Sequence[tuple[str, float]], relevant_set: set) -
     return total / len(relevant_set)
 
 
-def mean_average_precision(run: RankingRun, qrels: Qrels) -> float:
-    _check_run(run, qrels)
-    return sum(average_precision(run[bug], relevant) for bug, relevant in qrels.items()) / len(qrels)
-
-
-def precision_at_k(run: RankingRun, qrels: Qrels, k: int) -> float:
-    """Mean fraction of the top-k entries that are relevant; short rankings
-    keep k as the denominator."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    _check_run(run, qrels)
-    total = 0.0
-    for bug, relevant in qrels.items():
-        top = run[bug][:k]
-        total += sum(1 for hunk_id, _ in top if hunk_id in relevant) / k
-    return total / len(qrels)
+def bug_score(name: str, ranking: Ranking, relevant: set) -> float:
+    """One bug's score under a parsed metric name (mrr, map, p@<k>). P@k is
+    the fraction of the top k entries that are relevant; a short ranking
+    keeps k as the denominator."""
+    if name == "mrr":
+        return reciprocal_rank(ranking, relevant)
+    if name == "map":
+        return average_precision(ranking, relevant)
+    k = int(name[2:])
+    return sum(1 for hunk_id, _ in ranking[:k] if hunk_id in relevant) / k
 
 
 def per_bug_scores(run: RankingRun, qrels: Qrels) -> dict[str, dict]:
-    """Per-bug reciprocal rank / AP / P@k, for external significance testing."""
+    """Each bug's PER_BUG_METRICS scores, for external significance testing."""
     _check_run(run, qrels)
-    out: dict[str, dict] = {}
-    for bug in sorted(qrels):
-        relevant = qrels[bug]
-        ranking = run[bug]
-        scores = {
-            "reciprocal_rank": reciprocal_rank(ranking, relevant),
-            "average_precision": average_precision(ranking, relevant),
-        }
-        for k in PER_BUG_KS:
-            scores[f"p@{k}"] = sum(1 for h, _ in ranking[:k] if h in relevant) / k
-        out[bug] = scores
-    return out
+    return {bug: {key: bug_score(name, run[bug], qrels[bug]) for key, name in PER_BUG_METRICS.items()}
+            for bug in sorted(qrels)}
 
 
 # --- file formats --------------------------------------------------------
@@ -113,7 +95,11 @@ def read_qrels(path: str | Path) -> dict[str, set]:
             if len(parts) != 3:
                 raise ValueError(f"{path}:{lineno}: expected 'bug_id hunk_id relevance'")
             bug_id, hunk_id, relevance = parts
-            if int(relevance):
+            try:
+                relevant = int(relevance)
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: relevance {relevance!r} is not an integer") from None
+            if relevant:
                 qrels.setdefault(bug_id, set()).add(hunk_id)
     return qrels
 
@@ -126,7 +112,8 @@ def write_qrels(path: str | Path, qrels: Qrels) -> None:
 
 
 def read_run(path: str | Path) -> dict[str, list[tuple[str, float]]]:
-    """Lines: bug_id hunk_id rank score; per-bug entries re-sorted on load."""
+    """Lines: bug_id hunk_id rank score, the score a finite number; per-bug
+    entries re-sorted on load."""
     raw: dict[str, list[tuple[str, float]]] = {}
     hunk_ids: dict[str, str] = {}
     with open(path, encoding="utf-8") as fh:
@@ -137,9 +124,16 @@ def read_run(path: str | Path) -> dict[str, list[tuple[str, float]]]:
             if len(parts) != 4:
                 raise ValueError(f"{path}:{lineno}: expected 'bug_id hunk_id rank score'")
             bug_id, hunk_id, _, score = parts
+            try:
+                value = float(score)
+            except ValueError:
+                value = math.nan
+            # a NaN would compare equal to every score and leave the order to the file
+            if not math.isfinite(value):
+                raise ValueError(f"{path}:{lineno}: score {score!r} is not a finite number")
             # one string per distinct hunk id: a run repeats each one across rankings
             hunk_id = hunk_ids.setdefault(hunk_id, hunk_id)
-            raw.setdefault(bug_id, []).append((hunk_id, float(score)))
+            raw.setdefault(bug_id, []).append((hunk_id, value))
     return {bug: sort_ranking(entries) for bug, entries in raw.items()}
 
 
@@ -166,13 +160,9 @@ def parse_metric_names(names: Iterable[str]) -> list[str]:
 
 
 def compute_metrics(run: RankingRun, qrels: Qrels, names: Iterable[str]) -> dict[str, float]:
-    """Evaluate metric names: mrr, map, p@<k>."""
-    out: dict[str, float] = {}
-    for name in parse_metric_names(names):
-        if name == "mrr":
-            out[name] = mean_reciprocal_rank(run, qrels)
-        elif name == "map":
-            out[name] = mean_average_precision(run, qrels)
-        else:
-            out[name] = precision_at_k(run, qrels, int(name[2:]))
-    return out
+    """Each metric name (mrr, map, p@<k>) as the mean of bug_score over
+    qrels' bugs, summed in qrels' order."""
+    parsed = parse_metric_names(names)
+    _check_run(run, qrels)
+    return {name: sum(bug_score(name, run[bug], relevant) for bug, relevant in qrels.items()) / len(qrels)
+            for name in parsed}

@@ -31,7 +31,7 @@ LAMBDAS = {"replace": 0.1, "insert": 0.1, "swap": 0.1, "delete": 0.05}
 # seconds the service paraphraser waits for one response
 SERVICE_TIMEOUT_S = 10.0
 
-# consecutive failures after which the service paraphraser stops calling out
+# consecutive failures at which the service paraphraser fails its stage
 SERVICE_FAILURE_BUDGET = 3
 
 # attempts augment_paragraph makes at a paragraph before it returns REJECTED
@@ -347,10 +347,10 @@ def make_shuffle_paraphraser(
 def make_service_paraphraser(url: str) -> Paraphraser:
     """Round-trip paraphrase via an external HTTP service.
 
-    POSTs plain text and expects plain text back; on any failure (or an empty
-    response) falls back to the identity paraphrase and logs a warning. After
-    SERVICE_FAILURE_BUDGET consecutive failures it stops calling the service
-    and is the identity from then on; a success resets the count.
+    POSTs plain text and expects plain text back; on a failure (or an empty
+    response) falls back to the identity paraphrase and logs a warning. The
+    SERVICE_FAILURE_BUDGET-th consecutive failure raises RuntimeError, which
+    fails the stage; a success resets the count.
     """
     # imported here, not at module level: urllib.request loads ssl, which
     # every other run would pay for at startup
@@ -362,16 +362,14 @@ def make_service_paraphraser(url: str) -> Paraphraser:
     def fallback(text: str, reason: str) -> str:
         nonlocal failures
         failures += 1
-        log.warning("paraphrase service %s %s; using identity", url, reason)
         if failures == SERVICE_FAILURE_BUDGET:
-            log.warning("paraphrase service %s failed %d times in a row; switching to identity",
-                        url, failures)
+            raise RuntimeError(f"paraphrase service {url} failed {failures} times in a row; "
+                               f"last: {reason}")
+        log.warning("paraphrase service %s %s; using identity", url, reason)
         return text
 
     def paraphrase(text: str) -> str:
         nonlocal failures
-        if failures >= SERVICE_FAILURE_BUDGET:
-            return text
         request = urllib.request.Request(
             url,
             data=text.encode("utf-8"),

@@ -29,29 +29,22 @@ def index_tokens(text: str) -> list[str]:
     return _TOKEN_RE.findall(text.lower())
 
 
-@dataclass(frozen=True, slots=True)
-class IndexedHunk:
-    hunk_id: str
-    length: int
-
-
 @dataclass
 class HunkIndex:
-    """Hunks in ascending id order. `postings` maps each term to the ascending
-    positions in `hunks` of the hunks that contain it, so its document
+    """Hunk ids in ascending order. `postings` maps each term to the ascending
+    positions in `hunk_ids` of the hunks that contain it, so its document
     frequency is the list's length; `posting_tfs` maps it to an array of the
     term's frequency in each of them, and `posting_denominators` to an array
     of each one's BM25 denominator tf + norm, in the same order. A hunk's
-    norm is its length normaliser, K1 * (1 - B + B * length / average_length)."""
+    norm is its length normaliser, K1 * (1 - B + B * length / average length)."""
 
-    hunks: list[IndexedHunk]
-    average_length: float
+    hunk_ids: list[str]
     postings: dict[str, list[int]]
     posting_tfs: dict[str, array]
     posting_denominators: dict[str, array]
 
     def __len__(self) -> int:
-        return len(self.hunks)
+        return len(self.hunk_ids)
 
 
 def hunk_document(hunk: Hunk, log_message: str = "") -> str:
@@ -62,7 +55,8 @@ def index_hunks(hunks: Sequence[Hunk], log_messages: Mapping[str, str] | None = 
     """Index hunks by term frequency; each document is truncated to the first
     HUNK_TOKEN_LIMIT tokens before counting."""
     log_messages = log_messages or {}
-    indexed: list[IndexedHunk] = []
+    hunk_ids: list[str] = []
+    lengths: list[int] = []
     postings: dict[str, list[int]] = {}
     posting_tfs: dict[str, array] = {}
     for position, hunk in enumerate(sorted(hunks, key=lambda h: h.id)):
@@ -79,19 +73,17 @@ def index_hunks(hunks: Sequence[Hunk], log_messages: Mapping[str, str] | None = 
             else:
                 positions.append(position)
                 posting_tfs[token].append(count)
-        indexed.append(IndexedHunk(hunk_id=hunk.id, length=len(tokens)))
-    total_length = sum(d.length for d in indexed)
-    average_length = total_length / len(indexed) if indexed else 0.0
-    # average_length is 0 only when every length is 0; it must not divide then
-    divisor = average_length or 1.0
-    norms = [K1 * (1.0 - B + B * d.length / divisor) for d in indexed]
+        hunk_ids.append(hunk.id)
+        lengths.append(len(tokens))
+    # the average length, unless every length is 0: it must not divide then
+    divisor = sum(lengths) / len(lengths) if any(lengths) else 1.0
+    norms = [K1 * (1.0 - B + B * length / divisor) for length in lengths]
     denominators = {
         term: array("d", [tf + norms[position] for position, tf in zip(positions, posting_tfs[term])])
         for term, positions in postings.items()
     }
     return HunkIndex(
-        hunks=indexed,
-        average_length=average_length,
+        hunk_ids=hunk_ids,
         postings=postings,
         posting_tfs=posting_tfs,
         posting_denominators=denominators,
@@ -109,7 +101,7 @@ def rank(bug_report_text: str, index: HunkIndex, top_n: int) -> list[tuple[str, 
     the 0.0 ones included, come in id order."""
     if top_n < 1:
         raise ValueError(f"top_n must be at least 1, got {top_n}")
-    if not index.hunks:
+    if not index.hunk_ids:
         raise ValueError("index is empty")
     tokens = index_tokens(bug_report_text)[:QUERY_TOKEN_LIMIT]
     query_counts: dict[str, int] = {}
@@ -129,4 +121,4 @@ def rank(bug_report_text: str, index: HunkIndex, top_n: int) -> list[tuple[str, 
                                              index.posting_denominators[term]):
             scores[position] += qi * tf * k1_plus_1 / denominator
     top = heapq.nlargest(top_n, range(n_docs), key=scores.__getitem__)
-    return [(index.hunks[position].hunk_id, scores[position]) for position in top]
+    return [(index.hunk_ids[position], scores[position]) for position in top]

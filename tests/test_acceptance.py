@@ -25,7 +25,7 @@ from bugaug.code_ops import (
 from bugaug.corpus import NegativeSampler
 from bugaug.extract import classify_tokens, detect_code_tokens, tokenize
 from bugaug.fixtures import generate_corpus
-from bugaug.metrics import mean_average_precision, mean_reciprocal_rank, precision_at_k
+from bugaug.metrics import compute_metrics
 from bugaug.model import Dataset, Sample, Token, TrainingSample
 from bugaug.nl_ops import (
     REJECTED,
@@ -196,11 +196,11 @@ def test_criterion_4_metric_oracles():
             ranking = list(perm)
             run = {"b": _run_of(ranking)}
             for relevant in relevant_sets:
-                qrels = {"b": relevant}
-                assert abs(mean_reciprocal_rank(run, qrels) - float(_oracle_rr(ranking, relevant))) <= 1e-12
-                assert abs(mean_average_precision(run, qrels) - float(_oracle_ap(ranking, relevant))) <= 1e-12
+                values = compute_metrics(run, {"b": relevant}, ["mrr", "map", "p@1", "p@3", "p@5"])
+                assert abs(values["mrr"] - float(_oracle_rr(ranking, relevant))) <= 1e-12
+                assert abs(values["map"] - float(_oracle_ap(ranking, relevant))) <= 1e-12
                 for k in (1, 3, 5):
-                    assert abs(precision_at_k(run, qrels, k) - float(_oracle_p_at_k(ranking, relevant, k))) <= 1e-12
+                    assert abs(values[f"p@{k}"] - float(_oracle_p_at_k(ranking, relevant, k))) <= 1e-12
                 checked += 1
     rng = random.Random(12)
     for _ in range(1000):
@@ -210,11 +210,11 @@ def test_criterion_4_metric_oracles():
         ranking = docs[: rng.randint(1, n)]
         relevant = set(rng.sample(docs, rng.randint(1, min(10, n))))
         run = {"b": _run_of(ranking)}
-        qrels = {"b": relevant}
-        assert abs(mean_reciprocal_rank(run, qrels) - float(_oracle_rr(ranking, relevant))) <= 1e-12
-        assert abs(mean_average_precision(run, qrels) - float(_oracle_ap(ranking, relevant))) <= 1e-12
         k = rng.randint(1, 12)
-        assert abs(precision_at_k(run, qrels, k) - float(_oracle_p_at_k(ranking, relevant, k))) <= 1e-12
+        values = compute_metrics(run, {"b": relevant}, ["mrr", "map", f"p@{k}"])
+        assert abs(values["mrr"] - float(_oracle_rr(ranking, relevant))) <= 1e-12
+        assert abs(values["map"] - float(_oracle_ap(ranking, relevant))) <= 1e-12
+        assert abs(values[f"p@{k}"] - float(_oracle_p_at_k(ranking, relevant, k))) <= 1e-12
         checked += 1
     elapsed = time.perf_counter() - started
     _report(4, f"mrr/map/p@k match rational oracles on {checked} rankings ({elapsed:.2f}s)")

@@ -7,6 +7,7 @@ import logging
 import os
 import re
 import shutil
+import socket
 from functools import cache
 from importlib import resources
 
@@ -718,6 +719,26 @@ def test_report_files_do_not_depend_on_the_shard_count(tmp_path, monkeypatch):
     assert all(runs[1])
     assert runs[machine] == runs[1]
     assert runs[3] == runs[1]
+
+
+def test_a_dead_paraphrase_service_fails_the_augment_stage(tmp_path, corpus_dir, capsys, monkeypatch):
+    """A port bound on loopback but not listening refuses every call, so the
+    SERVICE_FAILURE_BUDGET-th call fails augment, in one shard and in three:
+    the run exits 1 with no reports file and no manifest entry for augment."""
+    with socket.socket() as closed:
+        closed.bind(("127.0.0.1", 0))
+        url = f"http://127.0.0.1:{closed.getsockname()[1]}/"
+        for cpus in (1, 3):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: set(range(cpus)))
+            out = tmp_path / f"run{cpus}"
+            extra = ["--paraphraser", "service", "--service-url", url]
+            assert main(_pipeline_args(corpus_dir, out, extra=extra)) == 1
+            err = capsys.readouterr().err
+            assert "pipeline stage 'augment' failed: " in err
+            assert f"paraphrase service {url} failed 3 times in a row" in err
+            assert not (out / "augmented_reports.jsonl").exists()
+            stages = json.loads((out / "manifest.json").read_text("utf-8"))["stages"]
+            assert sorted(stages) == ["extract", "ingest"]
 
 
 _PINNED_RUN_EXTRA = ["--factor", "3", "--alpha", "2.0", "--omega", "4.0", "--paraphraser", "shuffle"]

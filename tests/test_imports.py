@@ -1,11 +1,13 @@
 """Every module uses every name it imports and parses as Python 3.10, every
 function, class and method of the package has a caller outside the tests,
 the package's version is pyproject.toml's, importing the CLI loads no module
-only the service paraphraser needs, and no run loads a process pool."""
+only the service paraphraser needs, no run loads a process pool, and the
+benchmark's tracer still finds every name it wraps."""
 
 from __future__ import annotations
 
 import ast
+import json
 import os
 import re
 import subprocess
@@ -15,6 +17,7 @@ from pathlib import Path
 import pytest
 
 from bugaug import __version__
+from bugaug.fixtures import generate_corpus
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = sorted(ROOT.joinpath("src", "bugaug").rglob("*.py"))
@@ -177,3 +180,23 @@ def test_neither_the_cli_nor_a_pipeline_run_loads_a_process_pool(tmp_path):
     lines = result.stdout.splitlines()
     assert f"pipeline complete; artifacts in {out}" in lines
     assert lines[0] == lines[-1] == "[]"
+
+
+def test_the_benchmark_tracer_wraps_every_stage_and_hot_layer(tmp_path):
+    """perfbench/tracing.py patches names it looks up in bugaug's modules; a
+    traced pipeline run records a span for each stage and for each hot layer
+    the benchmark's per-layer metrics read."""
+    corpus, out, trace = tmp_path / "corpus", tmp_path / "run", tmp_path / "trace.json"
+    generate_corpus(corpus, n_bugs=10, seed=3)
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "tracing.py"), str(trace), "pipeline",
+         "--bugs", str(corpus / "bugs.jsonl"), "--diffs", str(corpus / "diffs"),
+         "--links", str(corpus / "links.jsonl"), "--out", str(out)],
+        capture_output=True, text=True, env=env)
+    assert result.returncode == 0, result.stderr
+    names = {span[0] for span in json.loads(trace.read_text("utf-8"))["spans"]}
+    stages = ("ingest", "extract", "augment", "balance", "stats", "retrieve", "eval")
+    expected = {*(f"cli.{stage}" for stage in stages),
+                "metrics.eval", "retrieval.index", "retrieval.rank", "builder.report"}
+    assert expected - names == set()

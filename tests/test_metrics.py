@@ -1,18 +1,19 @@
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bugaug.metrics import (
+    PER_BUG_METRICS,
     average_precision,
     compute_metrics,
-    mean_average_precision,
-    mean_reciprocal_rank,
     parse_metric_names,
     per_bug_scores,
-    precision_at_k,
     read_qrels,
     read_run,
     run_lines,
@@ -48,13 +49,17 @@ def _run_of(ranking: list[str]) -> list[tuple[str, float]]:
     return [(doc, float(len(ranking) - i)) for i, doc in enumerate(ranking)]
 
 
+def metric(run, qrels, name: str) -> float:
+    return compute_metrics(run, qrels, [name])[name]
+
+
 # --- direct examples -----------------------------------------------------------
 
 
 def test_mrr_all_first():
     run = {"b1": _run_of(["h1", "h2"]), "b2": _run_of(["h9", "h3"])}
     qrels = {"b1": {"h1"}, "b2": {"h9"}}
-    assert mean_reciprocal_rank(run, qrels) == 1.0
+    assert metric(run, qrels, "mrr") == 1.0
 
 
 def test_mrr_ranks_two_and_four():
@@ -63,23 +68,23 @@ def test_mrr_ranks_two_and_four():
         "b2": _run_of(["a", "b", "c", "rel2"]),
     }
     qrels = {"b1": {"rel1"}, "b2": {"rel2"}}
-    assert mean_reciprocal_rank(run, qrels) == pytest.approx(0.375)
+    assert metric(run, qrels, "mrr") == pytest.approx(0.375)
 
 
 def test_mrr_missing_relevant_contributes_zero():
     run = {"b1": _run_of(["h1"]), "b2": _run_of(["h2"])}
     qrels = {"b1": {"h1"}, "b2": {"absent"}}
-    assert mean_reciprocal_rank(run, qrels) == pytest.approx(0.5)
+    assert metric(run, qrels, "mrr") == pytest.approx(0.5)
 
 
 def test_mrr_empty_qrels_is_an_error():
     with pytest.raises(ValueError):
-        mean_reciprocal_rank({"b": []}, {})
+        metric({"b": []}, {}, "mrr")
 
 
 def test_mrr_bug_missing_from_run_is_an_error():
     with pytest.raises(ValueError):
-        mean_reciprocal_rank({"b1": []}, {"b1": {"h"}, "b2": {"h"}})
+        metric({"b1": []}, {"b1": {"h"}, "b2": {"h"}}, "mrr")
 
 
 def test_ap_single_relevant_at_rank_one():
@@ -103,23 +108,23 @@ def test_ap_empty_relevant_set_is_an_error():
 def test_map_is_mean_of_aps():
     run = {"b1": _run_of(["r"]), "b2": _run_of(["x", "r2"])}
     qrels = {"b1": {"r"}, "b2": {"r2"}}
-    assert mean_average_precision(run, qrels) == pytest.approx((1.0 + 0.5) / 2)
+    assert metric(run, qrels, "map") == pytest.approx((1.0 + 0.5) / 2)
 
 
 def test_precision_at_k_examples():
     run = {"b1": _run_of(["r", "x", "y"])}
     qrels = {"b1": {"r"}}
-    assert precision_at_k(run, qrels, 1) == 1.0
-    assert precision_at_k(run, qrels, 3) == pytest.approx(1 / 3)
+    assert metric(run, qrels, "p@1") == 1.0
+    assert metric(run, qrels, "p@3") == pytest.approx(1 / 3)
 
 
 def test_precision_at_k_empty_ranking_is_zero():
-    assert precision_at_k({"b1": []}, {"b1": {"r"}}, 5) == 0.0
+    assert metric({"b1": []}, {"b1": {"r"}}, "p@5") == 0.0
 
 
 def test_precision_at_k_rejects_zero():
     with pytest.raises(ValueError):
-        precision_at_k({"b1": []}, {"b1": {"r"}}, 0)
+        metric({"b1": []}, {"b1": {"r"}}, "p@0")
 
 
 def test_mrr_equals_map_with_single_relevant_items():
@@ -129,7 +134,7 @@ def test_mrr_equals_map_with_single_relevant_items():
         rng.shuffle(docs)
         run = {"b": _run_of(docs)}
         qrels = {"b": {rng.choice(docs)}}
-        assert mean_reciprocal_rank(run, qrels) == pytest.approx(mean_average_precision(run, qrels))
+        assert metric(run, qrels, "mrr") == pytest.approx(metric(run, qrels, "map"))
 
 
 def test_metrics_invariant_under_monotone_score_transform():
@@ -137,9 +142,8 @@ def test_metrics_invariant_under_monotone_score_transform():
     base = {"b1": sort_ranking([(d, float(i + 1)) for i, d in enumerate(reversed(docs))])}
     squashed = {"b1": sort_ranking([(d, s / 100.0 + 5.0) for d, s in base["b1"]])}
     qrels = {"b1": {"b", "d"}}
-    for metric in (mean_reciprocal_rank, mean_average_precision):
-        assert metric(base, qrels) == pytest.approx(metric(squashed, qrels))
-    assert precision_at_k(base, qrels, 3) == pytest.approx(precision_at_k(squashed, qrels, 3))
+    for name in ("mrr", "map", "p@3"):
+        assert metric(base, qrels, name) == pytest.approx(metric(squashed, qrels, name))
 
 
 def test_random_cases_match_oracles():
@@ -152,10 +156,40 @@ def test_random_cases_match_oracles():
         relevant = set(rng.sample(docs, rng.randint(1, min(4, n))))
         run = {"b": _run_of(retrieved)}
         qrels = {"b": relevant}
-        assert mean_reciprocal_rank(run, qrels) == pytest.approx(float(oracle_rr(retrieved, relevant)), abs=1e-12)
-        assert mean_average_precision(run, qrels) == pytest.approx(float(oracle_ap(retrieved, relevant)), abs=1e-12)
+        assert metric(run, qrels, "mrr") == pytest.approx(float(oracle_rr(retrieved, relevant)), abs=1e-12)
+        assert metric(run, qrels, "map") == pytest.approx(float(oracle_ap(retrieved, relevant)), abs=1e-12)
         k = rng.randint(1, 6)
-        assert precision_at_k(run, qrels, k) == pytest.approx(float(oracle_p_at_k(retrieved, relevant, k)), abs=1e-12)
+        assert metric(run, qrels, f"p@{k}") == pytest.approx(float(oracle_p_at_k(retrieved, relevant, k)), abs=1e-12)
+
+
+# one bug: a ranking of up to 8 documents, cut to a prefix that may be empty,
+# and relevant documents that d<n> and d<n+1> may leave out of the ranking
+_BUG_CASES = st.integers(1, 8).flatmap(lambda n: st.tuples(
+    st.permutations([f"d{i}" for i in range(n)]),
+    st.integers(0, n),
+    st.sets(st.sampled_from([f"d{i}" for i in range(n + 2)]), min_size=1, max_size=4),
+))
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(cases=st.lists(_BUG_CASES, min_size=1, max_size=6), data=st.data())
+def test_each_summary_metric_is_the_mean_of_the_per_bug_scores(cases, data):
+    """Over runs of several bugs, with qrels in shuffled insertion order, each
+    summary metric equals the mean of its per_bug_scores column summed in
+    qrels' order, and both equal the exact oracle mean."""
+    bugs = [f"b{i}" for i in range(len(cases))]
+    run = {bug: _run_of(docs[:cut]) for bug, (docs, cut, _) in zip(bugs, cases)}
+    relevant = {bug: rel for bug, (_, _, rel) in zip(bugs, cases)}
+    qrels = {bug: relevant[bug] for bug in data.draw(st.permutations(bugs))}
+    per_bug = per_bug_scores(run, qrels)
+    summary = compute_metrics(run, qrels, ["mrr", "map", "p@1", "p@3", "p@5"])
+    oracles = {"mrr": oracle_rr, "map": oracle_ap,
+               **{f"p@{k}": lambda r, rel, k=k: oracle_p_at_k(r, rel, k) for k in (1, 3, 5)}}
+    for key, name in PER_BUG_METRICS.items():
+        column_mean = sum(per_bug[bug][key] for bug in qrels) / len(qrels)
+        assert summary[name] == column_mean
+        exact = sum(oracles[name]([h for h, _ in run[bug]], qrels[bug]) for bug in qrels) / len(qrels)
+        assert summary[name] == pytest.approx(float(exact), abs=1e-12)
 
 
 # --- plumbing ---------------------------------------------------------------
@@ -209,3 +243,28 @@ def test_per_bug_scores_exports_components():
     assert scores["b1"]["reciprocal_rank"] == 1.0
     assert scores["b2"]["reciprocal_rank"] == 0.5
     assert scores["b2"]["p@1"] == 0.0
+
+
+@pytest.mark.parametrize("lines", [["b1 h2 1 nan\n", "b1 h1 2 0.5\n"],
+                                   ["b1 h1 1 0.5\n", "b1 h2 2 nan\n"]])
+def test_read_run_refuses_a_nan_score_in_either_order(tmp_path, lines):
+    path = tmp_path / "run.txt"
+    path.write_text("".join(lines))
+    line = 1 + ["nan" in text for text in lines].index(True)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:{line}: score 'nan' is not a finite number$"):
+        read_run(path)
+
+
+@pytest.mark.parametrize("score", ["abc", "inf", "-Infinity"])
+def test_read_run_names_the_line_of_a_score_that_is_no_finite_number(tmp_path, score):
+    path = tmp_path / "run.txt"
+    path.write_text(f"b1 h1 1 1.0\n\nb1 h2 2 {score}\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:3: score '{score}' is not a finite number$"):
+        read_run(path)
+
+
+def test_read_qrels_names_the_line_of_a_relevance_that_is_no_integer(tmp_path):
+    path = tmp_path / "qrels.txt"
+    path.write_text("b1 h1 1\nb1 h2 x\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: relevance 'x' is not an integer$"):
+        read_qrels(path)

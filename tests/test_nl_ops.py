@@ -464,9 +464,6 @@ def test_service_paraphraser_round_trip_and_fallbacks(monkeypatch, caplog):
         def log_message(self, *args):
             pass
 
-    def switch_warnings():
-        return sum("switching to identity" in r.getMessage() for r in caplog.records)
-
     server = HTTPServer(("127.0.0.1", 0), UpperHandler)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
@@ -478,25 +475,23 @@ def test_service_paraphraser_round_trip_and_fallbacks(monkeypatch, caplog):
         empty = make_service_paraphraser(base + "/empty")
         assert empty("unchanged text") == "unchanged text"
 
-        # one success between failures resets the count of consecutive failures
+        # one success between failures resets the count of consecutive failures,
+        # and the SERVICE_FAILURE_BUDGET-th failure in a row raises
         flaky = make_service_paraphraser(base + "/")
         requests.clear()
-        texts = ["fail", "fail", "ok", "fail", "fail", "ok", "fail", "fail", "fail", "ok"]
-        with caplog.at_level(logging.WARNING):
-            outputs = [flaky(t) for t in texts]
-        assert outputs == ["fail", "fail", "OK", "fail", "fail", "OK", "fail", "fail", "fail", "ok"]
-        assert requests == texts[:9]
-        assert switch_warnings() == 1
+        texts = ["fail", "fail", "ok", "fail", "fail", "ok", "fail", "fail"]
+        assert [flaky(t) for t in texts] == ["fail", "fail", "OK", "fail", "fail", "OK", "fail", "fail"]
+        with pytest.raises(RuntimeError, match=f"paraphrase service {base}/ failed 3 times in a row; "
+                                               "last: returned empty text"):
+            flaky("fail")
+        assert requests == [*texts, "fail"]
     finally:
         server.shutdown()
         server.server_close()
         thread.join(timeout=5)
 
-    # unreachable service falls back to identity
-    dead = make_service_paraphraser(f"http://127.0.0.1:{server.server_port}/")
-    assert dead("still here") == "still here"
-
-    # ... and is called SERVICE_FAILURE_BUDGET times in a row at most
+    # an unreachable service falls back to identity below the budget, and the
+    # SERVICE_FAILURE_BUDGET-th call raises after as many calls out
     calls = []
     urlopen = urllib.request.urlopen
     monkeypatch.setattr(urllib.request, "urlopen",
@@ -504,9 +499,11 @@ def test_service_paraphraser_round_trip_and_fallbacks(monkeypatch, caplog):
     caplog.clear()
     dead = make_service_paraphraser(f"http://127.0.0.1:{server.server_port}/")
     with caplog.at_level(logging.WARNING):
-        assert [dead(f"text {i}") for i in range(10)] == [f"text {i}" for i in range(10)]
+        assert [dead(f"text {i}") for i in range(2)] == ["text 0", "text 1"]
+        with pytest.raises(RuntimeError, match="failed 3 times in a row; last: failed"):
+            dead("text 2")
     assert len(calls) == SERVICE_FAILURE_BUDGET == 3
-    assert switch_warnings() == 1
+    assert sum("using identity" in r.getMessage() for r in caplog.records) == 2
 
 
 def test_strip_punctuation_output_never_matches_punctuation_set():

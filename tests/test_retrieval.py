@@ -38,13 +38,13 @@ def test_long_hunk_truncates_to_limit():
     lines = tuple(("added", f"token{i} filler{i};") for i in range(400))  # >1200 tokens
     hunk = make_hunk("big", "cs", "Big", lines=lines)
     index = index_hunks([hunk])
-    assert index.hunks[0].length == 512
+    assert sum(sum(tfs) for tfs in index.posting_tfs.values()) == 512
 
 
 def test_empty_hunk_indexes_with_zero_length():
     hunk = make_hunk("empty", "cs", "Empty", lines=())
     index = index_hunks([hunk])
-    assert index.hunks[0].length == 0
+    assert sum(sum(tfs) for tfs in index.posting_tfs.values()) == 0
     ranking = rank("anything", index, top_n=1)
     assert ranking == [("empty", 0.0)]
 
@@ -54,7 +54,7 @@ def test_reindexing_is_idempotent():
     second = index_hunks(_hunks())
     assert first.postings == second.postings
     assert first.posting_tfs == second.posting_tfs
-    assert first.average_length == second.average_length
+    assert first.posting_denominators == second.posting_denominators
 
 
 def test_log_message_terms_are_indexed():
@@ -215,8 +215,8 @@ def test_each_posting_stores_its_bm25_denominator(documents, data):
         for hunk_id, words in zip(ids, documents)
     ]
     index = index_hunks(hunks)
+    assert index.hunk_ids == sorted(ids)
     lengths = [len(tokens) for _, tokens in _document_tokens(hunks)]
-    assert [h.length for h in index.hunks] == lengths
     average_length = sum(lengths) / len(lengths)
     assert index.posting_denominators.keys() == index.postings.keys()
     for term, positions in index.postings.items():
