@@ -9,6 +9,7 @@ constrained.
 
 from __future__ import annotations
 
+import logging
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -20,6 +21,8 @@ from .builder import augmented_report_id, referenced_refs
 from .corpus import NegativeSampler
 from .model import Dataset, TrainingSample, read_jsonl, sample_from_dict
 from .rng import derive_rng
+
+log = logging.getLogger(__name__)
 
 
 def scaled_cap(factor: float, maximum: int) -> int:
@@ -37,7 +40,9 @@ def balance_dataset(
     """Grow each bug toward the per-bug cap by adding (fresh augmented report,
     eligible hunk) positives, one fresh negative per addition; a hunk is
     eligible while its class sits below the class cap. A bug's fresh reports
-    are numbered after the largest ordinal d_train references for it."""
+    are numbered after the largest ordinal d_train references for it. Logs
+    how many bugs the class cap stopped below the per-bug cap, and how many
+    additions it refused them."""
     if alpha <= 0 or omega <= 0:
         raise ValueError("alpha and omega must be positive")
     positives = d_train.positives()
@@ -60,12 +65,15 @@ def balance_dataset(
         last_ordinal[bug] = max(last_ordinal.get(bug, 0), ordinal)
 
     samples = list(d_train.samples)
+    stopped = refused = 0
     for bug in sorted(hunks_by_bug):
         rng = derive_rng(seed, "balance", bug)
         ordinal = last_ordinal.get(bug, 0)
         while bug_counts[bug] < max_br:
             eligible = [(h, c) for h, c in hunks_by_bug[bug] if class_counts[c] < max_cl]
             if not eligible:
+                stopped += 1
+                refused += max_br - bug_counts[bug]
                 break
             hunk_id, class_name = eligible[rng.randrange(len(eligible))]
             ordinal += 1
@@ -80,6 +88,8 @@ def balance_dataset(
             samples.extend(sampler.pair(positive, derive_rng(seed, "negative", "D_bl", aug_id)))
             bug_counts[bug] += 1
             class_counts[class_name] += 1
+    log.info("class cap %d stopped %d bugs below the per-bug cap %d and refused %d additions",
+             max_cl, stopped, max_br, refused)
     return Dataset(name="D_bl", samples=samples)
 
 

@@ -18,7 +18,7 @@ import tempfile
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, NoReturn, TextIO, TypeVar
+from typing import BinaryIO, Callable, NoReturn, TypeVar
 
 from .code_ops import (
     CodeNameDictionary,
@@ -225,21 +225,29 @@ class _Shard:
     """A forked child that writes line(item) for each of items to one
     anonymous temporary file and then what done() returns, or its error, to
     another, and leaves through os._exit: it runs none of the parent's exit
-    handlers and flushes none of its buffers."""
+    handlers and flushes none of its buffers. name ("<name> shard <i> of
+    <n>") heads the errors it raises."""
 
-    def __init__(self, items: list[Item], line: Callable[[Item], str], done: Callable[[], object]):
+    def __init__(self, items: list[Item], line: Callable[[Item], bytes], done: Callable[[], object],
+                 name: str):
+        self.name = name
         self.lines = tempfile.TemporaryFile()
         self.result = tempfile.TemporaryFile()
-        self.pid: int | None = os.fork()
+        try:
+            self.pid: int | None = os.fork()
+        except OSError as exc:
+            self.lines.close()
+            self.result.close()
+            raise RuntimeError(f"{name} could not start: {exc}") from exc
         if self.pid == 0:
             self._write(items, line, done)
 
-    def _write(self, items: list[Item], line: Callable[[Item], str],
+    def _write(self, items: list[Item], line: Callable[[Item], bytes],
                done: Callable[[], object]) -> NoReturn:
         code = 1
         try:
             for item in items:
-                self.lines.write(line(item).encode("utf-8"))
+                self.lines.write(line(item))
             self.lines.flush()
             marshal.dump(done(), self.result)
             code = 0
@@ -249,21 +257,20 @@ class _Shard:
             self.result.flush()
             os._exit(code)
 
-    def append_to(self, out: TextIO, name: str) -> object:
+    def append_to(self, out: BinaryIO) -> object:
         """Wait for the child, then append its lines to out and return what
         its done() returned; a child that raised or was killed raises here."""
         _, status = os.waitpid(self.pid, 0)
         self.pid = None
         code = os.waitstatus_to_exitcode(status)
         if code < 0:
-            raise RuntimeError(f"{name} was killed by signal {-code}")
+            raise RuntimeError(f"{self.name} was killed by signal {-code}")
         self.result.seek(0)
         payload = marshal.load(self.result)
         if code:
-            raise RuntimeError(f"{name} failed: {payload}")
-        out.flush()
+            raise RuntimeError(f"{self.name} failed: {payload}")
         self.lines.seek(0)
-        shutil.copyfileobj(self.lines, out.buffer)
+        shutil.copyfileobj(self.lines, out)
         return payload
 
     def kill(self) -> None:
@@ -280,24 +287,25 @@ class _Shard:
         self.result.close()
 
 
-def write_sharded(path: str | Path, items: list[Item], line: Callable[[Item], str], name: str,
+def write_sharded(path: str | Path, items: list[Item], line: Callable[[Item], bytes], name: str,
                   done: Callable[[], object] = lambda: None) -> list:
-    """Write line(item) for each of items to path, in items' order, on every
-    CPU this process may run on, and return what done() returned in each
-    forked child, in shard order. line and done must return what marshal
-    can send.
+    """Write line(item), bytes, for each of items to path, in items' order,
+    on every CPU this process may run on, and return what done() returned
+    in each forked child, in shard order. done must return what marshal can
+    send.
 
     Items are split into contiguous, equal shards, one per CPU, so adjacent
-    items share a process except at a shard boundary. This process writes
-    the first shard into path while a forked child writes each other one
-    (one CPU, or fewer than two items, forks nothing); the children's lines
-    are appended in shard order, so the bytes do not depend on the CPU count
-    as long as each line is a pure function of its item. A failed shard,
-    here or in a child, fails the call with the child's error, as
-    "<name> shard <i> of <n> failed: ...": every child is reaped and path is
-    removed. A process running other threads forks nothing: a child has
-    only the forking thread, so a lock another thread held would stay held
-    in it.
+    items share a process except at a shard boundary. Every child is forked
+    before this process writes the first shard into path, and each other
+    shard is written by its child (one CPU, or fewer than two items, forks
+    nothing); the children's lines are appended in shard order, so the bytes
+    do not depend on the CPU count as long as each line is a pure function
+    of its item. A shard that fails, here or in a child, or cannot be
+    forked, fails the call with its error, as "<name> shard <i> of <n>
+    failed: ..." or "... could not start: ...": every child is reaped and
+    path is removed. A process running other threads forks nothing: a child
+    has only the forking thread, so a lock another thread held would stay
+    held in it.
     """
     forkable = hasattr(os, "sched_getaffinity") and threading.active_count() == 1
     cpus = len(os.sched_getaffinity(0)) if forkable else 1
@@ -305,16 +313,15 @@ def write_sharded(path: str | Path, items: list[Item], line: Callable[[Item], st
     shards = [items[len(items) * i // count:len(items) * (i + 1) // count] for i in range(count)]
     children: list[_Shard] = []
     try:
-        with open_new(path) as out:
+        with open_new(path, binary=True) as out:
             # a child must not write again what this process had buffered
             sys.stdout.flush()
             sys.stderr.flush()
-            for shard in shards[1:]:
-                children.append(_Shard(shard, line, done))
+            for number, shard in enumerate(shards[1:], start=2):
+                children.append(_Shard(shard, line, done, f"{name} shard {number} of {count}"))
             for item in shards[0]:
                 out.write(line(item))
-            return [child.append_to(out, f"{name} shard {number} of {count}")
-                    for number, child in enumerate(children, start=2)]
+            return [child.append_to(out) for child in children]
     except BaseException:
         for child in children:
             child.kill()
@@ -325,18 +332,55 @@ def write_sharded(path: str | Path, items: list[Item], line: Callable[[Item], st
             child.reap()
 
 
+# where each report line a run wrote lies, by (origin bug, ordinal): the
+# report file, the line's byte offset in it and its length in bytes
+ReportStore = dict[tuple[str, int], tuple[Path, int, int]]
+
+
 def write_reports(path: str | Path, refs: list[tuple[str, int]],
-                  augment: Callable[[str, int], dict] | None) -> tuple[int, int]:
+                  augment: Callable[[str, int], dict] | None,
+                  store: ReportStore | None = None) -> tuple[int, int]:
     """Write the record augment(*ref) for each ref to path as JSON lines, in
     refs' order, through write_sharded: each report is a pure function of its
-    ref. Each child's substitute-cache entries and counts are merged here, so
-    neither the bytes nor the cache depend on the CPU count. Returns the
-    substitute cache hits and misses the call added, over all shards."""
+    ref. Each child's substitute-cache entries and counts, and the byte
+    length of each line it wrote, come back through write_sharded's done and
+    are merged here, so neither the bytes nor the cache depend on the CPU
+    count. Returns the
+    substitute cache hits and misses the call added, over all shards.
+
+    Given store, a ref it holds is not built: its line is copied byte for
+    byte from the file an earlier call wrote, which must have built it with
+    the same augmenter settings. Each ref's line in path is then added to
+    store."""
+    store = {} if store is None else store
     since = substitute_cache_info()
-    deltas = write_sharded(path, refs, lambda ref: jsonl_line(augment(*ref)), "report",
-                           lambda: substitute_cache_delta(since))
-    for delta in deltas:
+    lengths: dict[tuple[str, int], int] = {}
+    sources: dict[Path, int] = {}  # each report file copied from, read with os.pread
+    try:
+        for file in {store[ref][0] for ref in refs if ref in store}:
+            sources[file] = os.open(file, os.O_RDONLY)
+
+        def line(ref: tuple[str, int]) -> bytes:
+            span = store.get(ref)
+            if span is None:
+                data = jsonl_line(augment(*ref)).encode("utf-8")
+            else:
+                data = os.pread(sources[span[0]], span[2], span[1])
+            lengths[ref] = len(data)
+            return data
+
+        results = write_sharded(path, refs, line, "report",
+                                lambda: (substitute_cache_delta(since), lengths))
+    finally:
+        for fd in sources.values():
+            os.close(fd)
+    for delta, shard_lengths in results:
         merge_substitute_cache(delta)
+        lengths.update(shard_lengths)
+    offset, file = 0, Path(path)
+    for ref in refs:
+        store[ref] = (file, offset, lengths[ref])
+        offset += lengths[ref]
     now = substitute_cache_info()
     return now.hits - since.hits, now.misses - since.misses
 

@@ -7,7 +7,6 @@ Exit codes: 0 ok, 1 runtime failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import logging
@@ -22,6 +21,7 @@ from . import __version__
 from .balance import balance_dataset, file_distribution_report
 from .builder import (
     ReportAugmenter,
+    ReportStore,
     generate_augmented_set,
     generate_repeated_set,
     referenced_refs,
@@ -31,7 +31,6 @@ from .builder import (
 from .code_ops import load_code_name_dicts, mine_code_names
 from .corpus import ProjectCorpus, ingest_corpus, load_hunks_jsonl, load_links
 from .extract import DEFAULT_LIBRARY_PREFIXES, PatternDictionary, structure_bug_report
-from .fixtures import generate_corpus
 from .metrics import (
     compute_metrics,
     parse_metric_names,
@@ -80,10 +79,14 @@ class CorpusDir:
     nothing is invalidated. The pipeline drops its CorpusDir after the last
     stage that reads hunks.jsonl or links.jsonl, so later stages run without
     the parsed corpus. Each method's artifact has one reader per run.
+
+    `reports` is the run's report store: where each augmented report the run
+    wrote lies, so a later stage copies it instead of building it again.
     """
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
+        self.reports: ReportStore = {}
 
     def train_bugs(self):
         return [bug_from_dict(r) for r in read_jsonl(self.path / "train_bugs.jsonl")]
@@ -202,9 +205,14 @@ def stage_extract(corpus_dir: CorpusDir, patterns_path: str | None, lib_prefixes
 def _write_reports(path: Path, name: str, refs: list[tuple[str, int]], corpus_dir: CorpusDir,
                    structured_path: Path, args) -> None:
     """Write the augmented report behind each of refs, the distinct augmented
-    bug_refs of dataset name; the augmenter is built only if there is one."""
-    augment = _build_augmenter(corpus_dir, structured_path, args).augment if refs else None
-    hits, misses = write_reports(path, refs, augment)
+    bug_refs of dataset name. A report this run wrote already is copied from
+    corpus_dir's store: augment and balance share their augmenter settings
+    (_AUGMENT_CONFIG, _AUGMENT_READS), so it is the report balance would
+    build. The augmenter is built only if a ref is left to build."""
+    built = sum(ref not in corpus_dir.reports for ref in refs)
+    augment = _build_augmenter(corpus_dir, structured_path, args).augment if built else None
+    hits, misses = write_reports(path, refs, augment, corpus_dir.reports)
+    log.info("%s reports: %d built, %d copied", name, built, len(refs) - built)
     log.info("%s reports: substitute ranking %d cache hits, %d misses", name, hits, misses)
 
 
@@ -243,6 +251,8 @@ def stage_stats(dataset_paths: dict[str, Path], top_k: int, out_path: Path,
         payload[name] = file_distribution_report(path, name).to_dict(top_k)
     _write_json(out_path, payload)
     if csv_path is not None:
+        import csv  # only --csv needs it
+
         with open_new(csv_path, newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["dataset", "kind", "rank", "key", "count"])
@@ -260,7 +270,8 @@ def stage_retrieve(corpus_dir: CorpusDir, bugs_path: Path, top_n: int, out_path:
     # bugs in id order, ranked on every CPU against the one index built here;
     # rank is looked up when a shard calls it, so a wrapper over cli.rank runs
     write_sharded(out_path, sorted(texts.items()),
-                  lambda bug: run_lines(bug[0], rank(bug[1], index, top_n)), "ranking")
+                  lambda bug: run_lines(bug[0], rank(bug[1], index, top_n)).encode("utf-8"),
+                  "ranking")
     log.info("ranked %d hunks for %d bug reports", len(index), len(texts))
 
 
@@ -453,6 +464,8 @@ def _stage_key(stage: Stage, manifest: dict, args, digests: dict) -> str:
 
 
 def cmd_fixture(args, parser) -> int:
+    from .fixtures import generate_corpus  # only this command needs it
+
     generate_corpus(args.out, n_bugs=args.bugs, seed=args.seed)
     print(f"fixture corpus written to {args.out}")
     return 0

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 from sys import intern
-from typing import Iterable, Iterator, Sequence, TextIO
+from typing import IO, Iterable, Iterator, Sequence
 
 BUG_STATUSES = ("fixed", "wont_fix", "not_a_bug", "other")
 LINE_MARKERS = ("context", "added", "removed")
@@ -284,14 +284,17 @@ def read_jsonl(path: str | Path) -> Iterator[dict]:
                 raise CorpusError(f"{path}:{lineno}: invalid JSON ({exc})") from exc
 
 
-def open_new(path: str | Path, newline: str | None = None) -> TextIO:
-    """Open path for writing as a new file, unlinking any file already there.
+def open_new(path: str | Path, newline: str | None = None, binary: bool = False) -> IO:
+    """Open path for writing as a new file, as UTF-8 text or as bytes,
+    unlinking any file already there.
 
     Truncating an existing file in place is slow on ext4, which flushes a file
     truncated to zero when it is closed (auto_da_alloc); a new file is not
     flushed. Readers and hard links that hold the old file keep its contents.
     """
     Path(path).unlink(missing_ok=True)
+    if binary:
+        return open(path, "wb")
     return open(path, "w", encoding="utf-8", newline=newline)
 
 

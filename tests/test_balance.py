@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import logging
 import random
 from collections import Counter
 
@@ -67,6 +68,20 @@ def test_class_saturated_by_earlier_bug_stops_later_bug():
     counts = d_bl.positive_counts_by_bug()
     assert counts == {"A": 3, "B": 1}
     assert d_bl.positive_counts_by_class()["X"] == 4
+
+
+def test_balance_logs_the_bugs_and_additions_the_class_cap_stopped(caplog):
+    # A has 4 X-positives, B and D one X-positive each, C one Y-positive;
+    # alpha=omega=1.0: max_br=4, max_cl=6, and X starts at its cap, so B
+    # and D stay at 1 (3 additions refused each) while C grows to 4
+    positives = ([("A", f"hA{i}", "X") for i in range(4)]
+                 + [("B", "hB0", "X"), ("C", "hC0", "Y"), ("D", "hD0", "X")])
+    caplog.set_level(logging.INFO, logger="bugaug")
+    d_bl = balance_dataset(_dataset(positives), 1.0, 1.0, _sampler(positives), seed=2)
+    assert d_bl.positive_counts_by_bug() == {"A": 4, "B": 1, "C": 4, "D": 1}
+    assert d_bl.positive_counts_by_class() == {"X": 6, "Y": 4}
+    assert [r.getMessage() for r in caplog.records if r.name == "bugaug.balance"] == [
+        "class cap 6 stopped 2 bugs below the per-bug cap 4 and refused 6 additions"]
 
 
 def test_balanced_output_contains_input_as_multiset():

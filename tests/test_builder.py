@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import errno
+import gc
 import os
 import random
 import signal
@@ -19,6 +21,7 @@ from bugaug.builder import (
     generate_repeated_set,
     referenced_refs,
     write_reports,
+    write_sharded,
 )
 from bugaug.code_ops import mine_code_names, substitute_cache_info
 from bugaug.corpus import build_d_ori
@@ -383,6 +386,22 @@ def test_a_child_killed_by_a_signal_fails_the_write(tmp_path, monkeypatch, patte
     with pytest.raises(RuntimeError, match=f"report shard 2 of 2 was killed by signal {int(signal.SIGKILL)}$"):
         write_reports(path, [("b1", n) for n in range(1, 7)], dies_in_the_last_shard)
     assert _no_child_left()
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_shard_that_cannot_be_forked_fails_the_write_and_leaks_no_file(tmp_path, monkeypatch):
+    """os.fork refuses the second shard: the call fails naming the shard, the
+    shard's temporary files are closed (the suite turns an unclosed file's
+    ResourceWarning into an error) and path is removed."""
+    def refuse():
+        raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+    _cpus(monkeypatch, 2)
+    monkeypatch.setattr(os, "fork", refuse)
+    refused = f"^line shard 2 of 2 could not start: .*{os.strerror(errno.EAGAIN)}$"
+    with pytest.raises(RuntimeError, match=refused):
+        write_sharded(tmp_path / "lines.txt", ["a\n", "b\n"], str.encode, "line")
+    gc.collect()
     assert list(tmp_path.iterdir()) == []
 
 

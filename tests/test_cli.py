@@ -484,10 +484,21 @@ def test_a_pipeline_run_releases_the_parsed_hunks_after_their_last_reader(tmp_pa
     assert hunk_ids and alive_in_eval == [0]
 
 
+_BALANCED = ["--alpha", "2.0", "--omega", "4.0"]
+
+
+def _report_counts(caplog, name: str) -> tuple[int, int]:
+    """(built, copied) that the run logged for dataset name's report file."""
+    return next((int(m[1]), int(m[2])) for r in caplog.records
+                if (m := re.fullmatch(rf"{name} reports: (\d+) built, (\d+) copied", r.getMessage())))
+
+
 def test_each_stage_mines_the_code_names_of_the_bugs_it_builds_reports_for(tmp_path, corpus_dir,
                                                                           monkeypatch):
     """A bug's code names are mined when its plan is built: once per stage,
-    for each bug the stage builds a report for, and for no other bug."""
+    for each bug the stage builds a report for, and for no other bug.
+    balance copies the reports augment wrote, so it builds, and mines for,
+    only the D_bl refs that D_aug does not hold."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})  # every report in this process
     mined: dict[str, list[str]] = {}
     stage = None
@@ -506,13 +517,66 @@ def test_each_stage_mines_the_code_names_of_the_bugs_it_builds_reports_for(tmp_p
 
         monkeypatch.setattr(cli, f"stage_{name}", tagged)
     out = tmp_path / "run"
-    assert main(_pipeline_args(corpus_dir, out)) == 0
+    assert main(_pipeline_args(corpus_dir, out, extra=_BALANCED)) == 0
     structured = [r["bug_id"] for r in read_jsonl(out / "structured.jsonl")]
-    for name, reports in (("augment", "augmented_reports.jsonl"), ("balance", "balance_reports.jsonl")):
-        built = {r["origin_bug_id"] for r in read_jsonl(out / reports)}
-        assert built, reports
+    augmented = {r["id"]: r["origin_bug_id"] for r in read_jsonl(out / "augmented_reports.jsonl")}
+    balanced = {r["id"]: r["origin_bug_id"] for r in read_jsonl(out / "balance_reports.jsonl")}
+    assert augmented.keys() & balanced.keys()  # balance copies some reports
+    for name, built in (("augment", set(augmented.values())),
+                        ("balance", {bug for ref, bug in balanced.items() if ref not in augmented})):
+        assert built, name
         assert sorted(mined[name]) == sorted(built)
     assert len(mined["balance"]) < len(structured)
+
+
+def test_a_pipeline_run_builds_each_augmented_report_once(tmp_path, corpus_dir, monkeypatch,
+                                                         caplog):
+    """balance copies each report augment wrote, so a run calls
+    ReportAugmenter.augment once per distinct (bug, ordinal) of its two
+    report files."""
+    caplog.set_level(logging.INFO, logger="bugaug")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})  # every report in this process
+    built = []
+    augment = builder.ReportAugmenter.augment
+    monkeypatch.setattr(builder.ReportAugmenter, "augment",
+                        lambda self, bug, ordinal: built.append((bug, ordinal)) or augment(self, bug, ordinal))
+    out = tmp_path / "run"
+    assert main(_pipeline_args(corpus_dir, out, extra=_BALANCED)) == 0
+    augmented, balanced = ([r["id"] for r in read_jsonl(out / name)]
+                           for name in ("augmented_reports.jsonl", "balance_reports.jsonl"))
+    shared = set(augmented) & set(balanced)
+    assert shared and set(balanced) - shared
+    assert sorted(builder.augmented_report_id(*ref) for ref in built) == sorted({*augmented, *balanced})
+    assert _report_counts(caplog, "D_bl") == (len(balanced) - len(shared), len(shared))
+
+
+def test_balance_reports_are_the_same_copied_or_built(tmp_path, corpus_dir, monkeypatch, caplog):
+    """balance_reports.jsonl, at 1 and at 3 shards, of a fresh pipeline run
+    (which copies augment's reports), of a rerun with only --alpha changed
+    (augment skipped, so balance builds every report) and of the balance
+    subcommand on the same run directory (which builds every report)."""
+    caplog.set_level(logging.INFO, logger="bugaug")
+    expected = None
+    for cpus in (1, 3):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: set(range(cpus)))
+        fresh, rerun, alone = tmp_path / f"fresh{cpus}", tmp_path / f"rerun{cpus}", tmp_path / f"alone{cpus}"
+        caplog.clear()
+        assert main(_pipeline_args(corpus_dir, fresh, extra=_BALANCED)) == 0
+        built, copied = _report_counts(caplog, "D_bl")
+        assert built and copied
+        assert main(_pipeline_args(corpus_dir, rerun, extra=["--omega", "4.0"])) == 0
+        caplog.clear()
+        assert main(_pipeline_args(corpus_dir, rerun, extra=_BALANCED)) == 0
+        assert "augment" in _skipped_stages(caplog) and "balance" not in _skipped_stages(caplog)
+        assert _report_counts(caplog, "D_bl") == (built + copied, 0)
+        caplog.clear()
+        assert main(["balance", "--corpus", str(fresh), "--structured", str(fresh / "structured.jsonl"),
+                     "--train", str(fresh / "d_ori.jsonl"), "--seed", "42", *_BALANCED,
+                     "--out", str(tmp_path / "d_bl.jsonl"), "--reports-out", str(alone)]) == 0
+        assert _report_counts(caplog, "D_bl") == (built + copied, 0)
+        expected = expected or (fresh / "balance_reports.jsonl").read_bytes()
+        for path in (fresh / "balance_reports.jsonl", rerun / "balance_reports.jsonl", alone):
+            assert path.read_bytes() == expected, path
 
 
 def test_a_manifest_of_another_version_reruns_every_stage(tmp_path, corpus_dir, monkeypatch, caplog):

@@ -1,8 +1,9 @@
 """Every module uses every name it imports and parses as Python 3.10, every
 function, class and method of the package has a caller outside the tests,
 the package's version is pyproject.toml's, importing the CLI loads no module
-only the service paraphraser needs, no run loads a process pool, and the
-benchmark's tracer still finds every name it wraps."""
+only the service paraphraser, the fixture command or CSV output needs, no
+run loads a process pool, and the benchmark's tracer still finds every name
+it wraps."""
 
 from __future__ import annotations
 
@@ -155,6 +156,16 @@ def test_importing_the_cli_loads_neither_urllib_request_nor_ssl():
     without urllib.request and the ssl module it pulls in."""
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     code = "import sys, bugaug.cli; print(sorted({'urllib.request', 'ssl'} & set(sys.modules)))"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                            check=True)
+    assert result.stdout.strip() == "[]"
+
+
+def test_importing_the_cli_loads_neither_the_fixture_generator_nor_csv():
+    """Only `bugaug fixture` generates a corpus and only `stats --csv` writes
+    CSV, so every other start skips both imports."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    code = "import sys, bugaug.cli; print(sorted({'bugaug.fixtures', 'csv'} & set(sys.modules)))"
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
                             check=True)
     assert result.stdout.strip() == "[]"
