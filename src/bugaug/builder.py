@@ -25,10 +25,10 @@ from .code_ops import (
     augment_code_sample,
     merge_substitute_cache,
     substitute_cache_delta,
-    substitute_cache_info,
 )
 from .corpus import NegativeSampler
 from .model import (
+    COUNTS,
     NL_KINDS,
     Dataset,
     Sample,
@@ -222,11 +222,12 @@ Item = TypeVar("Item")
 
 
 class _Shard:
-    """A forked child that writes line(item) for each of items to one
-    anonymous temporary file and then what done() returns, or its error, to
-    another, and leaves through os._exit: it runs none of the parent's exit
-    handlers and flushes none of its buffers. name ("<name> shard <i> of
-    <n>") heads the errors it raises."""
+    """A forked child that clears COUNTS, writes line(item) for each of
+    items to one anonymous temporary file and then the byte length of each
+    line, its COUNTS and what done() returns, or its error, to another, and
+    leaves through os._exit: it runs none of the parent's exit handlers and
+    flushes none of its buffers. name ("<name> shard <i> of <n>") heads the
+    errors it raises."""
 
     def __init__(self, items: list[Item], line: Callable[[Item], bytes], done: Callable[[], object],
                  name: str):
@@ -246,10 +247,12 @@ class _Shard:
                done: Callable[[], object]) -> NoReturn:
         code = 1
         try:
+            COUNTS.clear()
+            lengths = []
             for item in items:
-                self.lines.write(line(item))
+                lengths.append(self.lines.write(line(item)))
             self.lines.flush()
-            marshal.dump(done(), self.result)
+            marshal.dump((lengths, dict(COUNTS), done()), self.result)
             code = 0
         except BaseException as exc:
             marshal.dump(f"{type(exc).__name__}: {exc}", self.result)
@@ -257,9 +260,10 @@ class _Shard:
             self.result.flush()
             os._exit(code)
 
-    def append_to(self, out: BinaryIO) -> object:
-        """Wait for the child, then append its lines to out and return what
-        its done() returned; a child that raised or was killed raises here."""
+    def append_to(self, out: BinaryIO, lengths: list[int]) -> object:
+        """Wait for the child, then append its lines to out and their lengths
+        to lengths, add its counts to COUNTS and return what its done()
+        returned; a child that raised or was killed raises here."""
         _, status = os.waitpid(self.pid, 0)
         self.pid = None
         code = os.waitstatus_to_exitcode(status)
@@ -271,7 +275,10 @@ class _Shard:
             raise RuntimeError(f"{self.name} failed: {payload}")
         self.lines.seek(0)
         shutil.copyfileobj(self.lines, out)
-        return payload
+        shard_lengths, counts, result = payload
+        lengths.extend(shard_lengths)
+        COUNTS.update(counts)
+        return result
 
     def kill(self) -> None:
         if self.pid is not None:
@@ -288,11 +295,13 @@ class _Shard:
 
 
 def write_sharded(path: str | Path, items: list[Item], line: Callable[[Item], bytes], name: str,
-                  done: Callable[[], object] = lambda: None) -> list:
+                  done: Callable[[], object] = lambda: None) -> tuple[list[int], list]:
     """Write line(item), bytes, for each of items to path, in items' order,
-    on every CPU this process may run on, and return what done() returned
-    in each forked child, in shard order. done must return what marshal can
-    send.
+    on every CPU this process may run on. Returns the byte length of each
+    item's line, in items' order, and what done() returned in each forked
+    child, in shard order; done must return what marshal can send. Each
+    child's COUNTS are added to this process's, in shard order, so COUNTS
+    end as if this process had written every line.
 
     Items are split into contiguous, equal shards, one per CPU, so adjacent
     items share a process except at a shard boundary. Every child is forked
@@ -319,9 +328,8 @@ def write_sharded(path: str | Path, items: list[Item], line: Callable[[Item], by
             sys.stderr.flush()
             for number, shard in enumerate(shards[1:], start=2):
                 children.append(_Shard(shard, line, done, f"{name} shard {number} of {count}"))
-            for item in shards[0]:
-                out.write(line(item))
-            return [child.append_to(out) for child in children]
+            lengths = [out.write(line(item)) for item in shards[0]]
+            return lengths, [child.append_to(out, lengths) for child in children]
     except BaseException:
         for child in children:
             child.kill()
@@ -338,23 +346,16 @@ ReportStore = dict[tuple[str, int], tuple[Path, int, int]]
 
 
 def write_reports(path: str | Path, refs: list[tuple[str, int]],
-                  augment: Callable[[str, int], dict] | None,
-                  store: ReportStore | None = None) -> tuple[int, int]:
+                  augment: Callable[[str, int], dict] | None, store: ReportStore) -> None:
     """Write the record augment(*ref) for each ref to path as JSON lines, in
     refs' order, through write_sharded: each report is a pure function of its
-    ref. Each child's substitute-cache entries and counts, and the byte
-    length of each line it wrote, come back through write_sharded's done and
-    are merged here, so neither the bytes nor the cache depend on the CPU
-    count. Returns the
-    substitute cache hits and misses the call added, over all shards.
+    ref. Each child's new substitute-cache entries come back through
+    write_sharded's done and are merged here, so neither the bytes nor the
+    cache depend on the CPU count.
 
-    Given store, a ref it holds is not built: its line is copied byte for
-    byte from the file an earlier call wrote, which must have built it with
-    the same augmenter settings. Each ref's line in path is then added to
-    store."""
-    store = {} if store is None else store
-    since = substitute_cache_info()
-    lengths: dict[tuple[str, int], int] = {}
+    A ref store holds is not built: its line is copied byte for byte from
+    the file an earlier call wrote, which must have built it with the same
+    augmenter settings. Each ref's line in path is then added to store."""
     sources: dict[Path, int] = {}  # each report file copied from, read with os.pread
     try:
         for file in {store[ref][0] for ref in refs if ref in store}:
@@ -363,26 +364,19 @@ def write_reports(path: str | Path, refs: list[tuple[str, int]],
         def line(ref: tuple[str, int]) -> bytes:
             span = store.get(ref)
             if span is None:
-                data = jsonl_line(augment(*ref)).encode("utf-8")
-            else:
-                data = os.pread(sources[span[0]], span[2], span[1])
-            lengths[ref] = len(data)
-            return data
+                return jsonl_line(augment(*ref)).encode("utf-8")
+            return os.pread(sources[span[0]], span[2], span[1])
 
-        results = write_sharded(path, refs, line, "report",
-                                lambda: (substitute_cache_delta(since), lengths))
+        lengths, added = write_sharded(path, refs, line, "report", substitute_cache_delta())
     finally:
         for fd in sources.values():
             os.close(fd)
-    for delta, shard_lengths in results:
-        merge_substitute_cache(delta)
-        lengths.update(shard_lengths)
+    for entries in added:
+        merge_substitute_cache(entries)
     offset, file = 0, Path(path)
-    for ref in refs:
-        store[ref] = (file, offset, lengths[ref])
-        offset += lengths[ref]
-    now = substitute_cache_info()
-    return now.hits - since.hits, now.misses - since.misses
+    for ref, length in zip(refs, lengths):
+        store[ref] = (file, offset, length)
+        offset += length
 
 
 def generate_augmented_set(d_ori: Dataset, factor: int, sampler: NegativeSampler, seed: int) -> Dataset:

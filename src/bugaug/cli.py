@@ -41,6 +41,7 @@ from .metrics import (
     write_qrels,
 )
 from .model import (
+    COUNTS,
     Dataset,
     bug_from_dict,
     bug_to_dict,
@@ -211,9 +212,13 @@ def _write_reports(path: Path, name: str, refs: list[tuple[str, int]], corpus_di
     build. The augmenter is built only if a ref is left to build."""
     built = sum(ref not in corpus_dir.reports for ref in refs)
     augment = _build_augmenter(corpus_dir, structured_path, args).augment if built else None
-    hits, misses = write_reports(path, refs, augment, corpus_dir.reports)
+    before = COUNTS.copy()
+    write_reports(path, refs, augment, corpus_dir.reports)
+    counts = COUNTS - before
     log.info("%s reports: %d built, %d copied", name, built, len(refs) - built)
-    log.info("%s reports: substitute ranking %d cache hits, %d misses", name, hits, misses)
+    log.info("%s reports: substitute ranking %d cache hits, %d misses", name,
+             counts["substitute_hits"], counts["substitute_misses"])
+    log.info("%s reports: %d paraphrase service fallbacks", name, counts["paraphrase_fallbacks"])
 
 
 def stage_augment(corpus_dir: CorpusDir, structured_path: Path, args, out_path: Path,
@@ -488,6 +493,10 @@ def cmd_pipeline(args, parser) -> int:
     try:
         previous = {} if args.force else json.loads(manifest_path.read_text("utf-8"))
     except (OSError, ValueError):
+        previous = {}
+    # a manifest of another shape reads as none, as one cut short does
+    if not (isinstance(previous, dict)
+            and all(isinstance(previous.get(k, {}), dict) for k in ("keys", "stages"))):
         previous = {}
     digests = dict(manifest["inputs"])  # by input name, then by each written file's name
     corpus = cache(CorpusDir)

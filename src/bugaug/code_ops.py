@@ -14,9 +14,9 @@ import re
 from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Sequence
 
-from .model import Hunk, Sample, Token, is_word, json_object, word_list
+from .model import COUNTS, Hunk, Sample, Token, is_word, json_object, word_list
 
 _METHOD_CALL_RE = re.compile(r"\b([A-Za-z_$][\w$]*)\s*\(")
 _CALL_KEYWORDS = frozenset(
@@ -120,20 +120,14 @@ def top_k_substitutes(token: str, dict_names: Iterable[str], k: int) -> list[str
     return pool[:k]
 
 
-class SubstituteCacheInfo(NamedTuple):
-    hits: int
-    misses: int
-    size: int
-
-
-# (token, names, k) -> its ranked substitutes, and the hits and misses of
-# _ranked_substitutes on it, for this process and the report shards it merged
+# (token, names, k) -> its ranked substitutes, for this process and the
+# report shards it merged
 _ranked: dict[tuple[str, tuple[str, ...], int], tuple[str, ...]] = {}
-_hits = _misses = 0
 
 
 def _ranked_substitutes(token: str, names: tuple[str, ...], k: int) -> tuple[str, ...]:
-    """top_k_substitutes, computed once per (token, names, k).
+    """top_k_substitutes, computed once per (token, names, k), counted in
+    COUNTS as a "substitute_hits" or a "substitute_misses".
 
     The operators call this on every application, but one bug's dictionary
     meets the same code tokens again and again, across augmented reports and
@@ -141,35 +135,29 @@ def _ranked_substitutes(token: str, names: tuple[str, ...], k: int) -> tuple[str
     the key, so caching it changes no artifact. top_k_substitutes is looked
     up at call time, so a wrapper installed over it sees every miss.
     """
-    global _hits, _misses
     key = (token, names, k)
     try:
         ranked = _ranked[key]
     except KeyError:
-        _misses += 1
+        COUNTS["substitute_misses"] += 1
         ranked = _ranked[key] = tuple(top_k_substitutes(token, names, k))
     else:
-        _hits += 1
+        COUNTS["substitute_hits"] += 1
     return ranked
 
 
-def substitute_cache_info() -> SubstituteCacheInfo:
-    """Hits, misses and entries of the substitute ranking cache."""
-    return SubstituteCacheInfo(_hits, _misses, len(_ranked))
+def substitute_cache_delta() -> Callable[[], dict]:
+    """A function that returns the substitute-cache entries added since this
+    call: entries are only ever added, so the new ones are those after its
+    size now. Called in a forked shard, it gives what merge_substitute_cache
+    adds to the parent's cache."""
+    since = len(_ranked)
+    return lambda: dict(islice(_ranked.items(), since, None))
 
 
-def substitute_cache_delta(since: SubstituteCacheInfo) -> tuple[int, int, dict]:
-    """The hits, misses and entries added since `since` was taken: entries
-    are only ever added, so the new ones are those after its size."""
-    return _hits - since.hits, _misses - since.misses, dict(islice(_ranked.items(), since.size, None))
-
-
-def merge_substitute_cache(delta: tuple[int, int, dict]) -> None:
-    """Add another process's substitute_cache_delta to this process's cache."""
-    global _hits, _misses
-    hits, misses, entries = delta
-    _hits += hits
-    _misses += misses
+def merge_substitute_cache(entries: dict) -> None:
+    """Add another process's substitute_cache_delta entries to this process's
+    cache."""
     _ranked.update(entries)
 
 

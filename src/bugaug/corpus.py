@@ -28,6 +28,7 @@ from .model import (
     bug_from_dict,
     changeset_from_dict,
     hunk_from_dict,
+    is_word,
     link_from_dict,
     read_jsonl,
 )
@@ -88,10 +89,14 @@ class ProjectCorpus:
 
 
 def load_bugs(path: str | Path) -> list[BugReport]:
+    """The bugs of a bug file; a bug id that is not one word, which the run
+    file's whitespace-separated columns could not hold, raises CorpusError."""
     bugs = []
     seen: set[tuple[str, str]] = set()
     for record in read_jsonl(path):
         bug = bug_from_dict(record)
+        if not is_word(bug.id):
+            raise CorpusError(f"{path}: bug id {bug.id!r} is not one word")
         key = (bug.project, bug.id)
         if key in seen:
             raise CorpusError(f"duplicate bug id {bug.id!r} in project {bug.project!r}")
@@ -114,7 +119,10 @@ def load_links(path: str | Path) -> dict[str, LinkRecord]:
 
 
 def load_diff_dir(diffs_dir: str | Path) -> tuple[dict[str, Changeset], dict[str, list[Hunk]]]:
-    """Read changesets.jsonl plus one <changeset_id>.diff file per changeset."""
+    """Read changesets.jsonl plus one <changeset_id>.diff file per changeset.
+    A changeset id must be one word without "/", so that its diff file lies
+    in diffs_dir and its hunk ids fit the run file; any other raises
+    CorpusError."""
     diffs_dir = Path(diffs_dir)
     meta_path = diffs_dir / "changesets.jsonl"
     if not meta_path.exists():
@@ -123,6 +131,8 @@ def load_diff_dir(diffs_dir: str | Path) -> tuple[dict[str, Changeset], dict[str
     hunks: dict[str, list[Hunk]] = {}
     for record in read_jsonl(meta_path):
         cs = changeset_from_dict(record)
+        if not is_word(cs.id) or "/" in cs.id:
+            raise CorpusError(f"{meta_path}: changeset id {cs.id!r} is not one word without '/'")
         if cs.id in changesets:
             raise CorpusError(f"duplicate changeset id {cs.id!r}")
         changesets[cs.id] = cs

@@ -17,7 +17,8 @@ from importlib import resources
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .model import BugReport, Sample, StackFrame, StructuredBugReport, Token, json_object, word_list
+from .model import (BugReport, Sample, StackFrame, StructuredBugReport, Token, is_word, json_object,
+                    word_list)
 
 DEFAULT_LIBRARY_PREFIXES = ("java.", "javax.", "sun.", "jdk.")
 
@@ -152,6 +153,10 @@ class PatternDictionary:
             for w in items:
                 if not isinstance(w, str):
                     raise ValueError(f"{key!r}: expected words, got {type(w).__name__} {w!r}")
+                # a paragraph's words are matched in their keyword form
+                if not is_word(w) or keyword_form(w) != w.lower():
+                    raise ValueError(f"{key!r}: {w!r} can never match: a pattern word must be one "
+                                     "word without surrounding punctuation")
             return frozenset(w.lower() for w in items)
 
         return cls(

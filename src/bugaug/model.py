@@ -22,6 +22,12 @@ SAMPLE_KINDS = ("OB", "EB", "S2R", "StackTrace", "CodeSnippet", "Other")
 NL_KINDS = ("OB", "EB", "S2R")
 FRAME_KINDS = ("exception_header", "caused_by", "app", "library", "bottom")
 
+# the process's event counts, by name ("substitute_hits", ...): a forked
+# report or ranking shard clears them when it starts, and builder.write_sharded
+# adds each shard's counts to its parent's, so a caller reads what a call did,
+# on every CPU, as the difference of COUNTS around it
+COUNTS: Counter[str] = Counter()
+
 
 class CorpusError(ValueError):
     """Raised when an input record violates a corpus invariant."""

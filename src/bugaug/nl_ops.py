@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from .extract import PatternDictionary, classify_tokens, is_code_token, keyword_form, tokenize, word_core
-from .model import NL_KINDS, Sample, Token, is_word, json_object, word_list
+from .model import COUNTS, NL_KINDS, Sample, Token, is_word, json_object, word_list
 from .rng import derive_rng
 
 log = logging.getLogger(__name__)
@@ -59,8 +59,10 @@ class SubstituteDictionary:
 
     def __post_init__(self):
         for keyword, subs in self.entries.items():
-            if keyword != keyword.lower():
-                raise ValueError(f"dictionary keyword {keyword!r} must be lowercase")
+            # a paragraph's words are looked up in their keyword form
+            if not is_word(keyword) or keyword_form(keyword) != keyword:
+                raise ValueError(f"dictionary keyword {keyword!r} can never match: it must be one "
+                                 "lowercase word without surrounding punctuation")
             if not subs:
                 raise ValueError(f"dictionary keyword {keyword!r} has no substitutes")
             if keyword in subs:
@@ -348,9 +350,10 @@ def make_service_paraphraser(url: str) -> Paraphraser:
     """Round-trip paraphrase via an external HTTP service.
 
     POSTs plain text and expects plain text back; on a failure (or an empty
-    response) falls back to the identity paraphrase and logs a warning. The
-    SERVICE_FAILURE_BUDGET-th consecutive failure raises RuntimeError, which
-    fails the stage; a success resets the count.
+    response) falls back to the identity paraphrase, logs a warning and
+    counts a "paraphrase_fallbacks" in COUNTS. The SERVICE_FAILURE_BUDGET-th
+    consecutive failure raises RuntimeError, which fails the stage; a
+    success resets the count.
     """
     # imported here, not at module level: urllib.request loads ssl, which
     # every other run would pay for at startup
@@ -366,6 +369,7 @@ def make_service_paraphraser(url: str) -> Paraphraser:
             raise RuntimeError(f"paraphrase service {url} failed {failures} times in a row; "
                                f"last: {reason}")
         log.warning("paraphrase service %s %s; using identity", url, reason)
+        COUNTS["paraphrase_fallbacks"] += 1
         return text
 
     def paraphrase(text: str) -> str:

@@ -23,10 +23,11 @@ from bugaug.builder import (
     write_reports,
     write_sharded,
 )
-from bugaug.code_ops import mine_code_names, substitute_cache_info
+from bugaug.code_ops import mine_code_names
 from bugaug.corpus import build_d_ori
 from bugaug.extract import structure_bug_report
 from bugaug.model import (
+    COUNTS,
     Dataset,
     Sample,
     StructuredBugReport,
@@ -334,24 +335,58 @@ def _no_child_left() -> bool:
 def test_sharded_reports_are_the_one_shard_bytes(tmp_path_factory, patterns, substitutes, ordinals,
                                                   shards):
     """Any ref list (empty, one ref, fewer refs than shards) on 1 to 4 CPUs:
-    the same bytes as one shard, and the children's ranking calls are
-    counted here."""
+    the same bytes as one shard, the children's ranking calls are counted
+    here as one shard counts them, and each store span reads back its own
+    line."""
     augment = _full_augmenter(patterns, substitutes).augment
     refs = [("b1", n) for n in ordinals]
-    expected = "".join(jsonl_line(augment(*ref)) for ref in refs)
+    lines = [jsonl_line(augment(*ref)).encode("utf-8") for ref in refs]
     path = tmp_path_factory.mktemp("reports") / "reports.jsonl"
-    calls = []
+    deltas = []
     for count in (1, shards):
-        before = substitute_cache_info()
+        before = COUNTS.copy()
+        store = {}
         with pytest.MonkeyPatch.context() as monkeypatch:
             _cpus(monkeypatch, count)
-            counts = write_reports(path, refs, augment)
-        after = substitute_cache_info()
-        assert path.read_text("utf-8") == expected
-        assert counts == (after.hits - before.hits, after.misses - before.misses)
-        assert after.misses == before.misses  # the first build above ranked every key
-        calls.append(after.hits - before.hits)
-    assert calls[0] == calls[1]
+            write_reports(path, refs, augment, store)
+        delta = COUNTS - before
+        assert path.read_bytes() == b"".join(lines)
+        assert delta["substitute_misses"] == 0  # the first build above ranked every key
+        deltas.append(delta)
+        assert list(store) == refs
+        fd = os.open(path, os.O_RDONLY)
+        try:
+            for ref, line in zip(refs, lines):
+                file, offset, length = store[ref]
+                assert file == path
+                assert os.pread(fd, length, offset) == line
+        finally:
+            os.close(fd)
+    assert deltas[0] == deltas[1]
+    assert _no_child_left()
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_write_sharded_returns_each_line_length_and_adds_each_shards_counts(tmp_path, monkeypatch,
+                                                                            cpus):
+    """Three items on 1 to 3 CPUs (at 3, every shard holds one item): each
+    line's length comes back in item order, each child's done() in shard
+    order, and every count a line made, in whichever process, reaches
+    COUNTS here."""
+    items = ["a", "bb", "ccc"]
+
+    def line(item: str) -> bytes:
+        COUNTS["test_lines"] += 1
+        COUNTS[f"test_{item}"] += len(item)
+        return item.encode("utf-8") * 2 + b"\n"
+
+    _cpus(monkeypatch, cpus)
+    before = COUNTS.copy()
+    lengths, done = write_sharded(tmp_path / "lines.txt", items, line, "line", os.getpid)
+    assert (tmp_path / "lines.txt").read_bytes() == b"aa\nbbbb\ncccccc\n"
+    assert lengths == [3, 5, 7]
+    assert len(done) == cpus - 1 and os.getpid() not in done
+    assert COUNTS - before == {"test_lines": 3, "test_a": 1, "test_bb": 2, "test_ccc": 3}
     assert _no_child_left()
 
 
@@ -367,7 +402,7 @@ def test_a_shard_this_process_builds_fails_after_every_child_is_reaped(tmp_path,
     _cpus(monkeypatch, 3)
     path = tmp_path / "reports.jsonl"
     with pytest.raises(ValueError, match="first shard fails"):
-        write_reports(path, [("b1", n) for n in range(1, 7)], fails_first)
+        write_reports(path, [("b1", n) for n in range(1, 7)], fails_first, {})
     assert _no_child_left()
     assert list(tmp_path.iterdir()) == []
 
@@ -384,7 +419,7 @@ def test_a_child_killed_by_a_signal_fails_the_write(tmp_path, monkeypatch, patte
     _cpus(monkeypatch, 2)
     path = tmp_path / "reports.jsonl"
     with pytest.raises(RuntimeError, match=f"report shard 2 of 2 was killed by signal {int(signal.SIGKILL)}$"):
-        write_reports(path, [("b1", n) for n in range(1, 7)], dies_in_the_last_shard)
+        write_reports(path, [("b1", n) for n in range(1, 7)], dies_in_the_last_shard, {})
     assert _no_child_left()
     assert list(tmp_path.iterdir()) == []
 
@@ -412,13 +447,13 @@ def test_a_process_running_threads_forks_no_shard(tmp_path, monkeypatch, pattern
     monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
     refs = [("b1", n) for n in range(1, 7)]
     _cpus(monkeypatch, 3)
-    write_reports(tmp_path / "alone.jsonl", refs, augment)
+    write_reports(tmp_path / "alone.jsonl", refs, augment, {})
     assert len(forks) == 2
     stop = threading.Event()
     waiter = threading.Thread(target=stop.wait, args=(10,))
     waiter.start()
     try:
-        write_reports(tmp_path / "threaded.jsonl", refs, augment)
+        write_reports(tmp_path / "threaded.jsonl", refs, augment, {})
     finally:
         stop.set()
         waiter.join(10)

@@ -8,6 +8,8 @@ import os
 import re
 import shutil
 import socket
+import subprocess
+import sys
 from functools import cache
 from importlib import resources
 
@@ -225,6 +227,10 @@ def test_a_malformed_dictionary_exits_2_before_any_stage_runs(tmp_path, capsys, 
     array.write_text('["fails"]', "utf-8")
     multi_word = tmp_path / "multi_word.json"
     multi_word.write_text('{"fails": ["stops working"]}', "utf-8")
+    phrase = tmp_path / "phrase.json"
+    phrase.write_text('{"S2R": ["steps to reproduce", "reproduce."]}', "utf-8")
+    punctuated = tmp_path / "punctuated.json"
+    punctuated.write_text('{"fails.": ["crashes"]}', "utf-8")
     not_an_object, not_a_word = "expected an object at the top level, got list", "is not one word"
     stage_args = ["--corpus", str(tmp_path), "--structured", str(tmp_path)]
     balance_args = ["balance", *stage_args, "--train", str(tmp_path), "--alpha", "1", "--omega", "1",
@@ -242,6 +248,10 @@ def test_a_malformed_dictionary_exits_2_before_any_stage_runs(tmp_path, capsys, 
           str(multi_word)], "augment", "--substitutes", multi_word, not_a_word),
         ([*balance_args, "--substitutes", str(array)], "balance", "--substitutes", array,
          not_an_object),
+        (_pipeline_args(corpus_dir, tmp_path / "run", extra=["--patterns", str(phrase)]),
+         "pipeline", "--patterns", phrase, "'steps to reproduce' can never match"),
+        ([*balance_args, "--substitutes", str(punctuated)], "balance", "--substitutes", punctuated,
+         "'fails.' can never match"),
     ]
     for argv, command, flag, path, fault in cases:
         with pytest.raises(SystemExit) as exc:
@@ -284,6 +294,25 @@ def test_runtime_failure_exits_1(tmp_path, capsys):
     )
     assert code == 1
     assert "ingest" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind, bad_id", [("bug", "BUG 0099"), ("changeset", "cs 1"),
+                                          ("changeset", "../cs0001a")])
+def test_ingest_refuses_an_id_that_breaks_the_run_format(tmp_path, corpus_dir, capsys, kind, bad_id):
+    """A bug id or changeset id that is not one word would break run.txt's
+    columns, and a changeset id with "/" names a diff file outside diffs/:
+    the pipeline fails in ingest, naming the file and the id, and writes no
+    artifact."""
+    bad = tmp_path / "corpus"
+    shutil.copytree(corpus_dir, bad)
+    path = bad / "bugs.jsonl" if kind == "bug" else bad / "diffs" / "changesets.jsonl"
+    records = list(read_jsonl(path))
+    records[0]["id"] = bad_id
+    write_jsonl(path, records)
+    out = tmp_path / "run"
+    assert main(_pipeline_args(bad, out)) == 1
+    assert f"{path}: {kind} id {bad_id!r} is not one word" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
 
 
 def test_full_pipeline_produces_all_artifacts(tmp_path, corpus_dir, capsys):
@@ -349,6 +378,19 @@ def test_pipeline_rerun_after_truncation_recomputes_the_stage(tmp_path, corpus_d
     assert (out / "d_bl.jsonl").read_bytes() == d_bl
     assert (out / "manifest.json").read_bytes() == manifest_before
     assert (out / "d_aug.jsonl").stat().st_mtime_ns == stamp_before  # intact stage still resumes
+
+
+@pytest.mark.parametrize("text", ['{"tool": "bug', "[]", '"manifest"', '{"keys": [], "stages": {}}',
+                                  '{"keys": {}, "stages": 3}'])
+def test_a_manifest_cut_short_or_of_another_shape_reads_as_none(tmp_path, corpus_dir, caplog, text):
+    out = tmp_path / "run"
+    assert main(_pipeline_args(corpus_dir, out)) == 0
+    manifest = (out / "manifest.json").read_bytes()
+    (out / "manifest.json").write_text(text, "utf-8")
+    caplog.set_level(logging.INFO, logger="bugaug")
+    assert main(_pipeline_args(corpus_dir, out)) == 0
+    assert _skipped_stages(caplog) == []
+    assert (out / "manifest.json").read_bytes() == manifest
 
 
 def test_pipeline_records_each_completed_stage(tmp_path, corpus_dir, capsys, monkeypatch):
@@ -803,6 +845,71 @@ def test_a_dead_paraphrase_service_fails_the_augment_stage(tmp_path, corpus_dir,
             assert not (out / "augmented_reports.jsonl").exists()
             stages = json.loads((out / "manifest.json").read_text("utf-8"))["stages"]
             assert sorted(stages) == ["extract", "ingest"]
+
+
+# a paraphrase service that answers 500 to every request whose body's
+# SHA-256 is 0 mod argv[1] and echoes every other; it prints its port
+_FLAKY_ECHO_SERVER = """
+import hashlib, sys
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
+k = int(sys.argv[1])
+
+class Handler(BaseHTTPRequestHandler):
+    def do_POST(self):
+        body = self.rfile.read(int(self.headers["Content-Length"]))
+        if int(hashlib.sha256(body).hexdigest(), 16) % k == 0:
+            self.send_error(500)
+            return
+        self.send_response(200)
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+    def log_message(self, *args):
+        pass
+
+server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+print(server.server_port, flush=True)
+server.serve_forever()
+"""
+
+
+def _fallback_counts(caplog) -> dict[str, int]:
+    return {m[1]: int(m[2]) for r in caplog.records
+            if (m := re.fullmatch(r"(\S+) reports: (\d+) paraphrase service fallbacks", r.getMessage()))}
+
+
+def test_a_flaky_paraphrase_service_counts_the_same_fallbacks_in_any_shard_count(
+        tmp_path, corpus_dir, caplog, monkeypatch):
+    """The service runs in its own process, since write_sharded forks nothing
+    while this one runs a thread. Every run completes and logs the same
+    fallback counts in one shard and in three, and since the service echoes,
+    its report files are an identity run's."""
+    caplog.set_level(logging.INFO, logger="bugaug")
+    balance = ["--alpha", "2.0", "--omega", "4.0"]  # so balance builds reports too
+    identity = tmp_path / "identity"
+    assert main(_pipeline_args(corpus_dir, identity, extra=balance)) == 0
+    names = ("augmented_reports.jsonl", "balance_reports.jsonl")
+    counts = {}
+    with subprocess.Popen([sys.executable, "-c", _FLAKY_ECHO_SERVER, "10"], stdout=subprocess.PIPE,
+                          text=True) as server:
+        try:
+            url = f"http://127.0.0.1:{int(server.stdout.readline())}/"
+            for cpus in (1, 3):
+                monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: set(range(cpus)))
+                caplog.clear()
+                out = tmp_path / f"run{cpus}"
+                extra = [*balance, "--paraphraser", "service", "--service-url", url]
+                assert main(_pipeline_args(corpus_dir, out, extra=extra)) == 0
+                counts[cpus] = _fallback_counts(caplog)
+                for name in names:
+                    assert (out / name).read_bytes() == (identity / name).read_bytes(), name
+        finally:
+            server.kill()
+    assert sorted(counts[1]) == ["D_aug", "D_bl"]
+    assert counts[1]["D_aug"] > 0 and counts[1]["D_bl"] > 0
+    assert counts[3] == counts[1]
 
 
 _PINNED_RUN_EXTRA = ["--factor", "3", "--alpha", "2.0", "--omega", "4.0", "--paraphraser", "shuffle"]

@@ -15,10 +15,9 @@ from bugaug.code_ops import (
     code_token_swap,
     levenshtein,
     mine_code_names,
-    substitute_cache_info,
     top_k_substitutes,
 )
-from bugaug.model import Sample, Token
+from bugaug.model import COUNTS, Sample, Token
 
 from conftest import make_hunk, traced_insert, traced_swap
 
@@ -124,11 +123,11 @@ def test_memoized_ranking_agrees_with_oracle_across_dictionaries(dictionaries, d
     ))
     # every key again in the opposite order, interleaving the dictionaries
     queries += queries[::-1]
-    hits_before = substitute_cache_info().hits
+    hits_before = COUNTS["substitute_hits"]
     for which, token, k in queries:
         names = tuples[which]
         assert list(code_ops._ranked_substitutes(token, names, k)) == oracle_top_k(token, names, k)
-    assert substitute_cache_info().hits - hits_before >= len(queries) // 2
+    assert COUNTS["substitute_hits"] - hits_before >= len(queries) // 2
 
 
 def test_substitutes_are_ranked_once_per_key(monkeypatch):

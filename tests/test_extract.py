@@ -350,3 +350,13 @@ def test_tokenize_never_yields_whitespace():
 def test_pattern_loading_rejects_a_string_of_keywords(data, key):
     with pytest.raises(ValueError, match=key):
         PatternDictionary.from_dict(data)
+
+
+@pytest.mark.parametrize("word", ["steps to reproduce", "reproduce.", "(fails)", ""])
+def test_pattern_loading_rejects_a_word_that_can_never_match(word):
+    """Paragraph words are matched in their keyword form, one word with no
+    surrounding punctuation, so a pattern word of any other form is refused,
+    by name; case alone is folded."""
+    with pytest.raises(ValueError, match=re.escape(f"'S2R': {word!r} can never match")):
+        PatternDictionary.from_dict({"S2R": ["Steps", word]})
+    assert PatternDictionary.from_dict({"S2R": ["Steps", "can't"]}).s2r == {"steps", "can't"}

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import logging
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from bugaug import nl_ops
 from bugaug.extract import classify_tokens, detect_code_tokens, is_code_token, tokenize
-from bugaug.model import Sample, Token
+from bugaug.model import COUNTS, Sample, Token
 from bugaug.rng import derive_rng
 from bugaug.nl_ops import (
     REJECTED,
@@ -267,6 +268,12 @@ def test_dictionary_validation_rejects_uppercase_keys():
         SubstituteDictionary({"Fails": ("crashes",)})
 
 
+@pytest.mark.parametrize("keyword", ["fails.", "stops working", "(hang)", ""])
+def test_dictionary_validation_rejects_a_keyword_that_can_never_match(keyword):
+    with pytest.raises(ValueError, match=re.escape(f"keyword {keyword!r} can never match")):
+        SubstituteDictionary({keyword: ("crashes",)})
+
+
 def test_dictionary_validation_rejects_empty_substitutes():
     with pytest.raises(ValueError):
         SubstituteDictionary({"fails": ()})
@@ -479,12 +486,15 @@ def test_service_paraphraser_round_trip_and_fallbacks(monkeypatch, caplog):
         # and the SERVICE_FAILURE_BUDGET-th failure in a row raises
         flaky = make_service_paraphraser(base + "/")
         requests.clear()
+        fallbacks = COUNTS["paraphrase_fallbacks"]
         texts = ["fail", "fail", "ok", "fail", "fail", "ok", "fail", "fail"]
         assert [flaky(t) for t in texts] == ["fail", "fail", "OK", "fail", "fail", "OK", "fail", "fail"]
         with pytest.raises(RuntimeError, match=f"paraphrase service {base}/ failed 3 times in a row; "
                                                "last: returned empty text"):
             flaky("fail")
         assert requests == [*texts, "fail"]
+        # each fallback below the budget is counted; the failure that raises is not
+        assert COUNTS["paraphrase_fallbacks"] - fallbacks == texts.count("fail") == 6
     finally:
         server.shutdown()
         server.server_close()
