@@ -20,12 +20,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import BinaryIO, Callable, NoReturn, TypeVar
 
-from .code_ops import (
-    CodeNameDictionary,
-    augment_code_sample,
-    merge_substitute_cache,
-    substitute_cache_delta,
-)
+from .code_ops import CodeNameDictionary, augment_code_sample
 from .corpus import NegativeSampler
 from .model import (
     COUNTS,
@@ -224,13 +219,12 @@ Item = TypeVar("Item")
 class _Shard:
     """A forked child that clears COUNTS, writes line(item) for each of
     items to one anonymous temporary file and then the byte length of each
-    line, its COUNTS and what done() returns, or its error, to another, and
-    leaves through os._exit: it runs none of the parent's exit handlers and
-    flushes none of its buffers. name ("<name> shard <i> of <n>") heads the
-    errors it raises."""
+    line and its COUNTS, or its error, to another, and leaves through
+    os._exit: it runs none of the parent's exit handlers and flushes none of
+    its buffers. name ("<name> shard <i> of <n>") heads the errors it
+    raises."""
 
-    def __init__(self, items: list[Item], line: Callable[[Item], bytes], done: Callable[[], object],
-                 name: str):
+    def __init__(self, items: list[Item], line: Callable[[Item], bytes], name: str):
         self.name = name
         self.lines = tempfile.TemporaryFile()
         self.result = tempfile.TemporaryFile()
@@ -241,10 +235,9 @@ class _Shard:
             self.result.close()
             raise RuntimeError(f"{name} could not start: {exc}") from exc
         if self.pid == 0:
-            self._write(items, line, done)
+            self._write(items, line)
 
-    def _write(self, items: list[Item], line: Callable[[Item], bytes],
-               done: Callable[[], object]) -> NoReturn:
+    def _write(self, items: list[Item], line: Callable[[Item], bytes]) -> NoReturn:
         code = 1
         try:
             COUNTS.clear()
@@ -252,7 +245,7 @@ class _Shard:
             for item in items:
                 lengths.append(self.lines.write(line(item)))
             self.lines.flush()
-            marshal.dump((lengths, dict(COUNTS), done()), self.result)
+            marshal.dump((lengths, dict(COUNTS)), self.result)
             code = 0
         except BaseException as exc:
             marshal.dump(f"{type(exc).__name__}: {exc}", self.result)
@@ -260,10 +253,10 @@ class _Shard:
             self.result.flush()
             os._exit(code)
 
-    def append_to(self, out: BinaryIO, lengths: list[int]) -> object:
+    def append_to(self, out: BinaryIO, lengths: list[int]) -> None:
         """Wait for the child, then append its lines to out and their lengths
-        to lengths, add its counts to COUNTS and return what its done()
-        returned; a child that raised or was killed raises here."""
+        to lengths and add its counts to COUNTS; a child that raised or was
+        killed raises here."""
         _, status = os.waitpid(self.pid, 0)
         self.pid = None
         code = os.waitstatus_to_exitcode(status)
@@ -275,10 +268,9 @@ class _Shard:
             raise RuntimeError(f"{self.name} failed: {payload}")
         self.lines.seek(0)
         shutil.copyfileobj(self.lines, out)
-        shard_lengths, counts, result = payload
+        shard_lengths, counts = payload
         lengths.extend(shard_lengths)
         COUNTS.update(counts)
-        return result
 
     def kill(self) -> None:
         if self.pid is not None:
@@ -294,14 +286,14 @@ class _Shard:
         self.result.close()
 
 
-def write_sharded(path: str | Path, items: list[Item], line: Callable[[Item], bytes], name: str,
-                  done: Callable[[], object] = lambda: None) -> tuple[list[int], list]:
+def write_sharded(path: str | Path, items: list[Item], line: Callable[[Item], bytes],
+                  name: str) -> list[int]:
     """Write line(item), bytes, for each of items to path, in items' order,
     on every CPU this process may run on. Returns the byte length of each
-    item's line, in items' order, and what done() returned in each forked
-    child, in shard order; done must return what marshal can send. Each
-    child's COUNTS are added to this process's, in shard order, so COUNTS
-    end as if this process had written every line.
+    item's line, in items' order. Each child's COUNTS are added to this
+    process's, in shard order, so COUNTS end as if this process had written
+    every line. Nothing else comes back from a child: what a line caches in
+    a child's memory stays there.
 
     Items are split into contiguous, equal shards, one per CPU, so adjacent
     items share a process except at a shard boundary. Every child is forked
@@ -327,9 +319,11 @@ def write_sharded(path: str | Path, items: list[Item], line: Callable[[Item], by
             sys.stdout.flush()
             sys.stderr.flush()
             for number, shard in enumerate(shards[1:], start=2):
-                children.append(_Shard(shard, line, done, f"{name} shard {number} of {count}"))
+                children.append(_Shard(shard, line, f"{name} shard {number} of {count}"))
             lengths = [out.write(line(item)) for item in shards[0]]
-            return lengths, [child.append_to(out, lengths) for child in children]
+            for child in children:
+                child.append_to(out, lengths)
+            return lengths
     except BaseException:
         for child in children:
             child.kill()
@@ -349,9 +343,7 @@ def write_reports(path: str | Path, refs: list[tuple[str, int]],
                   augment: Callable[[str, int], dict] | None, store: ReportStore) -> None:
     """Write the record augment(*ref) for each ref to path as JSON lines, in
     refs' order, through write_sharded: each report is a pure function of its
-    ref. Each child's new substitute-cache entries come back through
-    write_sharded's done and are merged here, so neither the bytes nor the
-    cache depend on the CPU count.
+    ref, so the bytes do not depend on the CPU count.
 
     A ref store holds is not built: its line is copied byte for byte from
     the file an earlier call wrote, which must have built it with the same
@@ -367,12 +359,10 @@ def write_reports(path: str | Path, refs: list[tuple[str, int]],
                 return jsonl_line(augment(*ref)).encode("utf-8")
             return os.pread(sources[span[0]], span[2], span[1])
 
-        lengths, added = write_sharded(path, refs, line, "report", substitute_cache_delta())
+        lengths = write_sharded(path, refs, line, "report")
     finally:
         for fd in sources.values():
             os.close(fd)
-    for entries in added:
-        merge_substitute_cache(entries)
     offset, file = 0, Path(path)
     for ref, length in zip(refs, lengths):
         store[ref] = (file, offset, length)

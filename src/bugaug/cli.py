@@ -271,7 +271,7 @@ def stage_stats(dataset_paths: dict[str, Path], top_k: int, out_path: Path,
 
 def stage_retrieve(corpus_dir: CorpusDir, bugs_path: Path, top_n: int, out_path: Path) -> None:
     index = index_hunks(corpus_dir.hunks, corpus_dir.log_messages())
-    texts = {bug.id: bug.text for bug in map(bug_from_dict, read_jsonl(bugs_path))}
+    texts = {bug.id: bug.text for bug in read_jsonl(bugs_path, bug_from_dict)}
     # bugs in id order, ranked on every CPU against the one index built here;
     # rank is looked up when a shard calls it, so a wrapper over cli.rank runs
     write_sharded(out_path, sorted(texts.items()),

@@ -12,9 +12,8 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from itertools import islice
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .model import COUNTS, Hunk, Sample, Token, is_word, json_object, word_list
 
@@ -120,8 +119,8 @@ def top_k_substitutes(token: str, dict_names: Iterable[str], k: int) -> list[str
     return pool[:k]
 
 
-# (token, names, k) -> its ranked substitutes, for this process and the
-# report shards it merged
+# (token, names, k) -> its ranked substitutes, for this process: a forked
+# report shard starts with the entries its parent held and sends none back
 _ranked: dict[tuple[str, tuple[str, ...], int], tuple[str, ...]] = {}
 
 
@@ -144,21 +143,6 @@ def _ranked_substitutes(token: str, names: tuple[str, ...], k: int) -> tuple[str
     else:
         COUNTS["substitute_hits"] += 1
     return ranked
-
-
-def substitute_cache_delta() -> Callable[[], dict]:
-    """A function that returns the substitute-cache entries added since this
-    call: entries are only ever added, so the new ones are those after its
-    size now. Called in a forked shard, it gives what merge_substitute_cache
-    adds to the parent's cache."""
-    since = len(_ranked)
-    return lambda: dict(islice(_ranked.items(), since, None))
-
-
-def merge_substitute_cache(entries: dict) -> None:
-    """Add another process's substitute_cache_delta entries to this process's
-    cache."""
-    _ranked.update(entries)
 
 
 def _code_indices(tokens: Sequence[Token]) -> list[int]:

@@ -90,25 +90,25 @@ class ProjectCorpus:
 
 def load_bugs(path: str | Path) -> list[BugReport]:
     """The bugs of a bug file; a bug id that is not one word, which the run
-    file's whitespace-separated columns could not hold, raises CorpusError."""
+    file's whitespace-separated columns could not hold, raises CorpusError,
+    as does an id a second bug reuses, in any project: every artifact keys
+    on the id alone."""
     bugs = []
-    seen: set[tuple[str, str]] = set()
-    for record in read_jsonl(path):
-        bug = bug_from_dict(record)
+    projects: dict[str, str] = {}  # the project of each bug id read
+    for bug in read_jsonl(path, bug_from_dict):
         if not is_word(bug.id):
             raise CorpusError(f"{path}: bug id {bug.id!r} is not one word")
-        key = (bug.project, bug.id)
-        if key in seen:
-            raise CorpusError(f"duplicate bug id {bug.id!r} in project {bug.project!r}")
-        seen.add(key)
+        if bug.id in projects:
+            raise CorpusError(f"{path}: duplicate bug id {bug.id!r}, in project {projects[bug.id]!r} "
+                              f"and in project {bug.project!r}")
+        projects[bug.id] = bug.project
         bugs.append(bug)
     return bugs
 
 
 def load_links(path: str | Path) -> dict[str, LinkRecord]:
     links: dict[str, LinkRecord] = {}
-    for record in read_jsonl(path):
-        link = link_from_dict(record)
+    for link in read_jsonl(path, link_from_dict):
         if not link.usable:
             log.warning("skipping unusable link for bug %s (empty changeset list)", link.bug_id)
             continue
@@ -129,8 +129,7 @@ def load_diff_dir(diffs_dir: str | Path) -> tuple[dict[str, Changeset], dict[str
         raise CorpusError(f"missing changeset metadata file {meta_path}")
     changesets: dict[str, Changeset] = {}
     hunks: dict[str, list[Hunk]] = {}
-    for record in read_jsonl(meta_path):
-        cs = changeset_from_dict(record)
+    for cs in read_jsonl(meta_path, changeset_from_dict):
         if not is_word(cs.id) or "/" in cs.id:
             raise CorpusError(f"{meta_path}: changeset id {cs.id!r} is not one word without '/'")
         if cs.id in changesets:
@@ -145,7 +144,7 @@ def load_diff_dir(diffs_dir: str | Path) -> tuple[dict[str, Changeset], dict[str
 
 
 def load_hunks_jsonl(path: str | Path) -> list[Hunk]:
-    return [hunk_from_dict(r) for r in read_jsonl(path)]
+    return list(read_jsonl(path, hunk_from_dict))
 
 
 # --- splitting and sampling ----------------------------------------------

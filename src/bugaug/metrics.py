@@ -85,7 +85,8 @@ def per_bug_scores(run: RankingRun, qrels: Qrels) -> dict[str, dict]:
 
 
 def read_qrels(path: str | Path) -> dict[str, set]:
-    """Lines: bug_id hunk_id relevance (zero relevance entries are ignored)."""
+    """Lines: bug_id hunk_id relevance. As in trec_eval, only a relevance
+    above zero makes the hunk relevant."""
     qrels: dict[str, set] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -99,7 +100,7 @@ def read_qrels(path: str | Path) -> dict[str, set]:
                 relevant = int(relevance)
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: relevance {relevance!r} is not an integer") from None
-            if relevant:
+            if relevant > 0:
                 qrels.setdefault(bug_id, set()).add(hunk_id)
     return qrels
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 from sys import intern
-from typing import IO, Iterable, Iterator, Sequence
+from typing import IO, Callable, Iterable, Iterator, Sequence
 
 BUG_STATUSES = ("fixed", "wont_fix", "not_a_bug", "other")
 LINE_MARKERS = ("context", "added", "removed")
@@ -278,16 +278,27 @@ def format_timestamp(dt: datetime) -> str:
 # --- JSON-lines codecs --------------------------------------------------
 
 
-def read_jsonl(path: str | Path) -> Iterator[dict]:
+def read_jsonl(path: str | Path, convert: Callable[[dict], object] | None = None) -> Iterator:
+    """The JSON object on each non-blank line of path, or convert(object). A
+    line that is not a JSON object, or whose object lacks a field convert
+    reads, raises CorpusError naming path and line."""
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                yield json.loads(line)
+                record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise CorpusError(f"{path}:{lineno}: invalid JSON ({exc})") from exc
+            if not isinstance(record, dict):
+                raise CorpusError(f"{path}:{lineno}: expected a JSON object, got {type(record).__name__}")
+            if convert is not None:
+                try:
+                    record = convert(record)
+                except KeyError as exc:
+                    raise CorpusError(f"{path}:{lineno}: missing field {exc}") from None
+            yield record
 
 
 def open_new(path: str | Path, newline: str | None = None, binary: bool = False) -> IO:

@@ -148,6 +148,13 @@ def traced_swap(tokens, context: str, rng: random.Random, line_indices=None):
     return out, pair
 
 
+@pytest.fixture(autouse=True)
+def _empty_substitute_cache(monkeypatch):
+    """Each test starts with no ranked substitutes cached: a test that counts
+    cache hits must not pass on what an earlier test ranked."""
+    monkeypatch.setattr(code_ops, "_ranked", {})
+
+
 @pytest.fixture(scope="session")
 def patterns() -> PatternDictionary:
     return PatternDictionary.default()

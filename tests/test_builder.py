@@ -370,9 +370,8 @@ def test_sharded_reports_are_the_one_shard_bytes(tmp_path_factory, patterns, sub
 def test_write_sharded_returns_each_line_length_and_adds_each_shards_counts(tmp_path, monkeypatch,
                                                                             cpus):
     """Three items on 1 to 3 CPUs (at 3, every shard holds one item): each
-    line's length comes back in item order, each child's done() in shard
-    order, and every count a line made, in whichever process, reaches
-    COUNTS here."""
+    line's length comes back in item order, and every count a line made, in
+    whichever process, reaches COUNTS here."""
     items = ["a", "bb", "ccc"]
 
     def line(item: str) -> bytes:
@@ -382,10 +381,9 @@ def test_write_sharded_returns_each_line_length_and_adds_each_shards_counts(tmp_
 
     _cpus(monkeypatch, cpus)
     before = COUNTS.copy()
-    lengths, done = write_sharded(tmp_path / "lines.txt", items, line, "line", os.getpid)
+    lengths = write_sharded(tmp_path / "lines.txt", items, line, "line")
     assert (tmp_path / "lines.txt").read_bytes() == b"aa\nbbbb\ncccccc\n"
     assert lengths == [3, 5, 7]
-    assert len(done) == cpus - 1 and os.getpid() not in done
     assert COUNTS - before == {"test_lines": 3, "test_a": 1, "test_bb": 2, "test_ccc": 3}
     assert _no_child_left()
 

@@ -650,8 +650,10 @@ def _substitute_cache_counts(caplog) -> dict[str, tuple[int, int]]:
     return counts
 
 
-def test_pipeline_logs_substitute_cache_counts_per_stage(tmp_path, corpus_dir, caplog):
+def test_pipeline_logs_substitute_cache_counts_per_stage(tmp_path, corpus_dir, caplog, monkeypatch):
     caplog.set_level(logging.INFO, logger="bugaug")
+    # every report in this process: a forked shard's cache entries stay in the shard
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     out = tmp_path / "run"
     assert main(_pipeline_args(corpus_dir, out)) == 0
     first = _substitute_cache_counts(caplog)

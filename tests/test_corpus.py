@@ -3,6 +3,7 @@ from __future__ import annotations
 import gc
 import logging
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -155,14 +156,38 @@ def test_ingest_on_generated_fixture(tmp_path):
 
 
 def test_duplicate_bug_ids_rejected(tmp_path):
+    """An id a second bug reuses is refused, in the same project or in
+    another one: every artifact keys on the id alone."""
     path = tmp_path / "bugs.jsonl"
     record = (
         '{"id": "b1", "project": "p", "summary": "s", "description": "",'
         ' "opened_at": "2021-01-01T00:00:00Z", "status": "fixed"}'
     )
-    path.write_text(record + "\n" + record + "\n", "utf-8")
-    with pytest.raises(CorpusError):
-        load_bugs(path)
+    for project in ("p", "other"):
+        again = record.replace('"project": "p"', f'"project": "{project}"')
+        path.write_text(record + "\n" + again + "\n", "utf-8")
+        with pytest.raises(CorpusError, match=f"duplicate bug id 'b1', in project 'p' and in project '{project}'$"):
+            load_bugs(path)
+
+
+@pytest.mark.parametrize("file, line, error", [
+    ("bugs.jsonl", '{"id": "b9", "opened_at": "2021-01-01T00:00:00Z"}', "missing field 'summary'"),
+    ("bugs.jsonl", "[1, 2]", "expected a JSON object, got list"),
+    ("links.jsonl", '{"inducing_changeset_ids": ["cs1"]}', "missing field 'bug_id'"),
+    ("links.jsonl", '"b1"', "expected a JSON object, got str"),
+    ("diffs/changesets.jsonl", '{"id": "cs9", "author": "dev"}', "missing field 'committed_at'"),
+    ("diffs/changesets.jsonl", "null", "expected a JSON object, got NoneType"),
+])
+def test_an_ingest_input_line_that_is_no_record_names_its_file_and_line(tmp_path, file, line, error):
+    """A line appended to one of ingest's three input files that is not a
+    JSON object, or lacks a field, is refused naming the file, the line and
+    the field."""
+    corpus_dir = generate_corpus(tmp_path / "corpus", n_bugs=4, seed=3)
+    path = corpus_dir / file
+    lines = path.read_text("utf-8").splitlines()
+    path.write_text("\n".join([*lines, line]) + "\n", "utf-8")
+    with pytest.raises(CorpusError, match=f"^{re.escape(str(path))}:{len(lines) + 1}: {re.escape(error)}$"):
+        ingest_corpus(corpus_dir / "bugs.jsonl", corpus_dir / "diffs", corpus_dir / "links.jsonl", seed=5)
 
 
 def test_null_optional_bug_fields_read_as_empty_text():

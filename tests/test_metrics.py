@@ -213,6 +213,10 @@ def test_qrels_and_run_files_round_trip(tmp_path):
     write_qrels(qrels_path, qrels)
     run_path.write_text("".join(run_lines(bug_id, ranking) for bug_id, ranking in sorted(run.items())))
     assert read_qrels(qrels_path) == qrels
+    # as in trec_eval, only a relevance above zero is relevant
+    with qrels_path.open("a") as fh:
+        fh.write("b2 h4 0\nb2 h5 -1\nb3 h6 -1\n")
+    assert read_qrels(qrels_path) == qrels
     loaded = read_run(run_path)
     assert {b: [h for h, _ in entries] for b, entries in loaded.items()} == {
         "b1": ["h1", "h2"],
