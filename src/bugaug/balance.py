@@ -129,7 +129,7 @@ def distribution_report(dataset: Dataset) -> DistributionReport:
 def file_distribution_report(path: str | Path, name: str) -> DistributionReport:
     """distribution_report of the dataset in the JSON-lines file path, counted
     as its lines are decoded: the dataset is never held as a list."""
-    samples = map(sample_from_dict, read_jsonl(path))
+    samples = read_jsonl(path, sample_from_dict)
     return _count_positives(name, ((s.origin_bug_id, s.class_name) for s in samples
                                    if s.label == "positive"))
 

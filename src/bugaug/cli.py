@@ -90,7 +90,7 @@ class CorpusDir:
         self.reports: ReportStore = {}
 
     def train_bugs(self):
-        return [bug_from_dict(r) for r in read_jsonl(self.path / "train_bugs.jsonl")]
+        return list(read_jsonl(self.path / "train_bugs.jsonl", bug_from_dict))
 
     def d_ori(self) -> Dataset:
         return load_dataset(self.path / "d_ori.jsonl", "D_ori")
@@ -99,7 +99,7 @@ class CorpusDir:
         """Each changeset's log message, by changeset id, as changeset_from_dict
         reads it; only the messages are kept."""
         return {cs.id: cs.log_message
-                for cs in map(changeset_from_dict, read_jsonl(self.path / "changesets.jsonl"))}
+                for cs in read_jsonl(self.path / "changesets.jsonl", changeset_from_dict)}
 
     @cached_property
     def hunks(self):
@@ -115,12 +115,14 @@ class CorpusDir:
         return ProjectCorpus(grouped, load_links(self.path / "links.jsonl"))
 
     @cached_property
-    def class_identifiers(self) -> list[str]:
-        return sorted({h.class_name for h in self.hunks})
+    def class_identifiers(self) -> frozenset[str]:
+        """The hunks' class names: one object, which extraction, QC and the
+        paraphraser all pass on, so their shared token cache hits by identity."""
+        return frozenset(h.class_name for h in self.hunks)
 
 
 def load_dataset(path: str | Path, name: str) -> Dataset:
-    return Dataset(name=name, samples=[sample_from_dict(r) for r in read_jsonl(path)])
+    return Dataset(name=name, samples=list(read_jsonl(path, sample_from_dict)))
 
 
 def write_dataset(path: str | Path, dataset: Dataset) -> None:
@@ -133,7 +135,7 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def _paraphraser(kind: str, service_url: str | None, dictionary: SubstituteDictionary, seed: int,
-                 identifiers: list[str]):
+                 identifiers: frozenset[str]):
     if kind == "shuffle":
         return make_shuffle_paraphraser(dictionary, seed, identifiers)
     if kind == "service":
@@ -148,7 +150,7 @@ def _build_augmenter(corpus_dir: CorpusDir, structured_path: Path, args) -> Repo
     )
     patterns = PatternDictionary.load(args.patterns) if args.patterns else PatternDictionary.default()
     identifiers = corpus_dir.class_identifiers
-    qc = QualityControl(patterns=patterns, identifiers=frozenset(identifiers))
+    qc = QualityControl(patterns=patterns, identifiers=identifiers)
     paraphraser = _paraphraser(args.paraphraser, args.service_url, dictionary, args.seed, identifiers)
     if args.code_dict:
         code_names = load_code_name_dicts(args.code_dict).get
@@ -161,7 +163,8 @@ def _build_augmenter(corpus_dir: CorpusDir, structured_path: Path, args) -> Repo
             return mine_code_names(bug_id, corpus.inducing_hunks(bug_id))
 
     return ReportAugmenter(
-        records={r["bug_id"]: r for r in read_jsonl(structured_path)},
+        # a record is decoded when its bug's plan is built
+        records=dict(read_jsonl(structured_path, lambda r: (r["bug_id"], r))),
         code_names=code_names,
         dictionary=dictionary,
         qc=qc,

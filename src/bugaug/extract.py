@@ -80,10 +80,19 @@ def is_code_token(text: str, identifiers: Iterable[str] = ()) -> bool:
     return False
 
 
+@functools.cache
+def _token(word: str, identifiers: frozenset[str]) -> Token:
+    """word's Token under identifiers. Memoized per process: Token is frozen,
+    so each distinct word is classified once and its Token shared. A hit
+    compares identifiers, which is cheap only when the caller passes the
+    same frozenset object every time."""
+    return Token(text=word, is_code=is_code_token(word, identifiers))
+
+
 def detect_code_tokens(tokens: Sequence[str], identifiers: Iterable[str] = ()) -> list[Token]:
     """Mark code tokens: camelCase, snake_case, dotted paths, calls, or known identifiers."""
-    ident_set = frozenset(identifiers)
-    return [Token(text=text, is_code=is_code_token(text, ident_set)) for text in tokens]
+    identifiers = frozenset(identifiers)  # a frozenset is returned as it is
+    return [_token(word, identifiers) for word in tokens]
 
 
 def strip_punctuation(snippet_tokens: Sequence[Token]) -> list[Token]:
@@ -294,19 +303,14 @@ def _is_code_line(line: str) -> bool:
     return first in _CODE_LINE_KEYWORDS
 
 
-def _find_snippet_runs(indexed_lines: Sequence[tuple[int, str]]) -> list[list[int]]:
-    """Group >=2 consecutive code-looking lines (consecutive in original numbering)."""
+def _runs(indices: Iterable[int]) -> list[list[int]]:
+    """Ascending line indices split into runs of consecutive ones."""
     runs: list[list[int]] = []
-    current: list[int] = []
-    for idx, line in indexed_lines:
-        if _is_code_line(line) and (not current or idx == current[-1] + 1):
-            current.append(idx)
+    for i in indices:
+        if runs and i == runs[-1][-1] + 1:
+            runs[-1].append(i)
         else:
-            if len(current) >= 2:
-                runs.append(current)
-            current = [idx] if _is_code_line(line) else []
-    if len(current) >= 2:
-        runs.append(current)
+            runs.append([i])
     return runs
 
 
@@ -354,33 +358,20 @@ def structure_bug_report(
             )
         )
 
-    leftover = [(i, lines[i]) for i in range(len(lines)) if i not in claimed]
-    for run in _find_snippet_runs(leftover):
+    code_lines = (i for i in range(len(lines)) if i not in claimed and _is_code_line(lines[i]))
+    for run in _runs(code_lines):
+        if len(run) < 2:
+            continue
         claimed.update(run)
         span = (offsets[run[0]][0], offsets[run[-1]][1])
         samples.append(_snippet_sample(" ".join(lines[i] for i in run), span, ident_set))
 
-    # remaining lines form paragraphs; blank lines and already-claimed lines split blocks
-    block: list[int] = []
-    blocks: list[list[int]] = []
-    for i in range(len(lines)):
-        if i not in claimed and lines[i].strip():
-            if block and i != block[-1] + 1:
-                blocks.append(block)
-                block = []
-            block.append(i)
-        else:
-            if block:
-                blocks.append(block)
-            block = []
-    if block:
-        blocks.append(block)
-
-    for run in blocks:
-        block_text = " ".join(lines[i] for i in run)
-        tokens = detect_code_tokens(tokenize(block_text), ident_set)
-        if not tokens:
-            continue
+    # remaining lines form paragraphs; blank lines and already-claimed lines
+    # split them, and a non-blank line has a token: strip and split agree on
+    # whitespace
+    prose_lines = (i for i in range(len(lines)) if i not in claimed and lines[i].strip())
+    for run in _runs(prose_lines):
+        tokens = detect_code_tokens(tokenize(" ".join(lines[i] for i in run)), ident_set)
         kind = classify_tokens(tokens, patterns)
         samples.append(Sample(kind=kind, tokens=tokens, source_span=(offsets[run[0]][0], offsets[run[-1]][1])))
 

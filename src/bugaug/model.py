@@ -280,8 +280,8 @@ def format_timestamp(dt: datetime) -> str:
 
 def read_jsonl(path: str | Path, convert: Callable[[dict], object] | None = None) -> Iterator:
     """The JSON object on each non-blank line of path, or convert(object). A
-    line that is not a JSON object, or whose object lacks a field convert
-    reads, raises CorpusError naming path and line."""
+    line that is not a JSON object, whose object lacks a field convert reads,
+    or whose field convert refuses, raises CorpusError naming path and line."""
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -298,6 +298,8 @@ def read_jsonl(path: str | Path, convert: Callable[[dict], object] | None = None
                     record = convert(record)
                 except KeyError as exc:
                     raise CorpusError(f"{path}:{lineno}: missing field {exc}") from None
+                except (ValueError, TypeError) as exc:
+                    raise CorpusError(f"{path}:{lineno}: {exc}") from exc
             yield record
 
 

@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
-from .extract import PatternDictionary, classify_tokens, is_code_token, keyword_form, tokenize, word_core
+from .extract import (PatternDictionary, classify_tokens, detect_code_tokens, keyword_form, tokenize,
+                      word_core)
 from .model import COUNTS, NL_KINDS, Sample, Token, is_word, json_object, word_list
 from .rng import derive_rng
 
@@ -38,17 +39,8 @@ SERVICE_FAILURE_BUDGET = 3
 QC_MAX_RETRIES = 10
 
 
-class _RejectedType:
-    """Sentinel: augmentation failed quality control on every retry."""
-
-    def __repr__(self) -> str:
-        return "REJECTED"
-
-    def __bool__(self) -> bool:
-        return False
-
-
-REJECTED = _RejectedType()
+# what augment_paragraph returns when every retry failed quality control
+REJECTED = None
 
 
 @dataclass(frozen=True)
@@ -208,27 +200,16 @@ def random_delete(tokens, n, rng) -> list[Token]:
 # --- quality control -----------------------------------------------------
 
 
-def _memo_tokenize(text: str, memo: dict[str, Token], identifiers: frozenset[str]) -> list[Token]:
-    """detect_code_tokens(tokenize(text), identifiers), classifying each
-    distinct word once: memo keeps its Token, which is frozen and so shared."""
-    words = tokenize(text)
-    for word in words:
-        if word not in memo:
-            memo[word] = Token(word, is_code_token(word, identifiers))
-    return [memo[word] for word in words]
-
-
 @dataclass(frozen=True)
 class QualityControl:
-    """Independent category and code-token checks applied to augmented text.
-    One instance serves one stage and memoizes the words it classifies."""
+    """Independent category and code-token checks applied to augmented text,
+    which is tokenized as extraction tokenizes a report."""
 
     patterns: PatternDictionary
     identifiers: frozenset[str]
-    _tokens: dict[str, Token] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def retokenize(self, text: str) -> list[Token]:
-        return _memo_tokenize(text, self._tokens, self.identifiers)
+        return detect_code_tokens(tokenize(text), self.identifiers)
 
     def category(self, tokens: Sequence[Token]) -> str:
         return classify_tokens(tokens, self.patterns)
@@ -319,16 +300,14 @@ def identity_paraphraser(text: str) -> str:
 def make_shuffle_paraphraser(
     dictionary: SubstituteDictionary,
     seed: int,
-    identifiers: Sequence[str],
+    identifiers: Iterable[str],
 ) -> Paraphraser:
     """Offline paraphrase stand-in: one dictionary-replace pass plus a rotation
     of clause order; code tokens are preserved by construction."""
     ident_set = frozenset(identifiers)
-    # the words this paraphraser has classified, kept for its stage
-    memo: dict[str, Token] = {}
 
     def paraphrase(text: str) -> str:
-        tokens = _memo_tokenize(text, memo, ident_set)
+        tokens = detect_code_tokens(tokenize(text), ident_set)
         if not tokens:
             return text
         rng = derive_rng(seed, "shuffle", text)

@@ -705,9 +705,9 @@ def test_stats_counts_from_the_dataset_lines_what_the_datasets_count(tmp_path, c
     missing = tmp_path / "missing.jsonl"
     write_jsonl(missing, [{"bug_ref": "B-1", "origin_bug_id": "B-1", "class_name": "Foo",
                            "label": "positive"}])
-    with pytest.raises(KeyError, match="hunk_id"):
+    with pytest.raises(CorpusError, match="missing.jsonl:1: missing field 'hunk_id'"):
         cli.load_dataset(missing, "missing")
-    with pytest.raises(KeyError, match="hunk_id"):
+    with pytest.raises(CorpusError, match="missing.jsonl:1: missing field 'hunk_id'"):
         file_distribution_report(missing, "missing")
 
 
@@ -1028,6 +1028,32 @@ def test_a_report_shard_missing_its_structured_report_fails_augment(tmp_path, co
     assert _run_dir_files(work) == {"structured.jsonl", "d_aug.jsonl"}
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_run_directory_line_missing_a_field_names_its_file_and_line(tmp_path, corpus_dir, capsys):
+    out = tmp_path / "run"
+    assert main(_pipeline_args(corpus_dir, out)) == 0
+    work = tmp_path / "work"
+    shutil.copytree(out, work)
+
+    def drop(name: str, key: str) -> str:
+        path = work / name
+        records = list(read_jsonl(path))
+        del records[1][key]
+        write_jsonl(path, records)
+        return f"{path}:2: missing field '{key}'"
+
+    corpus = cli.CorpusDir(work)
+    with pytest.raises(CorpusError, match=re.escape(drop("train_bugs.jsonl", "summary"))):
+        corpus.train_bugs()
+    with pytest.raises(CorpusError, match=re.escape(drop("changesets.jsonl", "committed_at"))):
+        corpus.log_messages()
+    error = drop("structured.jsonl", "bug_id")
+    capsys.readouterr()
+    assert main(["augment", "--corpus", str(out), "--structured", str(work / "structured.jsonl"),
+                 "--factor", "2", "--out", str(work / "d_aug.jsonl"),
+                 "--reports-out", str(work / "reports.jsonl")]) == 1
+    assert error in capsys.readouterr().err
 
 
 def _last_test_bug_text(out) -> str:

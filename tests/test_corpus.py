@@ -173,15 +173,19 @@ def test_duplicate_bug_ids_rejected(tmp_path):
 @pytest.mark.parametrize("file, line, error", [
     ("bugs.jsonl", '{"id": "b9", "opened_at": "2021-01-01T00:00:00Z"}', "missing field 'summary'"),
     ("bugs.jsonl", "[1, 2]", "expected a JSON object, got list"),
+    ("bugs.jsonl", '{"id": "b9", "summary": "s", "opened_at": "yesterday"}',
+     "Invalid isoformat string: 'yesterday'"),
     ("links.jsonl", '{"inducing_changeset_ids": ["cs1"]}', "missing field 'bug_id'"),
     ("links.jsonl", '"b1"', "expected a JSON object, got str"),
     ("diffs/changesets.jsonl", '{"id": "cs9", "author": "dev"}', "missing field 'committed_at'"),
     ("diffs/changesets.jsonl", "null", "expected a JSON object, got NoneType"),
+    ("diffs/changesets.jsonl", '{"id": "cs9", "author": "dev", "committed_at": 17}',
+     "Invalid isoformat string: '17'"),
 ])
 def test_an_ingest_input_line_that_is_no_record_names_its_file_and_line(tmp_path, file, line, error):
     """A line appended to one of ingest's three input files that is not a
-    JSON object, or lacks a field, is refused naming the file, the line and
-    the field."""
+    JSON object, lacks a field or holds a field its decoder refuses, is
+    refused naming the file, the line and the fault."""
     corpus_dir = generate_corpus(tmp_path / "corpus", n_bugs=4, seed=3)
     path = corpus_dir / file
     lines = path.read_text("utf-8").splitlines()

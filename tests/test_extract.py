@@ -187,6 +187,70 @@ def test_two_blocks_give_two_snippets(patterns):
     assert kinds.count("CodeSnippet") == 2
 
 
+_PROSE_LINES = ("The widget leaks memory.", "It should close the handle", "Open the dialog twice",
+                "AsyncContext.dispatch() hangs")
+_CODE_LINES = ("int a = 1;", "}", "@Override", "foo.close();")
+_BLANK_LINES = ("", "   ")
+_TRACE_LINES = ("org.demo.BoomException: x", "    at org.demo.Worker.run(Worker.java:1)",
+                "    at java.lang.Thread.run(Thread.java:2)")
+
+
+def _maximal_runs(indices: list[int]) -> list[list[int]]:
+    runs: list[list[int]] = []
+    for i in indices:
+        if runs and runs[-1][-1] == i - 1:
+            runs[-1].append(i)
+        else:
+            runs.append([i])
+    return runs
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(
+    # a report's summary may not be empty
+    lines=st.lists(st.sampled_from(_PROSE_LINES + _CODE_LINES + _BLANK_LINES), max_size=14).filter(any),
+    trace_at=st.one_of(st.none(), st.integers(0, 14)),
+)
+def test_lines_group_into_maximal_snippet_and_paragraph_runs(lines, trace_at):
+    """A snippet is a maximal run of at least two code lines outside the
+    trace, a paragraph a maximal run of the other non-blank lines outside it;
+    a lone code line reads as prose."""
+    lines = list(lines)
+    trace: set[int] = set()
+    if trace_at is not None:
+        trace_at = min(trace_at, len(lines))
+        lines[trace_at:trace_at] = _TRACE_LINES
+        trace = set(range(trace_at, trace_at + len(_TRACE_LINES)))
+    starts = [sum(len(line) + 1 for line in lines[:i]) for i in range(len(lines))]
+
+    def span(run: list[int]) -> tuple[int, int]:
+        return starts[run[0]], starts[run[-1]] + len(lines[run[-1]])
+
+    code = [i for i, line in enumerate(lines) if line in _CODE_LINES and i not in trace]
+    snippets = [run for run in _maximal_runs(code) if len(run) >= 2]
+    in_snippet = {i for run in snippets for i in run}
+    paragraphs = _maximal_runs([i for i, line in enumerate(lines)
+                                if line.strip() and i not in trace and i not in in_snippet])
+
+    samples = _structure("\n".join(lines), _DEFAULT_PATTERNS)
+    spans = [s.source_span for s in samples]
+    assert spans == sorted(spans)
+    assert all(end <= start for (_, end), (start, _) in zip(spans, spans[1:]))
+    kinds = {s.source_span: s.kind for s in samples}
+    assert list(kinds.values()).count("StackTrace") == (trace_at is not None)
+    snippet_spans = {span(run) for run in snippets}
+    assert {s for s, kind in kinds.items() if kind == "CodeSnippet"} <= snippet_spans
+    for run in snippets:
+        # a run of nothing but braces has no token left after punctuation filtering
+        punctuation_only = all(lines[i] == "}" for i in run)
+        assert kinds[span(run)] == ("Other" if punctuation_only else "CodeSnippet")
+    paragraph_spans = [span(run) for run in paragraphs]
+    assert paragraph_spans == [s for s in spans if kinds[s] != "StackTrace" and s not in snippet_spans]
+    for i in code:
+        if i not in in_snippet:
+            assert any(start <= starts[i] < end for start, end in paragraph_spans)
+
+
 def _tokens(*texts: str, code=()) -> list[Token]:
     return [Token(t, is_code=t in code) for t in texts]
 

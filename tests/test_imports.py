@@ -209,5 +209,7 @@ def test_the_benchmark_tracer_wraps_every_stage_and_hot_layer(tmp_path):
     names = {span[0] for span in json.loads(trace.read_text("utf-8"))["spans"]}
     stages = ("ingest", "extract", "augment", "balance", "stats", "retrieve", "eval")
     expected = {*(f"cli.{stage}" for stage in stages),
-                "metrics.eval", "retrieval.index", "retrieval.rank", "builder.report"}
+                "metrics.eval", "retrieval.index", "retrieval.rank", "builder.report",
+                "extract.structure", "nl_ops.paragraph", "nl_ops.retokenize", "nl_ops.paraphrase",
+                "code_ops.sample"}
     assert expected - names == set()

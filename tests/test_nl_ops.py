@@ -415,7 +415,7 @@ _IDS = frozenset({"JarScanner", "Util"})
 @given(texts=st.lists(_TEXTS, min_size=1, max_size=4))
 def test_qc_retokenize_classifies_like_is_code_token(patterns, texts):
     qc = _qc(patterns, identifiers=_IDS)
-    for text in [*texts, *map(str.swapcase, texts)]:  # the memo fills across texts
+    for text in [*texts, *map(str.swapcase, texts)]:  # the token cache fills across texts
         expected = [Token(w, is_code_token(w, _IDS)) for w in text.split()]
         assert qc.retokenize(text) == expected
         assert qc.retokenize(text) == expected
@@ -433,7 +433,7 @@ def test_shuffle_paraphraser_tokenizes_like_detect_code_tokens(substitutes, text
     paraphrase = make_shuffle_paraphraser(substitutes, seed=5, identifiers=sorted(_IDS))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(nl_ops, "dictionary_replace", recording_replace)
-        for text in [*texts, *map(str.swapcase, texts), *texts]:  # later texts read the memo
+        for text in [*texts, *map(str.swapcase, texts), *texts]:  # later texts hit the token cache
             seen.clear()
             paraphrase(text)
             assert seen == ([detect_code_tokens(tokenize(text), _IDS)] if text.split() else [])
