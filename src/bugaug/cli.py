@@ -29,7 +29,7 @@ from .builder import (
     write_sharded,
 )
 from .code_ops import load_code_name_dicts, mine_code_names
-from .corpus import ProjectCorpus, ingest_corpus, load_hunks_jsonl, load_links
+from .corpus import ProjectCorpus, ingest_corpus, load_bugs, load_hunks_jsonl, load_links
 from .extract import DEFAULT_LIBRARY_PREFIXES, PatternDictionary, structure_bug_report
 from .metrics import (
     compute_metrics,
@@ -274,7 +274,7 @@ def stage_stats(dataset_paths: dict[str, Path], top_k: int, out_path: Path,
 
 def stage_retrieve(corpus_dir: CorpusDir, bugs_path: Path, top_n: int, out_path: Path) -> None:
     index = index_hunks(corpus_dir.hunks, corpus_dir.log_messages())
-    texts = {bug.id: bug.text for bug in read_jsonl(bugs_path, bug_from_dict)}
+    texts = {bug.id: bug.text for bug in load_bugs(bugs_path)}
     # bugs in id order, ranked on every CPU against the one index built here;
     # rank is looked up when a shard calls it, so a wrapper over cli.rank runs
     write_sharded(out_path, sorted(texts.items()),

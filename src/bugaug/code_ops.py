@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .model import COUNTS, Hunk, Sample, Token, is_word, json_object, word_list
+from .model import COUNTS, Hunk, Sample, Token, is_word, json_object, str_list
 
 _METHOD_CALL_RE = re.compile(r"\b([A-Za-z_$][\w$]*)\s*\(")
 _CALL_KEYWORDS = frozenset(
@@ -62,12 +62,8 @@ def load_code_name_dicts(path: str | Path) -> dict[str, CodeNameDictionary]:
     """Read a JSON map bug_id -> [names], overriding mining."""
     with open(path, encoding="utf-8") as fh:
         raw = json.load(fh)
-    return {
-        str(bug_id): CodeNameDictionary(
-            bug_id=str(bug_id), names=tuple(sorted(set(map(str, word_list(names, bug_id)))))
-        )
-        for bug_id, names in json_object(raw).items()
-    }
+    return {bug_id: CodeNameDictionary(bug_id=bug_id, names=tuple(sorted(set(str_list(names, bug_id)))))
+            for bug_id, names in json_object(raw).items()}
 
 
 def levenshtein(a: str, b: str) -> int:

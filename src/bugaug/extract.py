@@ -17,8 +17,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .model import (BugReport, Sample, StackFrame, StructuredBugReport, Token, is_word, json_object,
-                    word_list)
+from .model import BugReport, Sample, StructuredBugReport, Token, is_word, json_object, str_list
 
 DEFAULT_LIBRARY_PREFIXES = ("java.", "javax.", "sun.", "jdk.")
 
@@ -158,10 +157,8 @@ class PatternDictionary:
             raise ValueError(f"'OB': expected an object of word lists, got {type(ob).__name__} {ob!r}")
 
         def words(section: dict, key: str) -> frozenset[str]:
-            items = word_list(section.get(key, []), key)
+            items = str_list(section.get(key, []), key)
             for w in items:
-                if not isinstance(w, str):
-                    raise ValueError(f"{key!r}: expected words, got {type(w).__name__} {w!r}")
                 # a paragraph's words are matched in their keyword form
                 if not is_word(w) or keyword_form(w) != w.lower():
                     raise ValueError(f"{key!r}: {w!r} can never match: a pattern word must be one "
@@ -219,41 +216,28 @@ def _lines_with_offsets(text: str) -> list[tuple[int, int, str]]:
 # --- stack traces -------------------------------------------------------
 
 
-def _frame_from_line(line: str, is_last: bool, library_prefixes: Sequence[str]) -> StackFrame | None:
-    if _CAUSED_BY_RE.match(line):
-        return StackFrame(raw=line, kind="caused_by")
+def _is_app_frame(line: str, library_prefixes: Sequence[str]) -> bool:
+    """True if line is an 'at ...' frame whose class, with any Java 9+
+    'module/' prefix dropped, matches no library prefix."""
     at = _AT_FRAME_RE.match(line)
-    if at:
-        if is_last:
-            return StackFrame(raw=line, kind="bottom")
-        loc = at.group("loc").rsplit("/", 1)[-1]  # drop Java 9+ module prefix
-        class_name = loc.rsplit(".", 1)[0] if "." in loc else loc
-        kind = "library" if class_name.startswith(tuple(library_prefixes)) else "app"
-        return StackFrame(raw=line, kind=kind)
-    if _ELLIPSIS_RE.match(line):
-        return StackFrame(raw=line, kind="bottom" if is_last else "library")
-    return None
+    if not at:
+        return False
+    loc = at.group("loc").rsplit("/", 1)[-1]
+    return not loc.rsplit(".", 1)[0].startswith(tuple(library_prefixes))
 
 
-def _find_traces(
-    lines: Sequence[str], library_prefixes: Sequence[str] = DEFAULT_LIBRARY_PREFIXES
-) -> list[tuple[int, int, list[StackFrame]]]:
-    """Locate traces as (start_line, end_line_exclusive, frames) triples.
+def _find_traces(lines: Sequence[str]) -> list[tuple[int, int]]:
+    """Locate traces as (start_line, end_line_exclusive) ranges.
 
     A trace starts at an exception-header line immediately followed by at least
     one 'at ...' frame; 'Caused by:' chains and '... N more' lines attach.
     """
-    found: list[tuple[int, int, list[StackFrame]]] = []
+    found: list[tuple[int, int]] = []
     i = 0
     while i < len(lines):
-        header = _HEADER_RE.match(lines[i])
-        if not (header and not _CAUSED_BY_RE.match(lines[i])) or i + 1 >= len(lines):
+        if not (_HEADER_RE.match(lines[i]) and i + 1 < len(lines) and _AT_FRAME_RE.match(lines[i + 1])):
             i += 1
             continue
-        if not _AT_FRAME_RE.match(lines[i + 1]):
-            i += 1
-            continue
-        start = i
         j = i + 1
         while j < len(lines):
             if _AT_FRAME_RE.match(lines[j]) or _ELLIPSIS_RE.match(lines[j]):
@@ -266,26 +250,9 @@ def _find_traces(
                 j += 1
             else:
                 break
-        frames = [StackFrame(raw=lines[start], kind="exception_header")]
-        for k in range(start + 1, j):
-            frame = _frame_from_line(lines[k], is_last=(k == j - 1), library_prefixes=library_prefixes)
-            assert frame is not None
-            frames.append(frame)
-        found.append((start, j, frames))
+        found.append((i, j))
         i = j
     return found
-
-
-def reduce_stack_trace(trace: Sequence[StackFrame]) -> list[StackFrame]:
-    """Keep the header, the first three application frames, and the last frame.
-
-    Frames arrive classified: _frame_from_line marks a frame "app" when its
-    class matches no library prefix."""
-    if not trace:
-        raise ValueError("trace must be non-empty")
-    last = len(trace) - 1
-    app = [i for i in range(1, last) if trace[i].kind == "app"]
-    return [trace[i] for i in sorted({0, *app[:3], last})]
 
 
 # --- code snippets ------------------------------------------------------
@@ -340,15 +307,16 @@ def structure_bug_report(
     samples: list[Sample] = []
     claimed: set[int] = set()
 
-    for start, end, frames in _find_traces(lines, library_prefixes):
+    for start, end in _find_traces(lines):
         claimed.update(range(start, end))
-        reduced = reduce_stack_trace(frames)
+        # keep the header, the first three application frames and the last frame
+        app = [k for k in range(start + 1, end - 1) if _is_app_frame(lines[k], library_prefixes)]
         tokens: list[Token] = []
         line_indices: list[int] = []
-        for li, frame in enumerate(reduced):
-            frame_tokens = detect_code_tokens(tokenize(frame.raw), ident_set)
-            tokens.extend(frame_tokens)
-            line_indices.extend([li] * len(frame_tokens))
+        for li, k in enumerate(sorted({start, *app[:3], end - 1})):
+            line_tokens = detect_code_tokens(tokenize(lines[k]), ident_set)
+            tokens.extend(line_tokens)
+            line_indices.extend([li] * len(line_tokens))
         samples.append(
             Sample(
                 kind="StackTrace",

@@ -113,9 +113,9 @@ def write_qrels(path: str | Path, qrels: Qrels) -> None:
 
 
 def read_run(path: str | Path) -> dict[str, list[tuple[str, float]]]:
-    """Lines: bug_id hunk_id rank score, the score a finite number; per-bug
-    entries re-sorted on load."""
-    raw: dict[str, list[tuple[str, float]]] = {}
+    """Lines: bug_id hunk_id rank score, the score a finite number and each
+    hunk once per bug; per-bug entries re-sorted on load."""
+    raw: dict[str, dict[str, float]] = {}  # bug id -> its hunks' scores
     hunk_ids: dict[str, str] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -134,8 +134,11 @@ def read_run(path: str | Path) -> dict[str, list[tuple[str, float]]]:
                 raise ValueError(f"{path}:{lineno}: score {score!r} is not a finite number")
             # one string per distinct hunk id: a run repeats each one across rankings
             hunk_id = hunk_ids.setdefault(hunk_id, hunk_id)
-            raw.setdefault(bug_id, []).append((hunk_id, value))
-    return {bug: sort_ranking(entries) for bug, entries in raw.items()}
+            scores = raw.setdefault(bug_id, {})
+            if hunk_id in scores:
+                raise ValueError(f"{path}:{lineno}: duplicate hunk id {hunk_id!r} for bug {bug_id!r}")
+            scores[hunk_id] = value
+    return {bug: sort_ranking(scores.items()) for bug, scores in raw.items()}
 
 
 def run_lines(bug_id: str, ranking: Ranking) -> str:

@@ -20,7 +20,6 @@ LABELS = ("positive", "negative")
 
 SAMPLE_KINDS = ("OB", "EB", "S2R", "StackTrace", "CodeSnippet", "Other")
 NL_KINDS = ("OB", "EB", "S2R")
-FRAME_KINDS = ("exception_header", "caused_by", "app", "library", "bottom")
 
 # the process's event counts, by name ("substitute_hits", ...): a forked
 # report or ranking shard clears them when it starts, and builder.write_sharded
@@ -229,16 +228,6 @@ class StructuredBugReport:
     samples: list[Sample]
 
 
-@dataclass(frozen=True)
-class StackFrame:
-    raw: str
-    kind: str
-
-    def __post_init__(self):
-        if self.kind not in FRAME_KINDS:
-            raise ValueError(f"unknown frame kind {self.kind!r}")
-
-
 # --- user dictionaries and word lists ----------------------------------
 
 
@@ -254,6 +243,16 @@ def word_list(value, key: str) -> list | tuple:
     its characters, is refused with the key that holds it."""
     if not isinstance(value, (list, tuple)):
         raise ValueError(f"{key!r}: expected a list of words, got {type(value).__name__} {value!r}")
+    return value
+
+
+def str_list(value, key: str) -> list | tuple:
+    """word_list(value, key), if every item is a string: the check of every
+    dictionary loader, where str() would make ["fail"] or null a word that
+    no report holds."""
+    for item in word_list(value, key):
+        if not isinstance(item, str):
+            raise ValueError(f"{key!r}: expected words, got {type(item).__name__} {item!r}")
     return value
 
 

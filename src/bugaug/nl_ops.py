@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Sequence
 
 from .extract import (PatternDictionary, classify_tokens, detect_code_tokens, keyword_form, tokenize,
                       word_core)
-from .model import COUNTS, NL_KINDS, Sample, Token, is_word, json_object, word_list
+from .model import COUNTS, NL_KINDS, Sample, Token, is_word, json_object, str_list
 from .rng import derive_rng
 
 log = logging.getLogger(__name__)
@@ -72,8 +72,7 @@ class SubstituteDictionary:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SubstituteDictionary":
-        return cls({str(k): tuple(str(s) for s in word_list(v, k))
-                    for k, v in sorted(json_object(data).items())})
+        return cls({k: tuple(str_list(v, k)) for k, v in sorted(json_object(data).items())})
 
     @classmethod
     def load(cls, path: str | Path) -> "SubstituteDictionary":

@@ -231,6 +231,13 @@ def test_a_malformed_dictionary_exits_2_before_any_stage_runs(tmp_path, capsys, 
     phrase.write_text('{"S2R": ["steps to reproduce", "reproduce."]}', "utf-8")
     punctuated = tmp_path / "punctuated.json"
     punctuated.write_text('{"fails.": ["crashes"]}', "utf-8")
+    # str() would make these the words "['fail']" and "None", which no report holds
+    nested = tmp_path / "nested.json"
+    nested.write_text('{"crash": [["fail"]]}', "utf-8")
+    null = tmp_path / "null.json"
+    null.write_text('{"crash": [null]}', "utf-8")
+    null_name = tmp_path / "null_name.json"
+    null_name.write_text('{"BUG-0001": [null, 3]}', "utf-8")
     not_an_object, not_a_word = "expected an object at the top level, got list", "is not one word"
     stage_args = ["--corpus", str(tmp_path), "--structured", str(tmp_path)]
     balance_args = ["balance", *stage_args, "--train", str(tmp_path), "--alpha", "1", "--omega", "1",
@@ -252,6 +259,12 @@ def test_a_malformed_dictionary_exits_2_before_any_stage_runs(tmp_path, capsys, 
          "pipeline", "--patterns", phrase, "'steps to reproduce' can never match"),
         ([*balance_args, "--substitutes", str(punctuated)], "balance", "--substitutes", punctuated,
          "'fails.' can never match"),
+        ([*balance_args, "--substitutes", str(nested)], "balance", "--substitutes", nested,
+         "'crash': expected words, got list ['fail']"),
+        (["augment", *stage_args, "--out", str(tmp_path / "a.jsonl"), "--substitutes", str(null)],
+         "augment", "--substitutes", null, "'crash': expected words, got NoneType None"),
+        (["augment", *stage_args, "--out", str(tmp_path / "a.jsonl"), "--code-dict", str(null_name)],
+         "augment", "--code-dict", null_name, "'BUG-0001': expected words, got NoneType None"),
     ]
     for argv, command, flag, path, fault in cases:
         with pytest.raises(SystemExit) as exc:
@@ -749,6 +762,25 @@ def test_retrieve_writes_rankings_in_bug_id_order(tmp_path, corpus_dir):
     assert bug_ids == sorted(bug_ids)
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda bugs: [{**bugs[0], "id": "BUG 1"}, *bugs[1:]], "bug id 'BUG 1' is not one word"),
+    (lambda bugs: [*bugs, bugs[0]], "duplicate bug id"),
+], ids=["id_not_one_word", "duplicate_id"])
+def test_retrieve_refuses_a_bug_file_that_ingest_would_refuse(tmp_path, corpus_dir, capsys, edit, message):
+    """retrieve --bugs reads its file as ingest does: a bug id with a space
+    would give run.txt lines of five columns, and a repeated id would be
+    ranked once under a count of two."""
+    out = tmp_path / "run"
+    assert main(_pipeline_args(corpus_dir, out)) == 0
+    bugs = edit(list(read_jsonl(out / "test_bugs.jsonl")))
+    bad = tmp_path / "bad_bugs.jsonl"
+    bad.write_text("".join(json.dumps(bug) + "\n" for bug in bugs), "utf-8")
+    capsys.readouterr()
+    assert main(["retrieve", "--index", str(out), "--bugs", str(bad), "--out", str(tmp_path / "r.txt")]) == 1
+    err = capsys.readouterr().err
+    assert str(bad) in err and message in err
+
+
 def test_augment_subcommand_with_shuffle_paraphraser(tmp_path, corpus_dir):
     out = tmp_path / "artifacts"
     main(
@@ -792,6 +824,7 @@ _PINNED_DIGESTS = {
     "augmented_reports.jsonl": "02c3cb613b9ef4fccb0d2dec6b64cc44e0cf719b7d9184175e907d931fd4a0c8",
     "balance_reports.jsonl": "6c0c27d33ddbdde5c2aff308f6441279048fbdd8502bf58bb0fdf52892eeef24",
     "hunks.jsonl": "c50ea2df2a922e2a26e1ce401ed4e429394d686fee109e0a1f289d9dbe057181",
+    "structured.jsonl": "66f5b4a2d18d226bdf1969997872e06a2bffeb699b19ad53f2a2481df6d539e9",
 }
 
 
@@ -799,7 +832,8 @@ def test_dataset_artifacts_match_pinned_digests(tmp_path):
     """Every dataset and report file is a pure function of its inputs and
     seed: a changed random stream key (negative, augment or balance) shows
     here as a changed digest. D_bl adds samples at these settings.
-    hunks.jsonl pins how ingest parses and writes the hunks."""
+    hunks.jsonl pins how ingest parses and writes the hunks, structured.jsonl
+    how extract splits and reduces each report, source spans included."""
     corpus = tmp_path / "corpus"
     generate_corpus(corpus, n_bugs=30, seed=7)
     out = tmp_path / "run"

@@ -14,12 +14,11 @@ from bugaug.extract import (
     _find_traces,
     classify_tokens,
     detect_code_tokens,
-    reduce_stack_trace,
     strip_punctuation,
     structure_bug_report,
     tokenize,
 )
-from bugaug.model import StackFrame, Token
+from bugaug.model import Token
 
 from conftest import make_bug
 
@@ -48,17 +47,33 @@ def _structure(text: str, patterns) -> list:
     return structure_bug_report(make_bug("b", summary=text), patterns).samples
 
 
-def _traces(text: str) -> list[list[StackFrame]]:
-    """Unreduced frames of every trace in `text`."""
-    return [frames for _, _, frames in _find_traces(text.splitlines())]
+def _traces(text: str) -> list[tuple[int, int]]:
+    """(start, end_exclusive) line range of every trace in `text`."""
+    return _find_traces(text.splitlines())
+
+
+def _kept_lines(sample) -> list[str]:
+    """The lines a StackTrace sample kept, each as its tokens joined by one space."""
+    kept: dict[int, list[str]] = {}
+    for token, line in zip(sample.tokens, sample.line_indices):
+        kept.setdefault(line, []).append(token.text)
+    return [" ".join(kept[i]) for i in sorted(kept)]
+
+
+def _reduced(text: str, library_prefixes=DEFAULT_LIBRARY_PREFIXES) -> list[list[str]]:
+    """The kept lines of every trace in a report whose description is `text`."""
+    bug = make_bug("b", summary="Crash", description=text)
+    samples = structure_bug_report(bug, PatternDictionary.default(), library_prefixes).samples
+    return [_kept_lines(s) for s in samples if s.kind == "StackTrace"]
+
+
+def _normalized(lines) -> list[str]:
+    return [" ".join(line.split()) for line in lines]
 
 
 def test_npe_trace_has_five_frames(patterns):
     text = "Some prose before.\n\n" + NPE_TRACE + "\nAnd after."
-    traces = _traces(text)
-    assert len(traces) == 1
-    assert len(traces[0]) == 5
-    assert traces[0][0].kind == "exception_header"
+    assert _traces(text) == [(2, 7)]
     samples = _structure(text, patterns)
     assert [s.kind for s in samples].count("StackTrace") == 1
     prose = " ".join(s.text() for s in samples if s.kind != "StackTrace")
@@ -75,12 +90,8 @@ def test_plain_prose_has_no_traces(patterns):
 
 
 def test_caused_by_chain_attaches_to_same_trace():
-    # 5 header+frame lines plus 3 caused-by lines -> one trace with 8 frames
-    traces = _traces(CAUSED_BY_TRACE)
-    assert len(traces) == 1
-    assert len(traces[0]) == 8
-    kinds = [f.kind for f in traces[0]]
-    assert kinds.count("caused_by") == 1
+    # 5 header+frame lines plus 3 caused-by lines -> one trace of 8 lines
+    assert _traces(CAUSED_BY_TRACE) == [(0, 8)]
 
 
 def test_header_requires_following_frame(patterns):
@@ -97,31 +108,24 @@ def _frame(i: int, app: bool) -> str:
 
 
 def test_reduce_twenty_frame_trace():
-    # frames indexed 0..19: header, 4 library, app at 5..8, library to 18, last 19
+    # lines indexed 0..19: header, 4 library, app at 5..8, library to 18, last 19
     lines = ["org.demo.BoomException: x"]
     for i in range(1, 19):
         lines.append(_frame(i, app=5 <= i <= 8))
     lines.append("    at java.lang.Thread.run(Thread.java:748)")
-    (trace,) = _traces("\n".join(lines))
-    assert len(trace) == 20
-    reduced = reduce_stack_trace(trace)
-    assert [f.raw for f in reduced] == [lines[0], lines[5], lines[6], lines[7], lines[19]]
-    assert len(reduced) == 5
+    assert _traces("\n".join(lines)) == [(0, 20)]
+    assert _reduced("\n".join(lines)) == [_normalized([lines[0], lines[5], lines[6], lines[7], lines[19]])]
 
 
 def test_reduce_two_frame_trace_keeps_both():
-    trace = [
-        StackFrame(raw="org.X.BoomError: x", kind="exception_header"),
-        StackFrame(raw="    at org.X.A.m(A.java:1)", kind="bottom"),
-    ]
-    reduced = reduce_stack_trace(trace)
-    assert [f.raw for f in reduced] == [trace[0].raw, trace[1].raw]
+    lines = ["org.X.BoomError: x", "    at org.X.A.m(A.java:1)"]
+    assert _traces("\n".join(lines)) == [(0, 2)]
+    assert _reduced("\n".join(lines)) == [_normalized(lines)]
 
 
 def test_reduce_trace_without_app_frames_keeps_header_and_bottom():
     lines = ["java.lang.OutOfMemoryError: heap"] + [_frame(i, app=False) for i in range(1, 6)]
-    reduced = reduce_stack_trace(_traces("\n".join(lines))[0])
-    assert [f.raw for f in reduced] == [lines[0], lines[5]]
+    assert _reduced("\n".join(lines)) == [_normalized([lines[0], lines[5]])]
 
 
 def test_reduce_always_keeps_first_and_last_frames():
@@ -132,35 +136,48 @@ def test_reduce_always_keeps_first_and_last_frames():
         traces = _traces("\n".join(lines))
         if not traces:
             continue
-        reduced = reduce_stack_trace(traces[0])
-        raws = [f.raw for f in reduced]
-        assert raws[0] == traces[0][0].raw
-        assert raws[-1] == traces[0][-1].raw
-        assert len(reduced) <= 5
+        assert traces == [(0, n)]
+        (kept,) = _reduced("\n".join(lines))
+        assert kept[0] == _normalized(lines[:1])[0]
+        assert kept[-1] == _normalized(lines[-1:])[0]
+        assert len(kept) <= 5
 
 
 _FRAME_CLASSES = ("java.util.Lib", "javax.swing.Pane", "sun.misc.Unsafe", "org.demo.Worker",
                   "org.demo.util.Strings", "com.acme.Thing")
+# Java 9+ frames name their module before the class; the class alone decides
+_MODULES = ("", "java.base/", "com.acme.app/")
+_CAUSES = ("Caused by: java.io.IOError: disk gone", "Caused by: org.demo.WrapperException")
+# an 'at ...' line and its class
+_FRAME = st.builds(lambda module, cls, n: (f"    at {module}{cls}.m{n}({cls.rsplit('.', 1)[1]}.java:{n})",
+                                           cls),
+                   st.sampled_from(_MODULES), st.sampled_from(_FRAME_CLASSES), st.integers(1, 999))
+# what may follow a trace's first frame: a frame, a 'Caused by:' line with its
+# frame, or a '... N more' line, as (line, class or None) pairs
+_BODY_PART = st.one_of(
+    _FRAME.map(lambda frame: [frame]),
+    st.tuples(st.sampled_from(_CAUSES), _FRAME).map(lambda cause: [(cause[0], None), cause[1]]),
+    st.integers(1, 99).map(lambda n: [(f"    ... {n} more", None)]),
+)
 
 
 @settings(derandomize=True, database=None, deadline=None)
 @given(
-    classes=st.lists(st.sampled_from(_FRAME_CLASSES), min_size=1, max_size=12),
+    first=_FRAME,
+    rest=st.lists(_BODY_PART, max_size=12),
     prefixes=st.lists(st.sampled_from(DEFAULT_LIBRARY_PREFIXES + ("org.demo.util.", "com.")),
                       unique=True),
 )
-def test_structured_trace_keeps_header_first_three_app_frames_and_last(classes, prefixes):
+def test_structured_trace_keeps_header_first_three_app_frames_and_last(first, rest, prefixes):
     header = "org.demo.BoomException: x"
-    frames = [f"    at {cls}.m{i}({cls.rsplit('.', 1)[1]}.java:{i})" for i, cls in enumerate(classes)]
-    bug = make_bug("b", summary="Crash", description="\n".join([header] + frames))
+    body = [first, *(pair for part in rest for pair in part)]
+    text = "\n".join([header] + [line for line, _ in body])
+    bug = make_bug("b", summary="Crash", description=text)
     (trace,) = [s for s in structure_bug_report(bug, PatternDictionary.default(), prefixes).samples
                 if s.kind == "StackTrace"]
-    kept: dict[int, list[str]] = {}
-    for token, line in zip(trace.tokens, trace.line_indices):
-        kept.setdefault(line, []).append(token.text)
-    app = [raw for cls, raw in zip(classes[:-1], frames) if not cls.startswith(tuple(prefixes))]
-    expected = [header, *app[:3], frames[-1]]
-    assert [" ".join(kept[i]) for i in sorted(kept)] == [" ".join(raw.split()) for raw in expected]
+    assert trace.source_span == (len(bug.text) - len(text), len(bug.text))
+    app = [line for line, cls in body[:-1] if cls is not None and not cls.startswith(tuple(prefixes))]
+    assert _kept_lines(trace) == _normalized([header, *app[:3], body[-1][0]])
 
 
 def test_three_line_method_body_is_one_snippet(patterns):

@@ -267,6 +267,14 @@ def test_read_run_names_the_line_of_a_score_that_is_no_finite_number(tmp_path, s
         read_run(path)
 
 
+def test_read_run_names_the_line_of_a_repeated_hunk(tmp_path):
+    """A hunk may appear once per bug's ranking; another bug may rank it too."""
+    path = tmp_path / "run.txt"
+    path.write_text("b1 h1 1 2.0\nb2 h1 1 2.0\nb1 h2 2 1.0\nb1 h1 3 0.5\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:4: duplicate hunk id 'h1' for bug 'b1'$"):
+        read_run(path)
+
+
 def test_read_qrels_names_the_line_of_a_relevance_that_is_no_integer(tmp_path):
     path = tmp_path / "qrels.txt"
     path.write_text("b1 h1 1\nb1 h2 x\n")
