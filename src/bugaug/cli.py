@@ -11,6 +11,7 @@ import hashlib
 import json
 import logging
 import math
+import os
 import sys
 from dataclasses import dataclass
 from functools import cache, cached_property
@@ -76,10 +77,12 @@ class CorpusDir:
 
     Artifacts that several stages read, and views derived from them, are
     cached properties: parsed when first asked for and kept, so a run parses
-    hunks.jsonl once. Ingest, the only writer, runs before any reader, so
-    nothing is invalidated. The pipeline drops its CorpusDir after the last
-    stage that reads hunks.jsonl or links.jsonl, so later stages run without
-    the parsed corpus. Each method's artifact has one reader per run.
+    hunks.jsonl at most once. Ingest, the only writer, runs before any
+    reader, so nothing is invalidated, and it sets `hunks` to the hunks it
+    parsed: a run whose ingest ran parses hunks.jsonl zero times. The
+    pipeline drops its CorpusDir after the last stage that reads hunks.jsonl
+    or links.jsonl, so later stages run without the parsed corpus. Each
+    method's artifact has one reader per run.
 
     `reports` is the run's report store: where each augmented report the run
     wrote lies, so a later stage copies it instead of building it again.
@@ -177,7 +180,8 @@ def _build_augmenter(corpus_dir: CorpusDir, structured_path: Path, args) -> Repo
 # --- stages ---------------------------------------------------------------
 
 
-def stage_ingest(bugs: Path, diffs: Path, links: Path, seed: int, out_dir: Path) -> None:
+def stage_ingest(bugs: Path, diffs: Path, links: Path, seed: int, corpus_dir: CorpusDir) -> None:
+    out_dir = corpus_dir.path
     out_dir.mkdir(parents=True, exist_ok=True)
     result = ingest_corpus(bugs, diffs, links, seed)
     corpus = result.corpus
@@ -190,6 +194,7 @@ def stage_ingest(bugs: Path, diffs: Path, links: Path, seed: int, out_dir: Path)
                 (changeset_to_dict(result.changesets[k]) for k in sorted(result.changesets)))
     write_dataset(out_dir / "d_ori.jsonl", result.d_ori)
     write_qrels(out_dir / "qrels.txt", result.qrels)
+    corpus_dir.hunks = hunks  # what hunks.jsonl now holds, so no later stage parses it
     log.info("ingested %d train / %d test bugs, %d hunks, |D_ori|=%d", len(result.train_bugs),
              len(result.test_bugs), len(hunks), len(result.d_ori))
 
@@ -341,7 +346,7 @@ STAGES = (
           reads=("bugs", "diffs", "links"),
           writes=("train_bugs.jsonl", "test_bugs.jsonl", "hunks.jsonl", "links.jsonl",
                   "changesets.jsonl", "d_ori.jsonl", "qrels.txt"),
-          config=("seed",), call=lambda a, corpus: (a.bugs, a.diffs, a.links, a.seed, a.out)),
+          config=("seed",), call=lambda a, corpus: (a.bugs, a.diffs, a.links, a.seed, corpus(a.out))),
     Stage("extract", "decompose train bug reports into structured samples",
           ("corpus", "patterns"), {"corpus": "", "out": "structured.jsonl"},
           reads=("train_bugs.jsonl", "hunks.jsonl", "patterns"), writes=("structured.jsonl",),
@@ -425,7 +430,7 @@ def _check_usage(parser: argparse.ArgumentParser, args, options) -> None:
 # --- manifest and resume ------------------------------------------------------
 
 
-def _sha256(path: Path) -> str:
+def _sha256(path: str | Path) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(65536), b""):
@@ -438,7 +443,13 @@ def _digest_files(paths: list[Path]) -> dict[str, str]:
 
 
 def _digest_tree(path: Path) -> dict[str, str]:
-    return _digest_files(sorted(path.iterdir()) if path.is_dir() else [path])
+    """The digest of each file in directory path (a symlink to a file
+    included), by name, or of the file path."""
+    if not path.is_dir():
+        return _digest_files([path])
+    with os.scandir(path) as entries:
+        files = sorted((entry.name, entry.path) for entry in entries if entry.is_file())
+    return {name: _sha256(file) for name, file in files}
 
 
 def _pipeline_manifest(args) -> dict:

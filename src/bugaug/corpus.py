@@ -37,6 +37,8 @@ from .rng import derive_rng
 log = logging.getLogger(__name__)
 
 DROPPED_STATUSES = ("wont_fix", "not_a_bug")
+# how many of the changesets without a diff file the warning names
+_MISSING_SHOWN = 5
 
 
 @dataclass
@@ -122,24 +124,31 @@ def load_diff_dir(diffs_dir: str | Path) -> tuple[dict[str, Changeset], dict[str
     """Read changesets.jsonl plus one <changeset_id>.diff file per changeset.
     A changeset id must be one word without "/", so that its diff file lies
     in diffs_dir and its hunk ids fit the run file; any other raises
-    CorpusError."""
-    diffs_dir = Path(diffs_dir)
-    meta_path = diffs_dir / "changesets.jsonl"
+    CorpusError. A changeset without a diff file has no hunks, and one
+    warning counts them all."""
+    meta_path = Path(diffs_dir) / "changesets.jsonl"
     if not meta_path.exists():
         raise CorpusError(f"missing changeset metadata file {meta_path}")
     changesets: dict[str, Changeset] = {}
     hunks: dict[str, list[Hunk]] = {}
+    missing: list[str] = []
     for cs in read_jsonl(meta_path, changeset_from_dict):
         if not is_word(cs.id) or "/" in cs.id:
             raise CorpusError(f"{meta_path}: changeset id {cs.id!r} is not one word without '/'")
         if cs.id in changesets:
             raise CorpusError(f"duplicate changeset id {cs.id!r}")
         changesets[cs.id] = cs
-        diff_path = diffs_dir / f"{cs.id}.diff"
-        if diff_path.exists():
-            hunks[cs.id] = parse_unified_diff(diff_path.read_text(encoding="utf-8"), cs.id)
-        else:
-            hunks[cs.id] = []
+        try:
+            with open(f"{diffs_dir}/{cs.id}.diff", encoding="utf-8") as fh:
+                text = fh.read()
+        except FileNotFoundError:
+            missing.append(cs.id)
+            text = ""
+        hunks[cs.id] = parse_unified_diff(text, cs.id)
+    if missing:
+        log.warning("%d changesets in %s have no .diff file and so no hunks: %s%s", len(missing),
+                    meta_path, ", ".join(missing[:_MISSING_SHOWN]),
+                    ", ..." if len(missing) > _MISSING_SHOWN else "")
     return changesets, hunks
 
 

@@ -7,7 +7,9 @@ must match the hunk body, and violations raise with the offending line number.
 from __future__ import annotations
 
 import re
+from functools import cache
 from pathlib import Path
+from sys import intern
 
 from .model import MARKER_CODES, Hunk
 
@@ -40,8 +42,10 @@ class DiffParseError(ValueError):
         self.line_number = line_number
 
 
+@cache
 def derive_class_name(file_path: str) -> str:
-    """File stem without extension: ``a/b/Foo.java`` -> ``Foo``."""
+    """File stem without extension: ``a/b/Foo.java`` -> ``Foo``. Cached: a
+    diff names one path for each of its hunks."""
     if not file_path:
         raise ValueError("file_path must be non-empty")
     return Path(file_path).stem
@@ -59,7 +63,9 @@ def parse_unified_diff(diff_text: str, changeset_id: str = "") -> list[Hunk]:
 
     file_path comes from the ``+++`` header (``b/`` prefix stripped); for
     deletions (``+++ /dev/null``) the ``---`` path is used instead. Hunk ids
-    are ``<changeset_id>#h<n>`` with n counting from 1 in file order.
+    are ``<changeset_id>#h<n>`` with n counting from 1 in file order. Paths
+    and class names repeat across hunks and are interned, as hunk_from_dict
+    interns them, so each value is held once.
     """
     lines = diff_text.splitlines()
     hunks: list[Hunk] = []
@@ -83,7 +89,7 @@ def parse_unified_diff(diff_text: str, changeset_id: str = "") -> list[Hunk]:
                 raise DiffParseError(f"malformed hunk header {line!r}", i + 1)
             if new_path is None:
                 raise DiffParseError("hunk header before any '+++' file header", i + 1)
-            file_path = new_path if new_path != "/dev/null" else (old_path or "")
+            file_path = intern(new_path if new_path != "/dev/null" else (old_path or ""))
             if not file_path:
                 raise DiffParseError("hunk has no usable file path", i + 1)
             old_start = int(match.group("old_start"))
@@ -96,7 +102,7 @@ def parse_unified_diff(diff_text: str, changeset_id: str = "") -> list[Hunk]:
                     id=f"{changeset_id}#h{len(hunks) + 1}",
                     changeset_id=changeset_id,
                     file_path=file_path,
-                    class_name=derive_class_name(file_path),
+                    class_name=intern(derive_class_name(file_path)),
                     old_start=old_start,
                     old_len=old_len,
                     new_start=new_start,

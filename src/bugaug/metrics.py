@@ -23,14 +23,8 @@ PER_BUG_METRICS = {"reciprocal_rank": "mrr", "average_precision": "map",
 
 
 def sort_ranking(entries: Iterable[tuple[str, float]]) -> list[tuple[str, float]]:
-    """Score descending, ties by hunk id ascending; duplicate ids rejected."""
-    ordered = sorted(entries, key=lambda e: (-e[1], e[0]))
-    seen = set()
-    for hunk_id, _ in ordered:
-        if hunk_id in seen:
-            raise ValueError(f"duplicate hunk id {hunk_id!r} in ranking")
-        seen.add(hunk_id)
-    return ordered
+    """Score descending, ties by hunk id ascending."""
+    return sorted(entries, key=lambda e: (-e[1], e[0]))
 
 
 def _check_run(run: RankingRun, qrels: Qrels) -> None:

@@ -12,7 +12,7 @@ import heapq
 import math
 import re
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from .model import Hunk
@@ -36,12 +36,17 @@ class HunkIndex:
     frequency is the list's length; `posting_tfs` maps it to an array of the
     term's frequency in each of them, and `posting_denominators` to an array
     of each one's BM25 denominator tf + norm, in the same order. A hunk's
-    norm is its length normaliser, K1 * (1 - B + B * length / average length)."""
+    norm is its length normaliser, K1 * (1 - B + B * length / average length).
+
+    `contributions` caches, by (term, query count), what `rank` adds to each
+    of the term's hunks, in posting order: filled on first use, so a process
+    computes each one once, and gone with the index."""
 
     hunk_ids: list[str]
     postings: dict[str, list[int]]
     posting_tfs: dict[str, array]
     posting_denominators: dict[str, array]
+    contributions: dict[tuple[str, int], array] = field(default_factory=dict, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.hunk_ids)
@@ -94,11 +99,11 @@ def rank(bug_report_text: str, index: HunkIndex, top_n: int) -> list[tuple[str, 
     """Top-n (hunk_id, score) pairs, score descending, ties by hunk id.
 
     Scores accumulate term at a time into one flat list indexed by hunk
-    position, over only the postings of the query's terms, with each
-    posting's denominator read from the index. A hunk that shares no term
-    with the query keeps 0.0; every other score is positive. Positions
-    ascend with hunk id and the top-n selection is stable, so equal scores,
-    the 0.0 ones included, come in id order."""
+    position, over only the postings of the query's terms, each posting's
+    contribution computed once per (term, query count) and cached on the
+    index. A hunk that shares no term with the query keeps 0.0; every other
+    score is positive. Positions ascend with hunk id and the top-n selection
+    is stable, so equal scores, the 0.0 ones included, come in id order."""
     if top_n < 1:
         raise ValueError(f"top_n must be at least 1, got {top_n}")
     if not index.hunk_ids:
@@ -114,11 +119,15 @@ def rank(bug_report_text: str, index: HunkIndex, top_n: int) -> list[tuple[str, 
         positions = index.postings.get(term)
         if positions is None:
             continue
-        df = len(positions)
-        # query_count * idf * tf * (k1 + 1) / (tf + norm), multiplied left to right
-        qi = query_count * math.log(1.0 + (n_docs - df + 0.5) / (df + 0.5))
-        for position, tf, denominator in zip(positions, index.posting_tfs[term],
-                                             index.posting_denominators[term]):
-            scores[position] += qi * tf * k1_plus_1 / denominator
+        contributions = index.contributions.get((term, query_count))
+        if contributions is None:
+            df = len(positions)
+            # query_count * idf * tf * (k1 + 1) / (tf + norm), multiplied left to right
+            qi = query_count * math.log(1.0 + (n_docs - df + 0.5) / (df + 0.5))
+            contributions = array("d", [qi * tf * k1_plus_1 / denominator for tf, denominator
+                                        in zip(index.posting_tfs[term], index.posting_denominators[term])])
+            index.contributions[term, query_count] = contributions
+        for position, contribution in zip(positions, contributions):
+            scores[position] += contribution
     top = heapq.nlargest(top_n, range(n_docs), key=scores.__getitem__)
     return [(index.hunk_ids[position], scores[position]) for position in top]

@@ -467,7 +467,7 @@ def test_each_run_parses_hunks_jsonl_once(tmp_path, corpus_dir, monkeypatch, cap
     monkeypatch.setattr(cli, "load_hunks_jsonl", lambda path: loads.append(path) or load(path))
     out = tmp_path / "run"
     assert main(_pipeline_args(corpus_dir, out)) == 0
-    assert loads == [out / "hunks.jsonl"]
+    assert loads == []  # ingest hands the hunks it parsed to every later stage
 
     stage_args = ["--corpus", str(out), "--structured", str(out / "structured.jsonl"),
                   "--seed", "42"]
@@ -504,15 +504,40 @@ def test_each_run_parses_hunks_jsonl_once(tmp_path, corpus_dir, monkeypatch, cap
 
 def test_parsed_hunks_hold_each_repeated_string_once(tmp_path, corpus_dir):
     """hunks.jsonl repeats line markers, changeset ids, paths and class
-    names; parsing it keeps one string for each distinct value."""
+    names; parsing it keeps one string for each distinct value, and so do
+    the hunks ingest parsed from the diffs and hands to later stages."""
     out = tmp_path / "run"
+    corpus = cli.CorpusDir(out)
     cli.stage_ingest(corpus_dir / "bugs.jsonl", corpus_dir / "diffs", corpus_dir / "links.jsonl", 42,
-                     out)
-    hunks = load_hunks_jsonl(out / "hunks.jsonl")
-    for values in ([h.changeset_id for h in hunks], [h.file_path for h in hunks],
-                   [h.class_name for h in hunks], [m for h in hunks for m, _ in h.lines]):
-        assert len(values) > len(set(values))
-        assert len({id(v) for v in values}) == len(set(values))
+                     corpus)
+    ingested = vars(corpus)["hunks"]  # set by ingest, not parsed from hunks.jsonl
+    parsed = load_hunks_jsonl(out / "hunks.jsonl")
+    assert ingested == parsed
+    for hunks in (ingested, parsed):
+        for values in ([h.changeset_id for h in hunks], [h.file_path for h in hunks],
+                       [h.class_name for h in hunks], [m for h in hunks for m, _ in h.lines]):
+            assert len(values) > len(set(values))
+            assert len({id(v) for v in values}) == len(set(values))
+
+
+def test_an_input_directorys_digests_are_those_of_its_files(tmp_path):
+    """A pipeline input's digests, which key resume, are each file's SHA-256
+    by name: a symlink to a file counts as the file, and a subdirectory and a
+    dangling symlink are left out. A file names only itself."""
+    inputs = tmp_path / "diffs"
+    inputs.mkdir()
+    (inputs / "b.diff").write_bytes(bytes(range(256)) * 300)  # over one 64 KiB chunk
+    (inputs / "a.jsonl").write_text("{}\n", "utf-8")
+    (inputs / "sub").mkdir()
+    (inputs / "sub" / "inner.diff").write_text("inner\n", "utf-8")
+    (inputs / "link.diff").symlink_to(inputs / "a.jsonl")
+    (inputs / "dangling.diff").symlink_to(inputs / "gone.diff")
+    expected = {p.name: cli._sha256(p) for p in sorted(inputs.iterdir()) if p.is_file()}
+    assert cli._digest_tree(inputs) == expected
+    assert list(expected) == ["a.jsonl", "b.diff", "link.diff"]
+    assert expected["b.diff"] == hashlib.sha256((inputs / "b.diff").read_bytes()).hexdigest()
+    assert expected["link.diff"] == expected["a.jsonl"]
+    assert cli._digest_tree(inputs / "b.diff") == {"b.diff": expected["b.diff"]}
 
 
 def test_a_pipeline_run_releases_the_parsed_hunks_after_their_last_reader(tmp_path, corpus_dir,

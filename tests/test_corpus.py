@@ -16,6 +16,7 @@ from bugaug.corpus import (
     drop_unusable_bugs,
     ingest_corpus,
     load_bugs,
+    load_diff_dir,
     load_hunks_jsonl,
     split_by_date,
 )
@@ -26,6 +27,7 @@ from bugaug.model import (
     changeset_from_dict,
     hunk_to_dict,
     link_from_dict,
+    read_jsonl,
     write_jsonl,
 )
 
@@ -153,6 +155,30 @@ def test_ingest_on_generated_fixture(tmp_path):
     assert result.qrels  # test bugs have relevance judgments
     # dropped statuses never reach the split
     assert all(b.status == "fixed" for b in result.train_bugs + result.test_bugs)
+
+
+def test_changesets_without_a_diff_file_are_counted_in_one_warning(tmp_path, caplog):
+    """A listed changeset whose .diff file is missing gets no hunks, and one
+    warning gives their count and the first five ids in file order; an empty
+    .diff file also gives no hunks, silently."""
+    diffs = generate_corpus(tmp_path / "corpus", n_bugs=8, seed=3) / "diffs"
+    ids = [cs.id for cs in read_jsonl(diffs / "changesets.jsonl", changeset_from_dict)]
+    with caplog.at_level(logging.WARNING, logger="bugaug.corpus"):
+        _, complete = load_diff_dir(diffs)
+    assert caplog.records == []
+    assert all(complete[cs_id] for cs_id in ids)
+
+    missing, empty = ids[1:8], ids[9]
+    for cs_id in missing:
+        (diffs / f"{cs_id}.diff").unlink()
+    (diffs / f"{empty}.diff").write_text("", "utf-8")
+    with caplog.at_level(logging.WARNING, logger="bugaug.corpus"):
+        changesets, hunks = load_diff_dir(diffs)
+    assert list(changesets) == ids
+    assert [cs_id for cs_id in ids if not hunks[cs_id]] == [*missing, empty]
+    assert [record.getMessage() for record in caplog.records] == [
+        f"7 changesets in {diffs / 'changesets.jsonl'} have no .diff file and so no hunks: "
+        f"{', '.join(missing[:5])}, ..."]
 
 
 def test_duplicate_bug_ids_rejected(tmp_path):

@@ -200,11 +200,6 @@ def test_sort_ranking_breaks_ties_by_id():
     assert sort_ranking(entries) == [("h3", 2.0), ("h1", 1.0), ("h2", 1.0)]
 
 
-def test_sort_ranking_rejects_duplicates():
-    with pytest.raises(ValueError):
-        sort_ranking([("h1", 1.0), ("h1", 0.5)])
-
-
 def test_qrels_and_run_files_round_trip(tmp_path):
     qrels = {"b1": {"h1", "h2"}, "b2": {"h3"}}
     run = {"b1": [("h1", 2.0), ("h2", 1.0)], "b2": [("h3", 9.0), ("h1", 1.5)]}

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -202,6 +203,29 @@ def test_rank_equals_full_scan_reference(documents, query_terms, data):
     matched = sum(1 for _, tokens in documents if set(tokens) & set(query_terms))
     for top_n in sorted({1, max(1, matched - 1), max(1, matched), matched + 1, len(hunks) + 2}):
         assert rank(query, index, top_n) == _full_scan_rank(query, hunks, top_n)
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(documents=_CORPORA, queries=st.lists(_QUERIES, min_size=2, max_size=6), data=st.data())
+def test_a_warm_contribution_cache_never_changes_a_ranking(documents, queries, data):
+    """Queries ranked in turn on one index, whose cached contributions the
+    earlier ones filled, score exactly as on a fresh index and as the full
+    scan does."""
+    ids = data.draw(st.permutations([f"h{i:02d}" for i in range(len(documents))]))
+    hunks = [
+        make_hunk(hunk_id, "cs", "Cls", lines=(("added", " ".join(words)),) if words else ())
+        for hunk_id, words in zip(ids, documents)
+    ]
+    warm = index_hunks(hunks)
+    top_n = len(hunks) + 1
+    for query_terms in queries:
+        query = " ".join(query_terms)
+        expected = rank(query, index_hunks(hunks), top_n)
+        assert rank(query, warm, top_n) == expected == _full_scan_rank(query, hunks, top_n)
+    # one entry for each (indexed term, query count) that a query held
+    assert warm.contributions.keys() == {(term, count) for query_terms in queries
+                                         for term, count in Counter(query_terms).items()
+                                         if term in warm.postings}
 
 
 @settings(derandomize=True, database=None, deadline=None)
